@@ -1,18 +1,20 @@
 """Pulse-level Schroedinger propagation and Floquet-frame analysis.
 
-All evolution runs through the unitary Magnus stepper in ``_magnus``:
-propagators are advanced as 2x2 unitaries and applied to states, so the norm
-is conserved to machine precision.  Integration sub-intervals never straddle
-an envelope kink (segment boundaries are mesh points), which preserves the
-4th-order accuracy of the stepper for the cosine-edged pulses.
+All evolution runs through one pipeline of exactly unitary 2x2 steps (so
+the norm is conserved to machine precision): mesh -> step unitaries ->
+blocked reduce/scan -> gather.  ``_mesh_propagators`` compiles the sample
+times and envelope kinks into the step mesh, so no step straddles a kink;
+``_magnus.magnus_path`` does the rest, in fixed blocks of steps.
 
 Batched drivers cover the two scan geometries that dominate the figures:
 amplitude batches of continuous-drive traces, and plateau-duration batches
 sharing the rise segment with the fall segments propagated as one batch.
+``_refine`` is the one step-refinement policy they share.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 from ._magnus import (
     IDENTITY2,
     STEP_FLOOR,
+    magnus_path,
     magnus_segment,
     matmul2,
     unitarity_defect,
@@ -88,20 +91,56 @@ def default_step(pulse: PulseSpec) -> float:
     return min(cands)
 
 
-def _segment_boundaries(pulse: PulseSpec, t0: float, t1: float):
-    cuts = [t0, t1]
-    for b in (pulse.t_rise, pulse.t_rise + pulse.t_plateau, pulse.total, 0.0):
-        if t0 < b < t1:
-            cuts.append(b)
-    return np.unique(np.asarray(cuts, dtype=float))
+def _kinks(pulse: PulseSpec):
+    """Envelope kinks: pulse start, rise end, plateau end, pulse end."""
+    return np.array([0.0, pulse.t_rise, pulse.t_rise + pulse.t_plateau, pulse.total])
 
 
-def _drive_fn(pulse: PulseSpec):
+def _drive_fn(pulse: PulseSpec, start: float = 0.0):
+    """sigma_x coefficient of ``pulse`` with its envelope starting at ``start``."""
+
     def x_of_t(t):
-        a = envelope(pulse, t, allow_outside=True)
+        a = envelope(pulse, t - start, allow_outside=True)
         return a * np.cos(pulse.carrier * t + pulse.carrier_phase)
 
     return x_of_t
+
+
+def _mesh_propagators(params, x_of_t, times, kinks, step, u0=IDENTITY2):
+    """Propagators from times[0] to each of the non-decreasing ``times``: the
+    times and the drive ``kinks`` between them cut the span into intervals
+    [a, b] of ceil((b - a)/step) equal steps (at least one), so no step
+    straddles a kink; ``step`` is a scalar or one value per interval."""
+    kinks = np.asarray(kinks, dtype=float)
+    cuts = np.union1d(times, kinks[(kinks > times[0]) & (kinks < times[-1])])
+    span = np.diff(cuts)
+    n = np.maximum(1, np.ceil(span / step).astype(int))
+    before = np.concatenate([[0], np.cumsum(n)])
+    h = np.repeat(span / n, n)
+    lo = h * (np.arange(before[-1]) - np.repeat(before[:-1], n))
+    lo += np.repeat(cuts[:-1], n)  # + a in place: one mesh-sized temporary fewer
+    keep = before[np.searchsorted(cuts, times)]
+    return magnus_path(u0, x_of_t, -0.5 * params.delta, lo, h, keep)
+
+
+def _refine(run, step, psi0, final, message):
+    """``run(step)``, halving the step until the P1 from ``psi0`` of the
+    propagators ``final`` picks out moves by < 1e-8; returns the finer run.
+    Dropping below ``STEP_FLOOR`` raises AccuracyError with ``message``."""
+
+    def p1(u):
+        return np.abs(_states_from_unitaries(final(u), psi0)[..., 1]) ** 2
+
+    result = run(step)
+    while True:
+        finer = run(step / 2.0)
+        converged = np.max(np.abs(p1(result) - p1(finer))) < 1e-8
+        result = finer
+        if converged:
+            return result
+        step /= 2.0
+        if step < STEP_FLOOR:
+            raise AccuracyError(message)
 
 
 def evolve_interval(
@@ -118,14 +157,9 @@ def evolve_interval(
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     step = target_step if target_step is not None else default_step(pulse)
-    u = IDENTITY2.copy() if u0 is None else u0
-    x_of_t = _drive_fn(pulse)
-    hz = -0.5 * params.delta
-    cuts = _segment_boundaries(pulse, t0, t1)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n = max(1, int(np.ceil((b - a) / step)))
-        u = magnus_segment(u, x_of_t, hz, a, b, n)
-    return u
+    u0 = IDENTITY2 if u0 is None else u0
+    u = _mesh_propagators(params, _drive_fn(pulse), [t0, t1], _kinks(pulse), step, u0)
+    return u[..., -1, :, :]
 
 
 def propagate(
@@ -153,42 +187,17 @@ def propagate(
         times = np.append(times, pulse.total)
 
     step = target_step if target_step is not None else default_step(pulse)
-    result = _propagate_sampled(params, pulse, times, step)
-    if refine:
-        while True:
-            finer = _propagate_sampled(params, pulse, times, step / 2.0)
-            p1_a = np.abs(_states_from_unitaries(result[-1], psi0)[1]) ** 2
-            p1_b = np.abs(_states_from_unitaries(finer[-1], psi0)[1]) ** 2
-            if abs(p1_a - p1_b) < 1e-8:
-                result = finer
-                break
-            step /= 2.0
-            result = finer
-            if step < STEP_FLOOR:
-                raise AccuracyError(
-                    "propagation did not converge above the step floor"
-                )
-    states = _states_from_unitaries(np.stack(result), psi0)
+    run = functools.partial(_mesh_propagators, params, _drive_fn(pulse), times, _kinks(pulse))
+    u = run(step) if not refine else _refine(
+        run, step, psi0, lambda u: u[-1], "propagation did not converge above the step floor"
+    )
+    states = _states_from_unitaries(u, psi0)
     return Trajectory(
         times=times,
         states=states,
         p1=np.abs(states[:, 1]) ** 2,
         bloch=_bloch_components(states),
     )
-
-
-def _propagate_sampled(params, pulse, times, step):
-    x_of_t = _drive_fn(pulse)
-    hz = -0.5 * params.delta
-    u = IDENTITY2.copy()
-    out = [u]
-    for t0, t1 in zip(times[:-1], times[1:]):
-        cuts = _segment_boundaries(pulse, t0, t1)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            n = max(1, int(np.ceil((b - a) / step)))
-            u = magnus_segment(u, x_of_t, hz, a, b, n)
-        out.append(u)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,38 +229,14 @@ def continuous_drive_states(
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
     step = target_step if target_step is not None else TWO_PI / omega / 200.0
 
-    def run(h):
-        def x_of_t(t):
-            return amps[:, None] * np.cos(omega * t + carrier_phase)[None, :]
+    def x_of_t(t):
+        return amps[:, None] * np.cos(omega * t + carrier_phase)[None, :]
 
-        u = np.broadcast_to(IDENTITY2, (len(amps), 2, 2)).copy()
-        out = np.empty((len(times), len(amps), 2, 2), dtype=complex)
-        out[0] = u
-        hz = -0.5 * params.delta
-        for i, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
-            n = max(1, int(np.ceil((t1 - t0) / h)))
-            u = magnus_segment(u, x_of_t, hz, t0, t1, n)
-            out[i + 1] = u
-        return out
-
-    u_all = run(step)
-    if refine:
-        while True:
-            finer = run(step / 2.0)
-            d = np.max(
-                np.abs(
-                    np.abs(_states_from_unitaries(u_all[-1], psi0)[:, 1]) ** 2
-                    - np.abs(_states_from_unitaries(finer[-1], psi0)[:, 1]) ** 2
-                )
-            )
-            u_all = finer
-            if d < 1e-8:
-                break
-            step /= 2.0
-            if step < STEP_FLOOR:
-                raise AccuracyError("batched propagation did not converge")
-    states = _states_from_unitaries(np.swapaxes(u_all, 0, 1), psi0)
-    return states
+    run = functools.partial(_mesh_propagators, params, x_of_t, times, ())
+    u = run(step) if not refine else _refine(
+        run, step, psi0, lambda u: u[:, -1], "batched propagation did not converge"
+    )
+    return _states_from_unitaries(u, psi0)
 
 
 def final_states_for_durations(
@@ -274,32 +259,12 @@ def final_states_for_durations(
     if np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
         raise ValueError("durations must be >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
-    step0 = (
-        target_step
-        if target_step is not None
-        else default_step(pulse_template)
+    step = target_step if target_step is not None else default_step(pulse_template)
+
+    run = functools.partial(_duration_batch_unitaries, params, pulse_template, durs)
+    u = run(step) if not refine else _refine(
+        run, step, psi0, lambda u: u, "duration sweep did not converge"
     )
-
-    def run(h):
-        return _duration_batch_unitaries(params, pulse_template, durs, h)
-
-    u = run(step0)
-    if refine:
-        step = step0
-        while True:
-            finer = run(step / 2.0)
-            d = np.max(
-                np.abs(
-                    np.abs(_states_from_unitaries(u, psi0)[:, 1]) ** 2
-                    - np.abs(_states_from_unitaries(finer, psi0)[:, 1]) ** 2
-                )
-            )
-            u = finer
-            if d < 1e-8:
-                break
-            step /= 2.0
-            if step < STEP_FLOOR:
-                raise AccuracyError("duration sweep did not converge")
     return _states_from_unitaries(u, psi0)
 
 
@@ -307,34 +272,20 @@ def _duration_batch_unitaries(params, template, durs, step):
     am = template.amplitude_max
     omega, phi = template.carrier, template.carrier_phase
     t_r, t_f = template.t_rise, template.t_fall
-    hz = -0.5 * params.delta
 
     # shared rise
-    u_r = IDENTITY2.copy()
+    u_r = IDENTITY2
     if t_r > 0.0:
         rise_pulse = PulseSpec(am, omega, t_r, max(durs[-1], 1.0), t_f, phi)
+        u_r = _mesh_propagators(params, _drive_fn(rise_pulse), [0.0, t_r], (), step)[-1]
 
-        def x_rise(t):
-            return envelope(rise_pulse, t, allow_outside=True) * np.cos(omega * t + phi)
+    # cumulative plateau, recorded at every requested duration; meshed in
+    # plateau time s so the step counts come from the duration increments
+    def x_plateau(s):
+        return am * np.cos(omega * (t_r + s) + phi)
 
-        u_r = magnus_segment(u_r, x_rise, hz, 0.0, t_r, max(1, int(np.ceil(t_r / step))))
-
-    # cumulative plateau, recorded at every requested duration
-    u_p = np.empty((len(durs), 2, 2), dtype=complex)
-    u = IDENTITY2.copy()
-
-    def x_plateau(t):
-        return am * np.cos(omega * t + phi)
-
-    prev = 0.0
-    for i, d in enumerate(durs):
-        if d > prev:
-            n = max(1, int(np.ceil((d - prev) / step)))
-            u = magnus_segment(u, x_plateau, hz, t_r + prev, t_r + d, n)
-            prev = d
-        u_p[i] = u
-
-    out = matmul2(u_p, np.broadcast_to(u_r, u_p.shape))
+    u_p = _mesh_propagators(params, x_plateau, np.concatenate([[0.0], durs]), (), step)
+    out = matmul2(u_p[1:], u_r)
 
     # batched falls: local fall time s in [0, t_f], start times differ
     if t_f > 0.0:
@@ -344,11 +295,9 @@ def _duration_batch_unitaries(params, template, durs, step):
             env = 0.5 * am * (1.0 + np.cos(np.pi * s / t_f))
             return env[None, :] * np.cos(omega * (starts[:, None] + s[None, :]) + phi)
 
-        u_f = np.broadcast_to(IDENTITY2, (len(durs), 2, 2)).copy()
-        u_f = magnus_segment(
-            u_f, x_fall, hz, 0.0, t_f, max(1, int(np.ceil(t_f / step)))
-        )
-        out = matmul2(u_f, out)
+        n_fall = max(1, int(np.ceil(t_f / step)))
+        u_f = np.broadcast_to(IDENTITY2, (len(durs), 2, 2))
+        out = matmul2(magnus_segment(u_f, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall), out)
     return out
 
 
@@ -404,24 +353,20 @@ def propagate_train(
     of their start times.
     """
     psi = (StateVector.ground() if initial is None else initial).as_array()
-    hz = -0.5 * params.delta
-    t_abs = 0.0
-    u = IDENTITY2.copy()
-    for pulse in pulses:
-        step = target_step if target_step is not None else default_step(pulse)
-        start = t_abs
+    starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
+    cuts = np.unique(np.concatenate([starts[:1], *(s + _kinks(p) for p, s in zip(pulses, starts))]))
+    drives = [_drive_fn(p, s) for p, s in zip(pulses, starts)]
+    steps = [target_step if target_step is not None else default_step(p) for p in pulses]
 
-        def x_of_t(t, _pulse=pulse, _start=start):
-            a = envelope(_pulse, t - _start, allow_outside=True)
-            return a * np.cos(_pulse.carrier * t + _pulse.carrier_phase)
+    def pulse_of(t):
+        return np.searchsorted(starts, t, side="right") - 1
 
-        cuts = start + _segment_boundaries(pulse, 0.0, pulse.total)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            n = max(1, int(np.ceil((b - a) / step)))
-            u = magnus_segment(u, x_of_t, hz, a, b, n)
-        t_abs += pulse.total
-    final = u @ psi
-    return StateVector.from_array(final)
+    def x_of_t(t):
+        return np.piecewise(t, [pulse_of(t) == k for k in range(len(drives))], drives)
+
+    step = np.asarray(steps)[pulse_of(cuts[:-1])]
+    u = _mesh_propagators(params, x_of_t, cuts[[0, -1]], cuts, step)[-1]
+    return StateVector.from_array(u @ psi)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +490,6 @@ def prepare_state(
     *,
     carrier: float | None = None,
     t_max: float | None = None,
-    fidelity_floor: float = 0.0,
 ) -> tuple[PulseSpec, float]:
     """Scan plateau duration and carrier phase for the best target fidelity.
 
@@ -599,6 +543,4 @@ def prepare_state(
     f_b, d_b, p_b = scan(fine_durs, fine_phis)
 
     best_pulse = PulseSpec(amp, omega, edges, d_b, edges, p_b % TWO_PI)
-    if f_b < fidelity_floor:
-        pass  # reported, not fatal
     return best_pulse, f_b

@@ -122,6 +122,19 @@ class TestDurationSweep:
         # counts track the probabilities
         assert np.max(np.abs(ca / 512 - p1a)) < 0.2
 
+    def test_amplitude_batch_equals_single_calls_bitwise(self, params):
+        # block edges are fixed in steps, so batching cannot reorder the sums
+        amps = TWO_PI * np.linspace(0.1, 2.5, 12)
+        times = np.arange(0.0, 2.0 + 1e-12, 0.01)  # 1600 steps, several blocks
+        batch = ev.continuous_drive_states(
+            params, amps, DELTA, times, target_step=1.25e-3, refine=False
+        )
+        for a, got in zip(amps, batch):
+            one = ev.continuous_drive_states(
+                params, [a], DELTA, times, target_step=1.25e-3, refine=False
+            )[0]
+            assert np.array_equal(got, one)
+
     def test_decreasing_durations_rejected(self, params):
         template = PulseSpec(TWO_PI * 0.3, DELTA, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
