@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConfigError
+from .spectral import WINDOWS
 
 
 def _parse_bool(s: str) -> bool:
@@ -120,6 +121,46 @@ class ExperimentConfig:
         return out
 
 
+#: Integer keys with a lower bound (the bootstrap needs b >= 100).
+_MINIMUMS = {
+    ("quasienergies", "amp_points"): 1,
+    ("rabi", "amp_points"): 1,
+    ("stateprep", "shots"): 1,
+    ("stateprep", "bootstrap_b"): 100,
+}
+
+
+def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
+    """Reject parsed values out of range, naming the key.
+
+    Durations and steps (keys ending in ``_ns``) must be positive, except
+    ``solver.propagator_step_ns``, where 0 selects the per-pulse default,
+    and the edge-time lists, where 0 is a sharp edge.
+    """
+
+    def bad(sec, key, why):
+        return ConfigError(f"bad value for {sec}.{key}: {values[sec][key]!r} ({why})")
+
+    for sec, keys in values.items():
+        for key, v in keys.items():
+            if not key.endswith("_ns"):
+                continue
+            if isinstance(v, tuple):
+                times = [x for item in v for x in (item if isinstance(item, tuple) else (item,))]
+                if not all(x >= 0.0 for x in times):
+                    raise bad(sec, key, "times must be >= 0")
+            elif key == "propagator_step_ns":
+                if not v >= 0.0:
+                    raise bad(sec, key, "must be >= 0; 0 selects the per-pulse default")
+            elif not v > 0.0:
+                raise bad(sec, key, "must be > 0")
+    for (sec, key), lowest in _MINIMUMS.items():
+        if values[sec][key] < lowest:
+            raise bad(sec, key, f"must be >= {lowest}")
+    if values["rabi"]["window"] not in WINDOWS:
+        raise bad("rabi", "window", f"expected one of {WINDOWS}")
+
+
 def default_config() -> ExperimentConfig:
     return ExperimentConfig(
         {sec: {k: d for k, (_, d) in keys.items()} for sec, keys in SCHEMA.items()}
@@ -153,4 +194,5 @@ def load_config(path: str | None) -> ExperimentConfig:
                 raise ConfigError(
                     f"bad value for {sec}.{key}: {raw!r} ({exc})"
                 ) from exc
+    _check_ranges(values)
     return ExperimentConfig(values)

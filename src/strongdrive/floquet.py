@@ -148,9 +148,15 @@ class FloquetSpectrum:
 
 
 def reduce_to_zone(x: float, omega: float) -> float:
-    """Reduce a quasienergy to the window (-omega/2, omega/2]."""
+    """Reduce a quasienergy to the window (-omega/2, omega/2].
+
+    A value within a few ulps of -omega/2 is on the zone edge and maps to
+    +omega/2, so round-off cannot choose the sign of an edge quasienergy
+    (e.g. both monodromy eigenphases at A = 0 when Delta is an odd multiple
+    of omega).
+    """
     r = x - omega * np.round(x / omega)
-    if r <= -0.5 * omega:
+    if r <= -0.5 * omega + 8.0 * np.spacing(0.5 * omega):
         r += omega
     return float(r)
 

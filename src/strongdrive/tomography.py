@@ -11,6 +11,15 @@ measurement axis:
 with Rx(pi/2) = exp(-i pi sigma_x / 4) and Ry(pi/2) = exp(-i pi sigma_y / 4).
 The sign pattern follows from R^dag sigma_z R and is a recorded convention.
 
+Because each basis measures one Bloch component, the binomial likelihood
+splits into three concave one-variable terms.  The maximum-likelihood state
+is therefore closed-form: the linear-inversion Bloch vector when it lies in
+the unit ball, otherwise the point of the sphere where each term's gradient
+is proportional to the component, found by a 1-D solve for the Lagrange
+multiplier (cf. Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).  The
+parametric bootstrap draws its b resamples from the per-component normal
+approximation and reconstructs them as one array batch.
+
 Pulse-level calibration reproduces the experiment's procedure: the pulse
 length is tuned by the repeated-pulse sequence [Rx(theta)]^(2n+1), which
 amplifies an angle error delta into the population as
@@ -29,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .errors import NumericError
 from .evolve import propagate, propagate_train
 from .model import PulseSpec, QubitParams, StateVector
 from .units import TWO_PI
@@ -101,7 +109,7 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class ShotRecord:
     """Measured counts in one basis.  ``excited_counts`` may be fractional
-    for exact (infinite-shot limit) or bootstrap-resampled records."""
+    for exact (infinite-shot limit) or synthetic resampled records."""
 
     basis: str
     shots: int
@@ -181,148 +189,118 @@ def bloch_from_records(records) -> np.ndarray:
 # Maximum likelihood reconstruction
 # ---------------------------------------------------------------------------
 
-_P_CLIP = 1e-12
+#: Basis measuring each Bloch axis x, y, z.
+_AXIS_BASES = ("ry90", "rx90", "id")
 
-# Measurement operators M_b = R^dag |1><1| R, so p_b = tr(rho M_b).
-_MEAS = {
-    b: ROTATIONS[b].conj().T @ np.diag([0.0, 1.0]).astype(complex) @ ROTATIONS[b]
-    for b in BASES
-}
-
-# d L / d theta for L = [[a, 0], [c + i d, b]].
-_DL = (
-    np.array([[1, 0], [0, 0]], dtype=complex),
-    np.array([[0, 0], [0, 1]], dtype=complex),
-    np.array([[0, 0], [1, 0]], dtype=complex),
-    np.array([[0, 0], [1j, 0]], dtype=complex),
+_PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
+# Floor on 1 - s in the component solve.  A component reaches s >= 1 only
+# when no count opposes it (w = 0), where w / (1 - s) must read 0; the
+# floor keeps w / (1 - s)^2 finite there too.  It also floors the outer
+# slope, so a flat Newton step lands outside the bracket and bisects.
+_TINY = 1e-150
 
-def _rho_from_theta(theta):
-    a, b, c, d = theta
-    ell = np.array([[a, 0.0], [c + 1j * d, b]], dtype=complex)
-    g = ell @ ell.conj().T
-    tr = g[0, 0].real + g[1, 1].real
-    return ell, g, tr
-
-
-def _nll_and_grad(theta, records):
-    ell, g, tr = _rho_from_theta(theta)
-    if tr <= 0.0:
-        return 1e300, np.zeros(4)
-    rho = g / tr
-    nll = 0.0
-    grad = np.zeros(4)
-    for rec in records:
-        m = _MEAS[rec.basis]
-        p = float(np.einsum("ij,ji->", rho, m).real)
-        k, n = rec.excited_counts, rec.shots
-        clipped = not (_P_CLIP < p < 1.0 - _P_CLIP)
-        p_safe = min(max(p, _P_CLIP), 1.0 - _P_CLIP)
-        nll -= k * np.log(p_safe) + (n - k) * np.log1p(-p_safe)
-        if clipped:
-            continue
-        w = -(k / p_safe - (n - k) / (1.0 - p_safe))
-        for i, dl in enumerate(_DL):
-            dg = dl @ ell.conj().T + ell @ dl.conj().T
-            drho = (dg - rho * np.trace(dg).real) / tr
-            grad[i] += w * float(np.einsum("ij,ji->", drho, m).real)
-    return nll, grad
+# Both Newton loops converge in under 10 steps; bisection in the outer one
+# reaches 1e-14 relative in about 50.
+_MAX_ITER = 100
 
 
-def _polish_gradient(theta, records, tol=1e-10, iters=25):
-    """Damped Newton steps on the analytic gradient.
+def _axis_shots(records) -> np.ndarray:
+    by_basis = {r.basis: r for r in records}
+    return np.array([float(by_basis[b].shots) for b in _AXIS_BASES])
 
-    Near the optimum the NLL improvement per step falls below the float64
-    resolution of the NLL value, where line-search methods stall; stepping
-    on the gradient directly still converges.  The scale-gauge direction of
-    the parameterization leaves the Hessian singular, so the solve is
-    Levenberg-damped.
+
+def _rho_from_bloch(s) -> np.ndarray:
+    return 0.5 * (np.eye(2) + s[0] * _PAULI[0] + s[1] * _PAULI[1] + s[2] * _PAULI[2])
+
+
+def _component_roots(m, w, c, s):
+    """Per-component optimum on the sphere for multipliers c = 2 lam.
+
+    Solves h(s) = m - (1 + s) (c s + w / (1 - s)) = 0, the stationarity
+    condition divided by 1 - s so that a component with w = 0 has no spurious
+    root at s = 1 (its root may then exceed 1 for small lam; the outer solve
+    raises lam until |s| = 1).  h is concave and decreasing on [0, 1), so
+    Newton started at or right of the root descends to it monotonically.
+    Returns s and ds/dlam.
     """
-    theta = np.asarray(theta, dtype=float).copy()
-    _, g = _nll_and_grad(theta, records)
-    lam = 1e-6
-    for _ in range(iters):
-        gn = np.max(np.abs(g))
-        if gn < tol:
+    for _ in range(_MAX_ITER):
+        inv = 1.0 / np.maximum(1.0 - s, _TINY)
+        h_s = -c * (1.0 + 2.0 * s) - 2.0 * w * inv * inv
+        step = (m - (1.0 + s) * (c * s + w * inv)) / h_s
+        s = s - step
+        if abs(step).max() <= 1e-15:
             break
-        h = np.empty((4, 4))
-        eps = 1e-7 * max(1.0, np.max(np.abs(theta)))
-        for i in range(4):
-            tp = theta.copy()
-            tp[i] += eps
-            tm = theta.copy()
-            tm[i] -= eps
-            h[:, i] = (_nll_and_grad(tp, records)[1] - _nll_and_grad(tm, records)[1]) / (2 * eps)
-        h = 0.5 * (h + h.T)
-        accepted = False
-        for _ in range(12):
-            try:
-                step = np.linalg.solve(h + lam * np.eye(4), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = theta + step
-            _, g_cand = _nll_and_grad(cand, records)
-            if np.max(np.abs(g_cand)) < gn:
-                theta, g = cand, g_cand
-                lam = max(lam / 3.0, 1e-9)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
+    return s, 2.0 * s * (1.0 + s) / h_s
+
+
+def _mle_bloch(s_hat, shots) -> np.ndarray:
+    """Closed-form maximum-likelihood Bloch vectors, one per row of s_hat.
+
+    s_hat is a (k, 3) batch of linear-inversion vectors (clipped here to
+    [-1, 1] per component) and ``shots`` the per-axis shot counts,
+    broadcast against it.  Rows inside the unit ball are their own MLE.  For
+    the others, component i with a = |s_hat_i| carries m = n (1 + a) / 2
+    counts for its sign and w = n (1 - a) / 2 against, and the optimum
+    satisfies n (a - s) = 2 lam s (1 - s^2), s = |s_i|, with one multiplier
+    lam > 0 chosen so |s| = 1.  1/|s(lam)| - 1 increases with lam (it is
+    linear in the Gaussian limit); it is zeroed by Newton steps through the
+    implicit derivative ds/dlam, falling back to bisection in the bracket
+    [0, |n| / 2] (|n| the Euclidean norm of the shots), since every
+    s_i <= n_i / (2 lam) puts |s| <= 1 at its upper end.
+    """
+    s_hat = np.clip(s_hat, -1.0, 1.0)
+    out = s_hat.copy()
+    outside = np.sum(s_hat * s_hat, axis=1) > 1.0
+    if not outside.any():
+        return out
+    a = np.abs(s_hat[outside])
+    n = np.broadcast_to(shots, s_hat.shape)[outside]
+    w = 0.5 * n * (1.0 - a)
+    m = n - w
+    lam = lo = np.zeros((len(a), 1))
+    hi = 0.5 * np.sqrt(np.sum(n * n, axis=1, keepdims=True))
+    s, ds = a, -2.0 * a * (1.0 - a * a) / n  # s and ds/dlam at lam = 0
+    for _ in range(_MAX_ITER):
+        r = np.sqrt(np.sum(s * s, axis=1, keepdims=True))
+        psi = 1.0 / r - 1.0
+        if np.all(np.abs(psi) <= 1e-14):
             break
-    return theta, g
+        lo = np.where(psi <= 0.0, lam, lo)
+        hi = np.where(psi >= 0.0, lam, hi)
+        dpsi = np.maximum(-np.sum(s * ds, axis=1, keepdims=True) / r**3, _TINY)
+        new = lam - psi / dpsi
+        new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        if np.all(np.abs(new - lam) <= 1e-14 * new):
+            break
+        # with w = 0, h is quadratic with root q; otherwise the root lies
+        # below both a and q.  A larger lam also lowers it below the previous one.
+        c = 2.0 * new
+        x = m / c
+        q = 2.0 * x / (1.0 + np.sqrt(1.0 + 4.0 * x))
+        ub = np.where(w > 0.0, np.minimum(a, q), q)
+        s, ds = _component_roots(m, w, c, np.where(new > lam, np.minimum(s, ub), ub))
+        lam = new
+    out[outside] = np.copysign(s / np.sqrt(np.sum(s * s, axis=1, keepdims=True)), s_hat[outside])
+    return out
 
 
 def mle_reconstruct(records) -> DensityMatrix:
     """Maximum-likelihood density matrix from one record per basis.
 
-    rho is parameterized as L L^dag / tr(L L^dag) with a lower-triangular L
-    (4 real parameters), which enforces positivity and unit trace by
-    construction; the binomial likelihood is maximized by L-BFGS-B with the
-    analytic gradient, then Newton-polished to the gradient tolerance.
+    Each basis measures one Bloch component, so the binomial likelihood is a
+    sum of three concave one-variable terms and the MLE has a closed form
+    (``_mle_bloch``): the linear-inversion vector when it lies in the unit
+    ball, otherwise the point of the sphere where each term's gradient is
+    2 lam s_i.  Records may have unequal shots and fractional counts.
     """
     records = list(records)
-    s = bloch_from_records(records)
-    r = np.linalg.norm(s)
-    if r > 0.995:
-        s = s * (0.995 / r)
-    rho0 = 0.5 * (
-        np.eye(2, dtype=complex)
-        + s[0] * np.array([[0, 1], [1, 0]])
-        + s[1] * np.array([[0, -1j], [1j, 0]])
-        + s[2] * np.diag([1.0, -1.0])
-    )
-    ell0 = np.linalg.cholesky(rho0 + 1e-12 * np.eye(2))
-    starts = [
-        np.array([ell0[0, 0].real, ell0[1, 1].real, ell0[1, 0].real, ell0[1, 0].imag]),
-        np.array([0.7, 0.7, 0.0, 0.0]),
-    ]
-    best_x, best_g = None, None
-    for theta0 in starts:
-        res = optimize.minimize(
-            _nll_and_grad,
-            theta0,
-            args=(records,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        x, grad = _polish_gradient(res.x, records)
-        if best_g is None or np.max(np.abs(grad)) < np.max(np.abs(best_g)):
-            best_x, best_g = x, grad
-        if np.max(np.abs(best_g)) < 1e-9:
-            break
-    if np.max(np.abs(best_g)) > 1e-9:
-        raise NumericError(
-            "MLE did not reach gradient tolerance: "
-            f"|grad|={np.max(np.abs(best_g)):.2e}"
-        )
-    _, g, tr = _rho_from_theta(best_x)
-    rho = g / tr
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / rho.trace().real
+    s = _mle_bloch(bloch_from_records(records)[None, :], _axis_shots(records))[0]
+    rho = _rho_from_bloch(s)
     # roundoff can leave a -1e-17-level eigenvalue; lift it without moving
     # anything at reported precision
     w = np.linalg.eigvalsh(rho)
@@ -332,19 +310,24 @@ def mle_reconstruct(records) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
+def _bloch_fidelity(s, t):
+    """fidelity() of Bloch vectors s and t, batched over leading axes."""
+    purity = np.maximum(1.0 - np.sum(s * s, axis=-1), 0.0) * np.maximum(
+        1.0 - np.sum(t * t, axis=-1), 0.0
+    )
+    f2 = 0.5 * (1.0 + np.sum(s * t, axis=-1)) + 0.5 * np.sqrt(purity)
+    return np.clip(np.sqrt(np.maximum(f2, 0.0)), 0.0, 1.0)
+
+
 def fidelity(rho: DensityMatrix, rho_ideal: DensityMatrix) -> float:
     """State fidelity Tr sqrt(sqrt(rho_ideal) rho sqrt(rho_ideal)).
 
     For 2x2 matrices this equals sqrt(tr(rho sigma) + 2 sqrt(det rho det
-    sigma)); for a pure target it reduces to sqrt(<psi|rho|psi>).  Clamped
-    to [0, 1].
+    sigma)), which in Bloch vectors s, t is sqrt((1 + s.t)/2 +
+    sqrt((1 - |s|^2)(1 - |t|^2))/2); for a pure target it reduces to
+    sqrt(<psi|rho|psi>).  Clamped to [0, 1].
     """
-    a = _as_density(rho).matrix
-    b = _as_density(rho_ideal).matrix
-    det_a = max(float(np.linalg.det(a).real), 0.0)
-    det_b = max(float(np.linalg.det(b).real), 0.0)
-    f2 = float(np.trace(a @ b).real) + 2.0 * np.sqrt(det_a * det_b)
-    return float(np.clip(np.sqrt(max(f2, 0.0)), 0.0, 1.0))
+    return float(_bloch_fidelity(_as_density(rho).bloch(), _as_density(rho_ideal).bloch()))
 
 
 # ---------------------------------------------------------------------------
@@ -352,58 +335,35 @@ def fidelity(rho: DensityMatrix, rho_ideal: DensityMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _records_from_bloch(s, shots):
-    p_id = np.clip(0.5 * (1.0 - s[2]), 0.0, 1.0)
-    p_rx = np.clip(0.5 * (1.0 - s[1]), 0.0, 1.0)
-    p_ry = np.clip(0.5 * (1.0 + s[0]), 0.0, 1.0)
-    return [
-        ShotRecord("id", shots, p_id * shots),
-        ShotRecord("rx90", shots, p_rx * shots),
-        ShotRecord("ry90", shots, p_ry * shots),
-    ]
-
-
 def bootstrap_errors(records, target, b: int = 200, seed=None) -> TomographyResult:
     """Parametric bootstrap of the reconstruction's fidelity statistics.
 
-    Per the normal-approximation procedure: estimate each Bloch component's
-    mean and standard deviation of the mean from the counts, resample b
-    synthetic Bloch vectors from those normals, MLE-reconstruct each, and
-    take the sample standard deviation of the fidelities as the standard
-    error.  Deterministic for a given seed (one child stream per resample).
+    Per the normal-approximation procedure: each Bloch component's estimate
+    s_i has standard error sqrt((1 - s_i^2) / n_i) from its binomial counts.
+    b synthetic Bloch vectors are drawn from those normals, one
+    ``SeedSequence(seed).spawn(b)`` child stream per resample (deterministic
+    for a given seed), clipped to [-1, 1] (measured probabilities in [0, 1])
+    and MLE-reconstructed as one batch; the standard error is the sample
+    standard deviation of their fidelities to the target.
     """
     if b < 100:
         raise ValueError("bootstrap size b must be >= 100")
     records = list(records)
     target = _as_density(target)
-    shots = records[0].shots
     s_hat = bloch_from_records(records)
-    by_basis = {r.basis: r for r in records}
-    sigma = np.array(
+    shots = _axis_shots(records)
+    sigma = np.sqrt(np.maximum(1.0 - s_hat * s_hat, 0.0) / shots)
+    draws = np.array(
         [
-            2.0 * np.sqrt(max(by_basis[bb].p1 * (1.0 - by_basis[bb].p1), 0.0) / by_basis[bb].shots)
-            for bb in ("ry90", "rx90", "id")
+            np.random.default_rng(child).standard_normal(3)
+            for child in np.random.SeedSequence(seed).spawn(b)
         ]
     )
-
+    fids = _bloch_fidelity(_mle_bloch(s_hat + sigma * draws, shots), target.bloch())
     rho_hat = mle_reconstruct(records)
-    f_hat = fidelity(rho_hat, target)
-
-    fids = []
-    failures = 0
-    for child in np.random.SeedSequence(seed).spawn(b):
-        rng = np.random.default_rng(child)
-        s_b = s_hat + sigma * rng.standard_normal(3)
-        try:
-            rho_b = mle_reconstruct(_records_from_bloch(s_b, shots))
-            fids.append(fidelity(rho_b, target))
-        except NumericError:
-            failures += 1
-    if failures > 0.05 * b:
-        raise NumericError(f"{failures}/{b} bootstrap reconstructions failed")
-    fids = np.array(fids)
-    stderr = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
-    return TomographyResult(rho_hat, f_hat, stderr, b)
+    return TomographyResult(
+        rho_hat, fidelity(rho_hat, target), float(np.std(fids, ddof=1)), b
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/definitely/not/here.ini")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("stateprep", "bootstrap_b", "99"),
+            ("stateprep", "shots", "0"),
+            ("quasienergies", "amp_points", "0"),
+            ("rabi", "amp_points", "-3"),
+            ("rabi", "window", "boxcar"),
+            ("rabi", "duration_ns", "0"),
+            ("rabi", "sample_dt_ns", "-0.01"),
+            ("tomotrace", "sample_dt_ns", "nan"),
+            ("edges", "duration_ns", "-25"),
+            ("stateprep", "min_edge_ns", "0"),
+            ("device", "t1_ns", "0"),
+            ("solver", "propagator_step_ns", "-0.001"),
+            ("edges", "edge_times_ns", "0, -1"),
+            ("edges", "asymmetric_pairs_ns", "4:-1"),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, tmp_path, section, key, value):
+        p = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"bad value for {section}\.{key}: "):
+            load_config(p)
+
+    def test_out_of_range_rejected_before_any_work(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.ini", "[stateprep]\nbootstrap_b = 50\n")
+        assert cli.main(["state-prep", "--config", p, "--out", str(tmp_path)]) == 2
+        assert "stateprep.bootstrap_b" in capsys.readouterr().err
+        assert not (tmp_path / "state_prep.json").exists()
+
+    def test_zero_propagator_step_and_sharp_edges_allowed(self, tmp_path):
+        p = write_config(
+            tmp_path / "c.ini",
+            "[solver]\npropagator_step_ns = 0\n[edges]\nedge_times_ns = 0\n"
+            "asymmetric_pairs_ns = 4:0\n",
+        )
+        cfg = load_config(p)
+        assert cfg["solver"]["propagator_step_ns"] == 0.0
+        assert cfg["edges"]["asymmetric_pairs_ns"] == ((4.0, 0.0),)
+
     def test_lists_and_pairs(self, tmp_path):
         p = write_config(
             tmp_path / "c.ini",

@@ -116,6 +116,16 @@ class TestMonodromyOracle:
         )
         assert np.allclose(eps, expect, atol=1e-10)
 
+    @pytest.mark.parametrize("factor", [1.0, 1.0 / 3.0])
+    def test_zone_edge_reported_as_plus_half_omega(self, factor):
+        # at A = 0 with Delta an odd multiple of omega both eigenphases are
+        # -1, on the zone edge; round-off must not pick -omega/2
+        omega = factor * DELTA
+        single = fq.monodromy_quasienergies(DELTA, 0.0, omega)
+        batch = fq.monodromy_quasienergies_batch(DELTA, [0.0], omega)[0]
+        for eps in (*single, *batch):
+            assert eps == pytest.approx(0.5 * omega, abs=1e-9)
+
     def test_zero_splitting_pure_drive(self):
         eps = fq.monodromy_quasienergies(0.0 + 1e-300, TWO_PI * 2.0, TWO_PI * 1.0)
         assert abs(eps[0]) < 1e-9 and abs(eps[1]) < 1e-9

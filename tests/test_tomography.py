@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import optimize
+from scipy.special import xlogy
 
 from strongdrive import tomography as tg
 from strongdrive.evolve import propagate_train
@@ -124,6 +128,249 @@ class TestMle:
             tg.mle_reconstruct(recs)
 
 
+# ---------------------------------------------------------------------------
+# Reference MLE: numerical maximization over a Cholesky parameterization,
+# independent of the closed form.  rho = L L^dag / tr(L L^dag) with a
+# lower-triangular L (4 real parameters) is positive with unit trace by
+# construction; the binomial likelihood is maximized by L-BFGS-B with the
+# analytic gradient, then Newton-polished to the gradient tolerance.
+# ---------------------------------------------------------------------------
+
+_P_CLIP = 1e-12
+
+# Measurement operators M_b = R^dag |1><1| R, so p_b = tr(rho M_b).
+_MEAS = {
+    b: tg.ROTATIONS[b].conj().T @ np.diag([0.0, 1.0]).astype(complex) @ tg.ROTATIONS[b]
+    for b in tg.BASES
+}
+
+# d L / d theta for L = [[a, 0], [c + i d, b]].
+_DL = (
+    np.array([[1, 0], [0, 0]], dtype=complex),
+    np.array([[0, 0], [0, 1]], dtype=complex),
+    np.array([[0, 0], [1, 0]], dtype=complex),
+    np.array([[0, 0], [1j, 0]], dtype=complex),
+)
+
+
+def _rho_from_theta(theta):
+    a, b, c, d = theta
+    ell = np.array([[a, 0.0], [c + 1j * d, b]], dtype=complex)
+    g = ell @ ell.conj().T
+    tr = g[0, 0].real + g[1, 1].real
+    return ell, g, tr
+
+
+def _nll_and_grad(theta, records):
+    ell, g, tr = _rho_from_theta(theta)
+    if tr <= 0.0:
+        return 1e300, np.zeros(4)
+    rho = g / tr
+    nll = 0.0
+    grad = np.zeros(4)
+    for rec in records:
+        m = _MEAS[rec.basis]
+        p = float(np.einsum("ij,ji->", rho, m).real)
+        k, n = rec.excited_counts, rec.shots
+        clipped = not (_P_CLIP < p < 1.0 - _P_CLIP)
+        p_safe = min(max(p, _P_CLIP), 1.0 - _P_CLIP)
+        nll -= k * np.log(p_safe) + (n - k) * np.log1p(-p_safe)
+        if clipped:
+            continue
+        w = -(k / p_safe - (n - k) / (1.0 - p_safe))
+        for i, dl in enumerate(_DL):
+            dg = dl @ ell.conj().T + ell @ dl.conj().T
+            drho = (dg - rho * np.trace(dg).real) / tr
+            grad[i] += w * float(np.einsum("ij,ji->", drho, m).real)
+    return nll, grad
+
+
+def _polish_gradient(theta, records, tol=1e-10, iters=25):
+    """Damped Newton steps on the analytic gradient.
+
+    Near the optimum the NLL improvement per step falls below the float64
+    resolution of the NLL value, where line-search methods stall; stepping
+    on the gradient directly still converges.  The scale-gauge direction of
+    the parameterization leaves the Hessian singular, so the solve is
+    Levenberg-damped.
+    """
+    theta = np.asarray(theta, dtype=float).copy()
+    _, g = _nll_and_grad(theta, records)
+    lam = 1e-6
+    for _ in range(iters):
+        gn = np.max(np.abs(g))
+        if gn < tol:
+            break
+        h = np.empty((4, 4))
+        eps = 1e-7 * max(1.0, np.max(np.abs(theta)))
+        for i in range(4):
+            tp = theta.copy()
+            tp[i] += eps
+            tm = theta.copy()
+            tm[i] -= eps
+            h[:, i] = (_nll_and_grad(tp, records)[1] - _nll_and_grad(tm, records)[1]) / (2 * eps)
+        h = 0.5 * (h + h.T)
+        accepted = False
+        for _ in range(12):
+            try:
+                step = np.linalg.solve(h + lam * np.eye(4), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            cand = theta + step
+            _, g_cand = _nll_and_grad(cand, records)
+            if np.max(np.abs(g_cand)) < gn:
+                theta, g = cand, g_cand
+                lam = max(lam / 3.0, 1e-9)
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            break
+    return theta, g
+
+
+def _reference_mle(records):
+    """Numerical MLE: (Bloch vector, max |gradient| reached)."""
+    s = tg.bloch_from_records(records)
+    r = np.linalg.norm(s)
+    if r > 0.995:
+        s = s * (0.995 / r)
+    ell0 = np.linalg.cholesky(tg._rho_from_bloch(s) + 1e-12 * np.eye(2))
+    starts = [
+        np.array([ell0[0, 0].real, ell0[1, 1].real, ell0[1, 0].real, ell0[1, 0].imag]),
+        np.array([0.7, 0.7, 0.0, 0.0]),
+    ]
+    best_x, best_g = None, None
+    for theta0 in starts:
+        res = optimize.minimize(
+            _nll_and_grad,
+            theta0,
+            args=(records,),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12},
+        )
+        x, grad = _polish_gradient(res.x, records)
+        if best_g is None or np.max(np.abs(grad)) < np.max(np.abs(best_g)):
+            best_x, best_g = x, grad
+        if np.max(np.abs(best_g)) < 1e-9:
+            break
+    _, g, tr = _rho_from_theta(best_x)
+    return tg.DensityMatrix(g / tr).bloch(), float(np.max(np.abs(best_g)))
+
+
+def _p1(s):
+    """Excited-state probability per basis for Bloch vector s."""
+    return {"id": 0.5 * (1.0 - s[2]), "rx90": 0.5 * (1.0 - s[1]), "ry90": 0.5 * (1.0 + s[0])}
+
+
+def _nll(s, records):
+    """Exact binomial negative log-likelihood (0 log 0 = 0, no clip)."""
+    p = _p1(s)
+    out = 0.0
+    for r in records:
+        q = min(max(p[r.basis], 0.0), 1.0)
+        out -= xlogy(r.excited_counts, q) + xlogy(r.shots - r.excited_counts, 1.0 - q)
+    return out
+
+
+def _log_likelihood_gradient(s, records):
+    """d log L / d s_i: counts k+ for s_i = +1 and k- for s_i = -1 give
+    k+ / (1 + s_i) - k- / (1 - s_i); a zero count contributes nothing."""
+    by_basis = {r.basis: r for r in records}
+    g = np.zeros(3)
+    for i, (basis, excited_is_plus) in enumerate((("ry90", True), ("rx90", False), ("id", False))):
+        r = by_basis[basis]
+        k_exc, k_gnd = r.excited_counts, r.shots - r.excited_counts
+        k_plus, k_minus = (k_exc, k_gnd) if excited_is_plus else (k_gnd, k_exc)
+        if k_plus:
+            g[i] += k_plus / (1.0 + s[i])
+        if k_minus:
+            g[i] -= k_minus / (1.0 - s[i])
+    return g
+
+
+def _random_records(rng, k):
+    """Record sets of four kinds: pure states (about half outside the ball),
+    depolarized states, uniform fractional counts, and axis states whose
+    counts are 0 or n in some basis; the last three with unequal shots."""
+    choices = np.array([64, 256, 1024, 4096, 16384])
+    kind = k % 4
+    shots = [int(rng.choice(choices))] * 3 if kind == 0 else [int(n) for n in rng.choice(choices, 3)]
+    if kind == 2:
+        return [tg.ShotRecord(b, n, rng.uniform(0.0, n)) for b, n in zip(tg.BASES, shots)]
+    if kind == 3:
+        state = (StateVector.excited(), StateVector.minus_y(), StateVector.ground())[(k // 4) % 3]
+    else:
+        v = rng.standard_normal(4)
+        psi = v[:2] + 1j * v[2:]
+        state = tg.DensityMatrix.from_state(StateVector.from_array(psi / np.linalg.norm(psi)))
+        if kind == 1:
+            state = tg.DensityMatrix(0.9 * state.matrix + 0.05 * np.eye(2))
+    return [
+        tg.simulate_shots(state, b, n, seed=int(rng.integers(2**31)))
+        for b, n in zip(tg.BASES, shots)
+    ]
+
+
+_RECORD_DATA = st.lists(
+    st.tuples(st.integers(1, 20000), st.floats(0.0, 1.0)), min_size=3, max_size=3
+)
+
+
+class TestClosedFormMle:
+    def test_matches_numerical_reference(self):
+        rng = np.random.default_rng(2012)
+        n_outside = n_edge = 0
+        for k in range(120):
+            recs = _random_records(rng, k)
+            got = tg.mle_reconstruct(recs).bloch()
+            ref, ref_grad = _reference_mle(recs)
+            n_outside += np.linalg.norm(tg.bloch_from_records(recs)) > 1.0
+            if any(r.excited_counts in (0, r.shots) for r in recs):
+                # the reference's 1e-12 probability clip can bind here; 1e-9
+                # allows for the round-off of NLL values up to ~1e4
+                n_edge += 1
+                assert _nll(got, recs) <= _nll(ref, recs) + 1e-9
+            else:
+                assert ref_grad < 1e-9
+                assert np.max(np.abs(got - ref)) <= 1e-9
+        assert n_outside >= 30 and n_edge >= 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(_RECORD_DATA)
+    def test_result_is_physical(self, data):
+        recs = [tg.ShotRecord(b, n, f * n) for b, (n, f) in zip(tg.BASES, data)]
+        rho = tg.mle_reconstruct(recs)
+        s = rho.bloch()
+        assert np.linalg.norm(s) <= 1.0 + 1e-12
+        assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(rho.matrix)) >= -1e-10
+        s_hat = tg.bloch_from_records(recs)
+        if np.linalg.norm(s_hat) <= 1.0:
+            assert np.max(np.abs(s - s_hat)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 16384), st.floats(0.0, 1.0)), min_size=3, max_size=3))
+    def test_boundary_optimum_satisfies_kkt(self, data):
+        recs = [tg.ShotRecord(b, n, round(f * n)) for b, (n, f) in zip(tg.BASES, data)]
+        assume(np.linalg.norm(tg.bloch_from_records(recs)) > 1.0)
+        s = tg.mle_reconstruct(recs).bloch()
+        g = _log_likelihood_gradient(s, recs)
+        # gradient = 2 lam s with lam >= 0
+        two_lam = g @ s
+        assert two_lam > 0.0
+        assert np.linalg.norm(g - two_lam * s) <= 1e-9 * np.linalg.norm(g)
+
+    def test_batch_rows_match_single_calls(self, rng):
+        s_hat = rng.uniform(-1.1, 1.1, size=(64, 3))
+        shots = np.array([256.0, 1024.0, 4096.0])
+        batch = tg._mle_bloch(s_hat, shots)
+        for row, got in zip(s_hat, batch):
+            assert np.max(np.abs(tg._mle_bloch(row[None, :], shots)[0] - got)) <= 1e-12
+
+
 class TestFidelity:
     def test_self_fidelity_pure(self):
         assert tg.fidelity(MINUS_Y, MINUS_Y) == pytest.approx(1.0, abs=1e-12)
@@ -208,6 +455,50 @@ class TestBootstrap:
         recs = tg.exact_records(StateVector.minus_y(), 100)
         with pytest.raises(ValueError):
             tg.bootstrap_errors(recs, MINUS_Y, b=50, seed=0)
+
+
+class TestBootstrapBatch:
+    @pytest.mark.parametrize(
+        "shots, theta", [((16384, 16384, 16384), 0.02), ((512, 1024, 4096), 0.08)]
+    )
+    def test_equals_per_resample_loop(self, shots, theta):
+        rot_x = np.array(
+            [[np.cos(theta / 2), -1j * np.sin(theta / 2)],
+             [-1j * np.sin(theta / 2), np.cos(theta / 2)]]
+        )
+        state = StateVector.from_array(rot_x @ StateVector.minus_y().as_array())
+        recs = [
+            tg.simulate_shots(state, b, n, seed=900 + i)
+            for i, (b, n) in enumerate(zip(tg.BASES, shots))
+        ]
+        res = tg.bootstrap_errors(recs, MINUS_Y, b=200, seed=11)
+
+        # the per-resample procedure: one child stream per resample, probabilities
+        # clipped to [0, 1], one reconstruction each
+        by_basis = {r.basis: r for r in recs}
+        s_hat = tg.bloch_from_records(recs)
+        sigma = np.array(
+            [
+                2.0 * np.sqrt(by_basis[b].p1 * (1.0 - by_basis[b].p1) / by_basis[b].shots)
+                for b in ("ry90", "rx90", "id")
+            ]
+        )
+        fids, clipped = [], 0
+        for child in np.random.SeedSequence(11).spawn(200):
+            s_b = s_hat + sigma * np.random.default_rng(child).standard_normal(3)
+            clipped += bool(np.any(np.abs(s_b) > 1.0))
+            p = _p1(s_b)
+            resampled = [
+                tg.ShotRecord(b, by_basis[b].shots, np.clip(p[b], 0.0, 1.0) * by_basis[b].shots)
+                for b in tg.BASES
+            ]
+            fids.append(tg.fidelity(tg.mle_reconstruct(resampled), MINUS_Y))
+        assert clipped >= 5
+
+        rho = tg.mle_reconstruct(recs)
+        assert np.array_equal(res.rho.matrix, rho.matrix)
+        assert res.fidelity_to_target == tg.fidelity(rho, MINUS_Y)
+        assert abs(res.fidelity_stderr - np.std(fids, ddof=1)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
