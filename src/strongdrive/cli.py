@@ -129,8 +129,9 @@ def _rabi_traces(par, amps, omega, durations, step, threads, refine):
         return np.abs(states[:, :, 1]) ** 2
 
     # with refinement on, group per amplitude so the step-halving decisions
-    # (and therefore the bytes) cannot depend on batching or thread count
-    if refine or (threads > 1 and len(amps) > 1):
+    # (and therefore the bytes) cannot depend on batching or thread count;
+    # without it one batch is faster than any thread split
+    if refine:
         chunks = [amps[i : i + 1] for i in range(len(amps))]
         with ThreadPoolExecutor(max_workers=max(threads, 1)) as ex:
             parts = list(ex.map(run, chunks))

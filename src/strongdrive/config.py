@@ -127,6 +127,8 @@ _MINIMUMS = {
     ("rabi", "amp_points"): 1,
     ("stateprep", "shots"): 1,
     ("stateprep", "bootstrap_b"): 100,
+    ("solver", "monodromy_steps_per_period"): 1,
+    ("solver", "truncation_n"): 1,
 }
 
 

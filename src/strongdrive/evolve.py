@@ -397,7 +397,8 @@ def floquet_frame_decompose(
 def branch_interpolants(
     delta: float, omega: float, amp_max: float, truncation_n: int = 50, n_grid: int = 101
 ):
-    """(eps0(A), eps1(A)) interpolants from one tracked sweep to amp_max."""
+    """(eps0(A), eps1(A)) interpolants from the sector solve on a uniform
+    n_grid-point amplitude grid from 0 to amp_max."""
     amps = np.linspace(0.0, max(amp_max, 1e-12), n_grid)
     specs = quasienergy_sweep(delta, omega, amps, truncation_n)
     e0 = np.array([s.eps0 for s in specs])

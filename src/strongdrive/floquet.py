@@ -1,13 +1,21 @@
 """Floquet analysis of the harmonically driven two-level system.
 
 Builds the truncated Floquet Hamiltonian of H = -Delta/2 sigma_z
-+ A cos(omega t) sigma_x, diagonalizes it, and follows the two inequivalent
-quasienergy branches from A = 0 by eigenvector continuity.  The matrix is
-assembled in the frame rotated by pi/2 about y, where the Hamiltonian reads
--Delta/2 sigma_x - A cos(omega t) sigma_z and all entries are real:
++ A cos(omega t) sigma_x and solves for the two inequivalent quasienergy
+branches anchored at A = 0.  The matrix is assembled in the frame rotated by
+pi/2 about y, where the Hamiltonian reads -Delta/2 sigma_x
+- A cos(omega t) sigma_z and all entries are real:
 
   * diagonal 2x2 blocks n*omega*I - (Delta/2) sigma_x, photon index n,
   * blocks coupling n and n+1 equal to -(A/2) sigma_z.
+
+The matrix commutes with the generalized parity Pi = (-1)^n sigma_x
+(Shirley, Phys. Rev. 138, B979 (1965); Grossmann, Dittrich, Jung & Haenggi,
+PRL 67, 516 (1991)).  Both branches lie in its even sector, spanned by
+|n> (x) |x = (-1)^n>, where the matrix is symmetric tridiagonal with
+diagonal n*omega - (Delta/2)(-1)^n and off-diagonal -A/2; their copies
+shifted by omega live in the odd sector.  Each amplitude is an independent
+sector solve for two eigenvalue ranks fixed once per (Delta, omega, N).
 
 An independent oracle is provided by the one-period propagator (monodromy
 operator), whose eigenphases divided by T give the quasienergies mod omega.
@@ -23,7 +31,7 @@ drive limit.  Resummed quasienergy states at A -> 0+ on resonance are
 u0 = (|0> - |1>)/sqrt(2), u1 = (|0> + |1>)/sqrt(2) under this sign
 convention for the drive term; off resonance they reduce to the energy
 eigenstates.  Eigenvector global sign is fixed by making the
-largest-magnitude Fourier coefficient positive.
+largest-magnitude sector coefficient c_n positive.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import j0, j1
 
 from ._magnus import IDENTITY2, magnus_segment, unitarity_defect
@@ -39,13 +48,6 @@ from .units import TWO_PI
 
 #: Photon-index truncation used throughout unless overridden.
 DEFAULT_TRUNCATION = 50
-
-#: Eigenvectors whose dominant photon index exceeds N - EDGE_MARGIN are
-#: excluded from branch selection (truncation artifacts live at the edges).
-EDGE_MARGIN = 5
-
-#: Minimum eigenvector overlap accepted by the continuity tracker.
-OVERLAP_MIN = 0.9
 
 # pi/2 rotation about y taking the lab energy eigenbasis to the frame in
 # which the Floquet matrix is real: psi_rot = ROT @ psi_lab.
@@ -76,10 +78,7 @@ def build_floquet_matrix(
     delta: float, amp: float, omega: float, truncation_n: int = DEFAULT_TRUNCATION
 ) -> FloquetMatrix:
     """Assemble the real symmetric Floquet matrix with n in [-N, N]."""
-    if truncation_n < 1:
-        raise ValueError(f"truncation_n must be >= 1, got {truncation_n}")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    _check_floquet_args(omega, truncation_n)
     n_blocks = 2 * truncation_n + 1
     dim = 2 * n_blocks
     h = np.zeros((dim, dim))
@@ -102,11 +101,11 @@ def build_floquet_matrix(
 class FloquetSpectrum:
     """The two inequivalent quasienergies and their periodic-state tables.
 
-    eps0 <= eps1 are the continuously tracked branch values anchored at
-    A = 0 (not reduced mod omega); u0, u1 hold the Fourier coefficients, one
-    (2N+1, 2) table per branch, in the rotated frame.  ``limit_convention``
-    marks the A = 0 resonant point where the stored basis is the A -> 0+
-    limit rather than a unique eigenbasis.
+    eps0 <= eps1 are the branch values anchored at A = 0 (not reduced mod
+    omega); u0, u1 hold the Fourier coefficients, one (2N+1, 2) table per
+    branch, in the rotated frame.  ``limit_convention`` marks the A = 0
+    resonant point where the stored basis is the A -> 0+ limit rather than a
+    unique eigenbasis.
     """
 
     eps0: float
@@ -167,98 +166,72 @@ def zone_distance(a: float, b: float, omega: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Branch tracking
+# Even parity sector
 # ---------------------------------------------------------------------------
-
-
-def _block_vector(truncation_n: int, n: int, spinor) -> np.ndarray:
-    v = np.zeros(2 * (2 * truncation_n + 1))
-    k = n + truncation_n
-    v[2 * k : 2 * k + 2] = spinor
-    return v
-
-
-_X_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)  # sigma_x eigenvalue +1
-_X_MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)  # sigma_x eigenvalue -1
 
 #: Degeneracy tolerance (rad/ns) below which the drive, not the detuning,
 #: selects the A -> 0 basis.
 RESONANCE_TOL = 1e-9
 
 
-def _zero_amp_state(delta, omega, truncation_n):
-    """Anchored eigenpairs at A = 0: eps = -omega/2 -+ |Delta - omega|/2."""
-    v_low = _block_vector(truncation_n, 0, _X_PLUS)  # in-block energy -Delta/2
-    v_high = _block_vector(truncation_n, -1, _X_MINUS)  # Delta/2 - omega
-    if abs(delta - omega) < RESONANCE_TOL:
-        eps = np.array([-0.5 * delta, -0.5 * delta])
-        vecs = np.column_stack(
-            [(v_low + v_high) / np.sqrt(2.0), (v_low - v_high) / np.sqrt(2.0)]
-        )
-        return eps, vecs, True
-    if omega < delta:
-        eps = np.array([-0.5 * delta, 0.5 * delta - omega])
-        vecs = np.column_stack([v_low, v_high])
-    else:
-        eps = np.array([0.5 * delta - omega, -0.5 * delta])
-        vecs = np.column_stack([v_high, v_low])
-    return eps, vecs, False
+def _check_floquet_args(omega: float, truncation_n: int) -> None:
+    if truncation_n < 1:
+        raise ValueError(f"truncation_n must be >= 1, got {truncation_n}")
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
 
 
-def _interior_mask(evecs, truncation_n):
-    """True for eigenvectors whose dominant photon block is away from the edge."""
-    n_blocks = 2 * truncation_n + 1
-    w = evecs.reshape(n_blocks, 2, -1)
-    weight = np.sum(w * w, axis=1)  # (n_blocks, n_eig)
-    dom = np.argmax(weight, axis=0) - truncation_n
-    return np.abs(dom) <= truncation_n - EDGE_MARGIN
+def _even_sector(delta, amp, omega, truncation_n):
+    """Tridiagonal Pi = +1 block in the basis |n> (x) |x = (-1)^n>.
+
+    Returns the diagonal n*omega - (Delta/2)(-1)^n, the off-diagonal -A/2
+    and the parities (-1)^n.
+    """
+    n = np.arange(-truncation_n, truncation_n + 1)
+    parity = 1.0 - 2.0 * (n % 2)
+    return n * omega - 0.5 * delta * parity, np.full(2 * truncation_n, -0.5 * amp), parity
 
 
-def _diagonalize(delta, amp, omega, truncation_n):
-    h = build_floquet_matrix(delta, amp, omega, truncation_n).entries
+def _sector_eigh(diag, off, **kwargs):
     try:
-        evals, evecs = np.linalg.eigh(h)
+        return eigh_tridiagonal(diag, off, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"Floquet eigensolver failed for delta={delta}, amp={amp}, "
-            f"omega={omega}, truncation_n={truncation_n}"
+            f"Floquet sector eigensolver failed for {len(diag)} photon indices"
         ) from exc
-    return h, evals, evecs
 
 
-def _match_branches(v_prev, evals, evecs, allowed):
-    """Continue both branches by maximum eigenvector overlap.
+def _branch_ranks(delta, omega, truncation_n):
+    """Sorted positions of the two branches within the even sector.
 
-    Returns (eps_pair, vec_pair, min_overlap) or None when the two branches
-    collapse onto the same eigenvector.
+    Fixed at the small amplitude A* = min(0.02 omega, 2 pi 0.05) by
+    proximity to the closed-form values, which resolves the A -> 0 degeneracy
+    at resonance and the ties with same-sector photon copies at odd
+    multiphoton resonances.  An irreducible tridiagonal matrix has simple eigenvalues, so
+    the positions hold for every A > 0.
     """
-    ov = evecs.T @ v_prev  # (n_eig, 2)
-    score = np.abs(ov)
-    score[~allowed, :] = -1.0
-    k0 = int(np.argmax(score[:, 0]))
-    k1 = int(np.argmax(score[:, 1]))
+    a_star = min(0.02 * omega, TWO_PI * 0.05)
+    diag, off, _ = _even_sector(delta, a_star, omega, truncation_n)
+    evals = _sector_eigh(diag, off, eigvals_only=True)
+    e0a, e1a = analytic_quasienergies(delta, a_star, omega)
+    k0 = int(np.argmin(np.abs(evals - e0a)))
+    k1 = int(np.argmin(np.abs(evals - e1a)))
     if k0 == k1:
-        return None
-    eps = np.array([evals[k0], evals[k1]])
-    vecs = np.column_stack(
-        [evecs[:, k0] * np.sign(ov[k0, 0]), evecs[:, k1] * np.sign(ov[k1, 1])]
-    )
-    return eps, vecs, float(min(score[k0, 0], score[k1, 1]))
+        k0, k1 = sorted(int(k) for k in np.argsort(np.abs(evals - e0a))[:2])
+    return k0, k1
 
 
-def _subspace_continuation(v_prev, h, evals, evecs, allowed):
-    """Continue through an exact copy crossing by projecting onto the
-    closest 2-dimensional eigenspace (degenerate eigenvectors returned by the
-    solver are an arbitrary mix there)."""
-    total = np.sum((evecs.T @ v_prev) ** 2, axis=1)
-    total[~allowed] = -1.0
-    top2 = np.argsort(total)[-2:]
-    w = evecs[:, top2]
-    m = w.T @ v_prev  # (2, 2)
-    uu, _, vv = np.linalg.svd(m)
-    vecs = w @ (uu @ vv)
-    eps = np.array([vecs[:, j] @ h @ vecs[:, j] for j in range(2)])
-    return eps, vecs
+def _zero_amp_state(delta, omega, truncation_n):
+    """Anchored sector eigenpairs at A = 0: eps = -omega/2 -+ |Delta - omega|/2."""
+    photon = np.eye(2 * truncation_n + 1)
+    c_low = photon[truncation_n]  # n = 0, x = +1: in-block energy -Delta/2
+    c_high = photon[truncation_n - 1]  # n = -1, x = -1: Delta/2 - omega
+    if abs(delta - omega) < RESONANCE_TOL:
+        eps = np.array([-0.5 * delta, -0.5 * delta])
+        return eps, np.column_stack([c_low + c_high, c_low - c_high]) / np.sqrt(2.0), True
+    eps = np.array([-0.5 * delta, 0.5 * delta - omega])
+    order = np.argsort(eps)
+    return eps[order], np.column_stack([c_low, c_high])[:, order], False
 
 
 def quasienergy_sweep(
@@ -267,94 +240,43 @@ def quasienergy_sweep(
     amplitudes,
     truncation_n: int = DEFAULT_TRUNCATION,
 ) -> list[FloquetSpectrum]:
-    """Track the two quasienergy branches over an increasing amplitude grid.
+    """The two quasienergy branches at each requested amplitude, in any order.
 
-    The tracker sweeps A upward from zero in increments of
-    min(0.02*omega, 2*pi*0.05) rad/ns, bisecting whenever the eigenvector
-    overlap with the previous step drops below 0.9, and returns one
-    FloquetSpectrum per requested amplitude.  The first step away from zero
-    is matched by eigenvalue proximity to the closed-form approximation,
-    which is what resolves the A -> 0 degeneracy at resonance.
+    Each A > 0 is an independent solve of the even parity sector (size 2N+1)
+    for the eigenpairs at the two ranks of :func:`_branch_ranks`; A = 0
+    returns the anchored states of :func:`_zero_amp_state`.  Returns one
+    FloquetSpectrum per amplitude.
     """
+    _check_floquet_args(omega, truncation_n)
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    if amps.size == 0:
-        return []
     if np.any(amps < 0.0):
         raise ValueError("amplitudes must be >= 0")
-    if np.any(np.diff(amps) < 0.0):
-        raise ValueError("amplitudes must be non-decreasing")
 
-    ds = min(0.02 * omega, TWO_PI * 0.05)
-    grid = np.union1d(np.arange(0.0, amps[-1] + 0.5 * ds, ds), amps)
-    grid = grid[grid <= amps[-1] + 1e-15]
-    if grid[0] != 0.0:
-        grid = np.concatenate([[0.0], grid])
-
-    eps_cur, vecs_cur, _ = _zero_amp_state(delta, omega, truncation_n)
-    a_cur = 0.0
-    first_step_done = False
-    results: dict[float, FloquetSpectrum] = {}
-    requested = set(float(a) for a in amps)
-
-    if 0.0 in requested:
-        e0, v0, limit = _zero_amp_state(delta, omega, truncation_n)
-        results[0.0] = _make_spectrum(
-            delta, 0.0, omega, truncation_n, e0, v0, limit
+    ranks = _branch_ranks(delta, omega, truncation_n)
+    results = []
+    for a in amps:
+        diag, off, parity = _even_sector(delta, a, omega, truncation_n)
+        if a == 0.0:
+            eps, vecs, limit = _zero_amp_state(delta, omega, truncation_n)
+        else:
+            eps, vecs = _sector_eigh(diag, off, select="i", select_range=ranks)
+            eps, vecs, limit = eps[[0, -1]], vecs[:, [0, -1]], False
+        results.append(
+            _make_spectrum(delta, float(a), omega, truncation_n, eps, vecs, parity, limit)
         )
-
-    min_step = max(ds * 2.0 ** -40, 1e-12)
-    for a_target in grid[1:]:
-        pending = [float(a_target)]
-        while pending:
-            a_try = pending[-1]
-            h, evals, evecs = _diagonalize(delta, a_try, omega, truncation_n)
-            allowed = _interior_mask(evecs, truncation_n)
-            if not first_step_done:
-                # Anchor by eigenvalue proximity to the analytic branch values;
-                # exact at A -> 0 and well within the branch separation here.
-                e0a, e1a = analytic_quasienergies(delta, a_try, omega)
-                idx = np.where(allowed)[0]
-                k0 = idx[np.argmin(np.abs(evals[idx] - e0a))]
-                k1 = idx[np.argmin(np.abs(evals[idx] - e1a))]
-                if k0 == k1:
-                    order = np.argsort(np.abs(evals[idx] - e0a))
-                    k0, k1 = idx[order[0]], idx[order[1]]
-                    if evals[k0] > evals[k1]:
-                        k0, k1 = k1, k0
-                eps_cur = np.array([evals[k0], evals[k1]])
-                vecs_cur = np.column_stack([evecs[:, k0], evecs[:, k1]])
-                a_cur = a_try
-                first_step_done = True
-                pending.pop()
-            else:
-                matched = _match_branches(vecs_cur, evals, evecs, allowed)
-                if matched is not None and matched[2] >= OVERLAP_MIN:
-                    eps_cur, vecs_cur = matched[0], matched[1]
-                    a_cur = a_try
-                    pending.pop()
-                elif a_try - a_cur <= min_step:
-                    eps_cur, vecs_cur = _subspace_continuation(
-                        vecs_cur, h, evals, evecs, allowed
-                    )
-                    a_cur = a_try
-                    pending.pop()
-                else:
-                    pending.append(0.5 * (a_cur + a_try))
-            if a_cur in requested and a_cur not in results:
-                results[a_cur] = _make_spectrum(
-                    delta, a_cur, omega, truncation_n, eps_cur, vecs_cur, False
-                )
-    return [results[float(a)] for a in amps]
+    return results
 
 
-def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, limit_convention):
+def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, parity, limit_convention):
+    """Map sector vectors c to rotated-frame tables c_n (1, (-1)^n)/sqrt(2),
+    signed so that the largest |c_n| is positive."""
+    spin = np.column_stack([np.ones_like(parity), parity]) / np.sqrt(2.0)
     tables = []
     for j in range(2):
-        v = vecs[:, j].copy()
-        i_max = int(np.argmax(np.abs(v)))
-        if v[i_max] < 0.0:
-            v = -v
-        tables.append(v.reshape(-1, 2).astype(complex))
+        c = vecs[:, j]
+        if c[np.argmax(np.abs(c))] < 0.0:
+            c = -c
+        tables.append((c[:, None] * spin).astype(complex))
     return FloquetSpectrum(
         eps0=float(eps[0]),
         eps1=float(eps[1]),
@@ -369,12 +291,8 @@ def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, limit_convention)
 
 
 def quasienergies(matrix: FloquetMatrix) -> FloquetSpectrum:
-    """Quasienergies and quasienergy states for the matrix parameters.
-
-    Branch selection follows the continuity sweep from A = 0; for amplitude
-    scans prefer :func:`quasienergy_sweep`, which shares the sweep across all
-    requested points.
-    """
+    """Quasienergies and quasienergy states for the matrix parameters,
+    from the even-sector solve of :func:`quasienergy_sweep`."""
     return quasienergy_sweep(
         matrix.delta, matrix.omega, [matrix.amp], matrix.truncation_n
     )[0]
@@ -391,54 +309,29 @@ def monodromy_quasienergies(
     omega: float,
     integrator_step: float | None = None,
 ) -> tuple[float, float]:
-    """Quasienergies mod omega from the one-period propagator eigenphases.
-
-    Integrates U over one period of the continuous drive A cos(omega t) and
-    returns -arg(eigenvalues)/T, each reduced to (-omega/2, omega/2], sorted.
-    Independent of the Floquet-matrix route; serves as its oracle.
-    """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    period = TWO_PI / omega
-    step = integrator_step if integrator_step is not None else period / 2000.0
-    if step <= 0.0:
-        raise ValueError("integrator_step must be positive")
-    n_steps = max(1, int(np.ceil(period / step)))
-
-    u = None
-    for _ in range(8):
-        u = magnus_segment(
-            IDENTITY2.copy(),
-            lambda t: amp * np.cos(omega * t),
-            -0.5 * delta,
-            0.0,
-            period,
-            n_steps,
-        )
-        if unitarity_defect(u) < 1e-10:
-            break
-        n_steps *= 2
-    defect = unitarity_defect(u)
-    if defect > 1e-8:
-        raise AccuracyError(
-            f"one-period propagator unitarity defect {defect:.2e} > 1e-8; "
-            "use a smaller integrator_step"
-        )
-    lam = np.linalg.eigvals(u)
-    eps = [reduce_to_zone(-np.angle(v) / period, omega) for v in lam]
-    return tuple(sorted(eps))
+    """Quasienergies mod omega from the one-period propagator eigenphases;
+    the one-amplitude case of :func:`monodromy_quasienergies_batch`."""
+    eps0, eps1 = monodromy_quasienergies_batch(delta, [amp], omega, integrator_step)[0]
+    return float(eps0), float(eps1)
 
 
 def monodromy_quasienergies_batch(
     delta: float, amplitudes, omega: float, integrator_step: float | None = None
 ) -> np.ndarray:
-    """Vectorized monodromy oracle over an amplitude batch; returns (n, 2)
-    sorted quasienergies mod omega, one row per amplitude."""
+    """Quasienergies mod omega from the one-period propagator eigenphases.
+
+    Integrates U over one period of the continuous drive A cos(omega t) for
+    each amplitude and returns -arg(eigenvalues)/T, each reduced to
+    (-omega/2, omega/2], as (n, 2) sorted rows.  Independent of the
+    Floquet-matrix route; serves as its oracle.
+    """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     period = TWO_PI / omega
     step = integrator_step if integrator_step is not None else period / 2000.0
+    if step <= 0.0:
+        raise ValueError("integrator_step must be positive")
     n_steps = max(1, int(np.ceil(period / step)))
     u = np.broadcast_to(IDENTITY2, (len(amps), 2, 2)).copy()
     u = magnus_segment(

@@ -73,6 +73,8 @@ class TestConfig:
             ("solver", "propagator_step_ns", "-0.001"),
             ("edges", "edge_times_ns", "0, -1"),
             ("edges", "asymmetric_pairs_ns", "4:-1"),
+            ("solver", "monodromy_steps_per_period", "0"),
+            ("solver", "truncation_n", "0"),
         ],
     )
     def test_out_of_range_value_names_key(self, tmp_path, section, key, value):

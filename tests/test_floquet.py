@@ -1,7 +1,9 @@
-"""Floquet solver: matrix structure, branch tracking, oracle, analytic chain."""
+"""Floquet solver: matrix structure, parity-sector branches, oracle, analytic chain."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j1
 
 from strongdrive import floquet as fq
@@ -150,9 +152,81 @@ class TestMonodromyOracle:
         e2 = fq.monodromy_quasienergies(DELTA, a, omega, period / 4000)
         assert abs(e1[0] - e2[0]) < 1e-9
 
-    def test_bad_step_rejected(self):
+    @pytest.mark.parametrize(
+        "oracle", ["monodromy_quasienergies", "monodromy_quasienergies_batch"]
+    )
+    def test_bad_step_rejected(self, oracle):
         with pytest.raises(ValueError):
-            fq.monodromy_quasienergies(DELTA, 1.0, DELTA, -1.0)
+            getattr(fq, oracle)(DELTA, 1.0, DELTA, -1.0)
+
+
+def _parity(table):
+    """Pi = (-1)^n sigma_x applied to a (2N+1, 2) rotated-frame table."""
+    n_max = (len(table) - 1) // 2
+    sign = (-1.0) ** np.arange(-n_max, n_max + 1)
+    return sign[:, None] * table[:, ::-1]
+
+
+class TestParitySector:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta=st.floats(0.5, 20.0),
+        amp=st.floats(1e-3, 20.0),
+        omega=st.floats(0.5, 20.0),
+        n_trunc=st.integers(2, 25),
+    )
+    def test_branches_are_even_eigenpairs_of_full_matrix(self, delta, amp, omega, n_trunc):
+        spec = fq.quasienergy_sweep(delta, omega, [amp], n_trunc)[0]
+        h = fq.build_floquet_matrix(delta, amp, omega, n_trunc).entries
+        evals = np.linalg.eigvalsh(h)
+        h_norm = np.linalg.norm(h, 2)
+        assert spec.eps0 <= spec.eps1
+        for eps, table in ((spec.eps0, spec.u0), (spec.eps1, spec.u1)):
+            assert np.min(np.abs(evals - eps)) < 1e-10
+            v = table.reshape(-1).real
+            assert np.linalg.norm(h @ v - eps * v) <= 1e-9 * h_norm
+            assert np.max(np.abs(_parity(table) - table)) < 1e-12
+
+    @pytest.mark.parametrize("factor", [1.0, 0.6, 1.4])
+    def test_eigenvectors_continuous_in_amplitude(self, factor):
+        # 0.9: the step-to-step overlap an eigenvector-continuity tracker requires
+        omega = factor * DELTA
+        amps = np.linspace(1e-3, TWO_PI * 4.8048, 481)
+        specs = fq.quasienergy_sweep(DELTA, omega, amps)
+        for prev, cur in zip(specs, specs[1:]):
+            for a, b in ((prev.u0, cur.u0), (prev.u1, cur.u1)):
+                assert abs(np.vdot(a.reshape(-1), b.reshape(-1))) >= 0.9
+
+    # eps0, eps1 (rad/ns) recorded from an eigenvector-overlap tracker on the
+    # full Floquet matrix (bisecting below overlap 0.9); omega = Delta/3 and
+    # Delta/7 are odd multiphoton resonances, where the A = 0 anchor ties with
+    # a same-sector photon copy
+    @pytest.mark.parametrize(
+        "divisor, amp_ghz, eps0, eps1",
+        [
+            (3, 0.5, -6.816485170720197, 2.024509176444575),
+            (3, 1.5, -4.5023823615971335, -0.2895936326785204),
+            (3, 3.0, -5.265427554985276, 0.47345156070963523),
+            (3, 4.5, -3.762881916694722, -1.0290940775809296),
+            (7, 0.5, -6.849693888250084, 4.7959898907033836),
+            (7, 1.5, -5.592769733792991, 3.5390657362462936),
+            (7, 3.0, -6.331985931716017, 4.278281934169322),
+            (7, 4.5, -6.6608098853354845, 4.607105887788776),
+        ],
+    )
+    def test_multiphoton_branch_labels(self, divisor, amp_ghz, eps0, eps1):
+        spec = fq.quasienergy_sweep(DELTA, DELTA / divisor, [TWO_PI * amp_ghz])[0]
+        assert spec.eps0 == pytest.approx(eps0, abs=1e-10)
+        assert spec.eps1 == pytest.approx(eps1, abs=1e-10)
+
+    def test_largest_sector_coefficient_positive(self):
+        amps = TWO_PI * np.array([0.0, 0.3, 1.33, 2.7, 4.78])
+        for factor in (1.0, 0.6, 1.4, 1.0 / 3.0):
+            for spec in fq.quasienergy_sweep(DELTA, factor * DELTA, amps):
+                for table in (spec.u0, spec.u1):
+                    c = np.sqrt(2.0) * table[:, 0].real  # table = c_n (1, (-1)^n)/sqrt(2)
+                    assert c[np.argmax(np.abs(c))] > 0.0
+                    assert abs(np.linalg.norm(c) - 1.0) < 1e-12
 
 
 class TestAnalyticChain:
