@@ -29,6 +29,10 @@ from .model import PulseSpec, QubitParams, StateVector
 from .units import TWO_PI, ghz_to_rad_per_ns, rad_per_ns_to_ghz
 
 
+#: Rows per %-format call of ``_write_csv``: bounds the strings it builds.
+_CSV_BLOCK = 8192
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
@@ -36,8 +40,18 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Header plus rows.  A float array, read as rows of len(header) values,
+    is written with one %-format per block of rows, whose "%.17g" gives the
+    same bytes as ``_fmt``."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            rows = rows.reshape(-1, len(header))
+            line = "%.17g," * (len(header) - 1) + "%.17g\n"
+            for s in range(0, len(rows), _CSV_BLOCK):
+                block = rows[s : s + _CSV_BLOCK]
+                f.write((line * len(block)) % tuple(block.ravel().tolist()))
+            return
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -117,7 +131,7 @@ def cmd_quasienergies(config: ExperimentConfig, out_dir: Path, oracle: bool) -> 
                 row += [rad_per_ns_to_ghz(mono[i][0]), rad_per_ns_to_ghz(mono[i][1])]
             rows.append(row)
     path = out_dir / "quasienergies.csv"
-    _write_csv(path, header, rows)
+    _write_csv(path, header, np.array(rows, dtype=float))
     return [path]
 
 
@@ -153,16 +167,17 @@ def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path, threads: int) -> list
     specs = floquet.quasienergy_sweep(
         par.delta, omega, amps, config["solver"]["truncation_n"]
     )
-    p1_rows = []
-    spec_rows = []
+    amps_ghz = rad_per_ns_to_ghz(amps)
+    p1_rows = np.column_stack(
+        [np.repeat(amps_ghz, len(durations)), np.tile(durations, len(amps)), p1.ravel()]
+    )
+    spec_parts = []
     peak_rows = []
-    for a, trace, fspec in zip(amps, p1, specs):
-        a_ghz = rad_per_ns_to_ghz(a)
-        p1_rows.extend([a_ghz, t, v] for t, v in zip(durations, trace))
+    for a_ghz, trace, fspec in zip(amps_ghz, p1, specs):
         sp = spectral.dft(durations, trace, r["window"], r["zero_pad_factor"])
         keep = sp.freqs <= r["max_freq_ghz"]
-        spec_rows.extend(
-            [a_ghz, f, m] for f, m in zip(sp.freqs[keep], sp.magnitudes[keep])
+        spec_parts.append(
+            np.column_stack([np.full(keep.sum(), a_ghz), sp.freqs[keep], sp.magnitudes[keep]])
         )
         peaks = spectral.find_peaks(sp, r["min_prominence"])
         classified, score = spectral.classify_peaks(
@@ -175,7 +190,7 @@ def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path, threads: int) -> list
         )
     paths = [out_dir / "rabi_p1.csv", out_dir / "rabi_spectra.csv", out_dir / "rabi_peaks.csv"]
     _write_csv(paths[0], ["amplitude_ghz", "t_p_ns", "p1"], p1_rows)
-    _write_csv(paths[1], ["amplitude_ghz", "freq_ghz", "magnitude"], spec_rows)
+    _write_csv(paths[1], ["amplitude_ghz", "freq_ghz", "magnitude"], np.vstack(spec_parts))
     _write_csv(
         paths[2],
         ["amplitude_ghz", "freq_ghz", "amplitude", "classification", "n", "odd_score"],
@@ -195,7 +210,7 @@ def cmd_tomography_trace(
     header = ["amplitude_ghz", "t_p_ns", "sx", "sy", "sz", "p1"]
     if shots > 0:
         header += ["sx_meas", "sy_meas", "sz_meas"]
-    rows = []
+    parts = []
     for a_ghz in t["amplitudes_ghz"]:
         amp = ghz_to_rad_per_ns(a_ghz)
         states = evolve.continuous_drive_states(
@@ -218,13 +233,10 @@ def cmd_tomography_trace(
                     k = rng.binomial(shots, p)
                     val = 1.0 - 2.0 * k / shots
                     meas[i, j] = -val if basis == "ry90" else val
-        for i, tp in enumerate(durations):
-            row = [a_ghz, tp, sx[i], sy[i], sz[i], p1[i]]
-            if meas is not None:
-                row += [meas[i, 0], meas[i, 1], meas[i, 2]]
-            rows.append(row)
+        cols = [np.full(len(durations), a_ghz), durations, sx, sy, sz, p1]
+        parts.append(np.column_stack(cols if meas is None else cols + [meas]))
     path = out_dir / "bloch_trace.csv"
-    _write_csv(path, header, rows)
+    _write_csv(path, header, np.array(parts, dtype=float))
     return [path]
 
 
@@ -259,13 +271,14 @@ def cmd_edge_study(config: ExperimentConfig, out_dir: Path, threads: int) -> lis
     else:
         results = [run(p) for p in pairs]
 
-    trace_rows = []
+    trace_parts = []
     amp_rows = []
     for (t_r, t_f), (p1, lo, hi) in zip(pairs, results):
-        trace_rows.extend([t_r, t_f, tp, v] for tp, v in zip(durations, p1))
+        n = len(durations)
+        trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))
         amp_rows.append([t_r, t_f, lo, hi])
     paths = [out_dir / "edge_traces.csv", out_dir / "edge_fast_amplitudes.csv"]
-    _write_csv(paths[0], ["t_rise_ns", "t_fall_ns", "t_p_ns", "p1"], trace_rows)
+    _write_csv(paths[0], ["t_rise_ns", "t_fall_ns", "t_p_ns", "p1"], np.array(trace_parts, dtype=float))
     _write_csv(
         paths[1],
         ["t_rise_ns", "t_fall_ns", "amp_2w_minus_de", "amp_2w_plus_de"],

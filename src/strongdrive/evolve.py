@@ -8,8 +8,12 @@ times and envelope kinks into the step mesh, so no step straddles a kink;
 
 Batched drivers cover the two scan geometries that dominate the figures:
 amplitude batches of continuous-drive traces, and plateau-duration batches
-sharing the rise segment with the fall segments propagated as one batch.
-``_refine`` is the one step-refinement policy they share.
+sharing the rise segment.  Their falls are phase-harmonic: a fall depends on
+the duration only through its starting carrier phase theta, so it is
+propagated at 2K equally spaced phases and summed as a trigonometric series
+at each duration's theta, K doubling from 16 until the series reproduces
+directly computed falls to 1e-12.  ``_refine`` is the one step-refinement
+policy the drivers share.
 """
 
 from __future__ import annotations
@@ -35,6 +39,12 @@ from .units import TWO_PI
 #: Quasienergy splitting below which the Floquet basis is treated as
 #: degenerate (rad/ns).
 DEGENERACY_TOL = 1e-9
+
+#: Carrier phases the fall series starts from, the most it may use, and the
+#: max-entry error its interpolant must meet between its nodes.
+FALL_PHASES_START = 16
+FALL_PHASES_CAP = 4096
+FALL_SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -250,12 +260,17 @@ def final_states_for_durations(
 ):
     """Final state of one pulse per plateau duration, batched.
 
-    Durations index the plateau length t_p; the rise [0, t_r] is shared, the
-    plateau propagator is accumulated cumulatively, and the falls (whose
-    envelope start times differ per duration) run as one batch.  The result
-    is the same quantity as one independent propagation per duration.
+    Durations index the plateau length t_p; the rise [0, t_r] is shared and
+    the plateau propagator is accumulated cumulatively.  A fall depends on
+    the duration only through the carrier phase theta at its start, so the
+    falls come from a trigonometric series in theta through falls computed
+    at 2K equally spaced phases, K doubling from 16 until the series matches
+    directly computed falls to 1e-12 (``_fall_series``).  The result is the
+    same quantity as one independent propagation per duration.
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
+    if durs.size == 0:
+        raise ValueError("durations must be non-empty")
     if np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
         raise ValueError("durations must be >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
@@ -286,18 +301,76 @@ def _duration_batch_unitaries(params, template, durs, step):
 
     u_p = _mesh_propagators(params, x_plateau, np.concatenate([[0.0], durs]), (), step)
     out = matmul2(u_p[1:], u_r)
-
-    # batched falls: local fall time s in [0, t_f], start times differ
     if t_f > 0.0:
-        starts = t_r + durs
+        out = matmul2(_fall_unitaries(params, template, durs, step), out)
+    return out
+
+
+def _fall_series(params, template, step):
+    """Fourier coefficients (numpy FFT order) of the fall propagator as a
+    function of its starting carrier phase.
+
+    The fall's Hamiltonian is linear in e^{+-i theta}, so its coefficients
+    decay like the Floquet sideband weights.  K doubles from
+    ``FALL_PHASES_START`` until the K-point trigonometric interpolant
+    reproduces the falls computed at the K phases midway between its nodes
+    to ``FALL_SERIES_TOL`` in max entry; the series returned interpolates
+    all 2K computed falls.  K depends on the pulse and the step alone, never
+    on the durations asked for.  Failing the check at ``FALL_PHASES_CAP``
+    raises AccuracyError.
+    """
+    am, omega, t_f = template.amplitude_max, template.carrier, template.t_fall
+    n_fall = max(1, int(np.ceil(t_f / step)))
+
+    def falls(theta):
+        """Falls under env(s) cos(omega s + theta), local time s in [0, t_f]."""
 
         def x_fall(s):
             env = 0.5 * am * (1.0 + np.cos(np.pi * s / t_f))
-            return env[None, :] * np.cos(omega * (starts[:, None] + s[None, :]) + phi)
+            return env[None, :] * np.cos(omega * s[None, :] + theta[:, None])
 
-        n_fall = max(1, int(np.ceil(t_f / step)))
-        u_f = np.broadcast_to(IDENTITY2, (len(durs), 2, 2))
-        out = matmul2(magnus_segment(u_f, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall), out)
+        u = np.broadcast_to(IDENTITY2, (len(theta), 2, 2))
+        return magnus_segment(u, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall)
+
+    k = FALL_PHASES_START
+    nodes = falls(TWO_PI * np.arange(k) / k)
+    while True:
+        mids = falls(TWO_PI * (np.arange(k) + 0.5) / k)
+        shift = np.exp(1j * np.pi * np.fft.fftfreq(k))
+        shift[k // 2] = 0.0  # the Nyquist term goes as cos(K theta / 2): 0 at the midpoints
+        guess = np.fft.ifft(np.fft.fft(nodes, axis=0) * shift[:, None, None], axis=0)
+        err = float(np.max(np.abs(guess - mids)))
+        both = np.stack([nodes, mids], axis=1).reshape(2 * k, 2, 2)
+        if err <= FALL_SERIES_TOL:
+            return np.fft.fft(both, axis=0) / (2 * k)
+        if k >= FALL_PHASES_CAP:
+            raise AccuracyError(
+                f"fall phase series: interpolation error {err:.2e} at K = {k} phases "
+                f"exceeds {FALL_SERIES_TOL:.0e}"
+            )
+        nodes, k = both, 2 * k
+
+
+def _fall_unitaries(params, template, durs, step):
+    """Fall propagators of one pulse per plateau duration: the phase series
+    of ``_fall_series`` summed at each fall's starting carrier phase.
+
+    Each row is summed on its own in a fixed order (smallest |m| last), so a
+    duration's result does not depend on the rest of the batch.
+    """
+    coef = _fall_series(params, template, step)
+    theta = np.mod(
+        template.carrier * (template.t_rise + durs) + template.carrier_phase, TWO_PI
+    )
+    n2 = len(coef)
+    m = np.fft.fftfreq(n2, 1.0 / n2)
+    # the Nyquist term c_{-K} splits evenly between e^{-iK theta} and e^{+iK theta}
+    m = np.append(m, n2 // 2)
+    coef = np.concatenate([coef, coef[n2 // 2 : n2 // 2 + 1]])
+    coef[[n2 // 2, -1]] *= 0.5
+    out = np.zeros((len(durs), 2, 2), dtype=complex)
+    for j in np.argsort(-np.abs(m), kind="stable"):
+        out += coef[j] * np.exp(1j * m[j] * theta)[:, None, None]
     return out
 
 
@@ -317,16 +390,13 @@ def sweep_pulse_duration(
     from independent per-point streams split off the master seed, so results
     do not depend on evaluation order.
     """
-    durs = np.atleast_1d(np.asarray(durations, dtype=float))
-    if durs.size == 0:
-        raise ValueError("durations must be non-empty")
     states = final_states_for_durations(
-        params, pulse_template, durs, target_step=target_step, refine=refine
+        params, pulse_template, durations, target_step=target_step, refine=refine
     )
     p1 = np.abs(states[:, 1]) ** 2
     if shots is None:
         return p1
-    seqs = np.random.SeedSequence(seed).spawn(len(durs))
+    seqs = np.random.SeedSequence(seed).spawn(len(p1))
     counts = np.array(
         [np.random.default_rng(s).binomial(shots, p) for s, p in zip(seqs, np.clip(p1, 0.0, 1.0))]
     )

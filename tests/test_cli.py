@@ -264,6 +264,80 @@ class TestEdgeStudyCommand:
         assert len(rows) == 3
 
 
+def _row_writer(path, header, rows):
+    """Reference CSV writer: ``_fmt`` on every value, one row at a time."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.reshape(-1, len(header))
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(cli._fmt(v) for v in row) + "\n")
+
+
+SMALL_ALL = SMALL_RABI + """
+[quasienergies]
+amp_max_ghz = 1.0
+amp_points = 5
+omega_factors = 1.0, 0.6
+[tomotrace]
+amplitudes_ghz = 0.1, 0.46
+duration_ns = 2
+sample_dt_ns = 0.02
+[edges]
+edge_times_ns = 0, 1
+asymmetric_pairs_ns = 1:0
+duration_ns = 8
+sample_dt_ns = 0.01
+"""
+
+
+class TestBulkCsvWriter:
+    def test_special_values_match_row_writer(self, tmp_path):
+        table = np.array(
+            [[0.0, -0.0, 5e-324], [2.2e-308 / 3, np.nan, np.inf], [-np.inf, 1 / 3, -1e300]]
+        )
+        cli._write_csv(tmp_path / "bulk.csv", ["a", "b", "c"], table)
+        _row_writer(tmp_path / "rows.csv", ["a", "b", "c"], table)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_empty_tables_write_the_header_only(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.ini",
+            "[quasienergies]\nomega_factors =\n[tomotrace]\namplitudes_ghz =\n"
+            "[edges]\nedge_times_ns =\nasymmetric_pairs_ns =\n",
+        )
+        for cmd, name in (
+            ("quasienergies", "quasienergies.csv"),
+            ("tomography-trace", "bloch_trace.csv"),
+            ("edge-study", "edge_traces.csv"),
+        ):
+            assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 0
+            assert (tmp_path / name).read_text().count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rabi-scan"],
+            ["edge-study"],
+            ["tomography-trace"],
+            ["tomography-trace", "--shots", "64"],
+            ["quasienergies", "--oracle"],
+        ],
+    )
+    def test_outputs_match_row_writer(self, tmp_path, monkeypatch, argv):
+        cfg = write_config(tmp_path / "c.ini", SMALL_ALL)
+        bulk, rows = tmp_path / "bulk", tmp_path / "rows"
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 1000)  # several blocks, the last one partial
+        assert cli.main([*argv, "--config", cfg, "--out", str(bulk)]) == 0
+        monkeypatch.setattr(cli, "_write_csv", _row_writer)
+        assert cli.main([*argv, "--config", cfg, "--out", str(rows)]) == 0
+        names = sorted(p.name for p in bulk.glob("*.csv"))
+        assert names == sorted(p.name for p in rows.glob("*.csv")) and names
+        for name in names:
+            digest = [hashlib.sha256((d / name).read_bytes()).hexdigest() for d in (bulk, rows)]
+            assert digest[0] == digest[1], name
+
+
 class TestStatePrepCommand:
     def test_report_fields(self, tmp_path):
         cfg = write_config(

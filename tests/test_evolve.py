@@ -1,11 +1,14 @@
 """Propagator: oracles, norm/composition, Floquet-frame analysis, state prep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from strongdrive import evolve as ev
 from strongdrive import floquet as fq
-from strongdrive.errors import BasisDegeneracyError
+from strongdrive._magnus import IDENTITY2, magnus_segment, matmul2
+from strongdrive.errors import AccuracyError, BasisDegeneracyError
 from strongdrive.model import PulseSpec, StateVector
 from strongdrive.units import TWO_PI
 
@@ -139,6 +142,105 @@ class TestDurationSweep:
         template = PulseSpec(TWO_PI * 0.3, DELTA, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             ev.sweep_pulse_duration(params, template, [1.0, 0.5])
+
+    @pytest.mark.parametrize("t_rise", [0.0, 1.0])
+    def test_empty_durations_rejected(self, params, t_rise):
+        template = PulseSpec(TWO_PI * 0.3, DELTA, t_rise, 0.0, 1.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            ev.final_states_for_durations(params, template, [])
+
+
+def _direct_falls(params, template, durs, step):
+    """Reference falls: one Magnus-integrated fall per duration, its carrier
+    phase taken from the absolute start time t_r + d of the fall."""
+    am, omega, phi = template.amplitude_max, template.carrier, template.carrier_phase
+    t_f = template.t_fall
+    starts = template.t_rise + durs
+
+    def x_fall(s):
+        env = 0.5 * am * (1.0 + np.cos(np.pi * s / t_f))
+        return env[None, :] * np.cos(omega * (starts[:, None] + s[None, :]) + phi)
+
+    n_fall = max(1, int(np.ceil(t_f / step)))
+    u = np.broadcast_to(IDENTITY2, (len(durs), 2, 2))
+    return magnus_segment(u, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall)
+
+
+def _edge_step(omega, t_r, t_f):
+    """edge-study's step policy at its default 0.01 ns sample spacing."""
+    return min([TWO_PI / omega / 200.0, 0.005] + [x / 50.0 for x in (t_r, t_f) if x > 0.0])
+
+
+EDGE_DURS = np.arange(0.0, 25.0 + 1e-9, 0.01)  # edge-study's default scan
+EDGE_PAIRS = [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (4.0, 4.0), (0.0, 4.0)]
+A_EDGE = TWO_PI * 1.33
+SP_DURS = np.arange(0.2, 1.3, 0.004)  # around prepare_state's plateau window
+SP_STEP = min(ev.default_step(PulseSpec(TWO_PI * 0.46, DELTA, 0.02, 0.0, 0.02)), 2e-3)
+FALL_CASES = [  # (id, template, step, durations)
+    *(
+        (f"edge-study {t_r}:{t_f}", PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f),
+         _edge_step(DELTA, t_r, t_f), EDGE_DURS[::25])
+        for t_r, t_f in EDGE_PAIRS
+    ),
+    *(
+        (f"criterion-06 {t_r}:{t_f}", PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f), 1.5e-3,
+         EDGE_DURS[::25])
+        for t_r, t_f in EDGE_PAIRS
+    ),
+    *(
+        (f"4.78 GHz at {w / TWO_PI:.3f} GHz", PulseSpec(TWO_PI * 4.78, w, 1.0, 0.0, 1.0, 0.4),
+         _edge_step(w, 1.0, 1.0), EDGE_DURS[::25])
+        for w in (DELTA, TWO_PI * 1.0)
+    ),
+    *(
+        (f"state-prep phase {phi}", PulseSpec(TWO_PI * 0.46, DELTA, 0.02, 0.0, 0.02, phi),
+         SP_STEP, SP_DURS)
+        for phi in (0.0, 2.5)
+    ),
+]
+
+
+class TestPhaseHarmonicFalls:
+    @pytest.mark.parametrize(
+        "template, step, durs", [c[1:] for c in FALL_CASES], ids=[c[0] for c in FALL_CASES]
+    )
+    def test_matches_direct_falls(self, params, template, step, durs):
+        # rise and plateau are shared code; the fall is the only new path
+        no_fall = dataclasses.replace(template, t_fall=0.0)
+        want = matmul2(
+            _direct_falls(params, template, durs, step),
+            ev._duration_batch_unitaries(params, no_fall, durs, step),
+        )
+        got = ev._duration_batch_unitaries(params, template, durs, step)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_single_duration_equals_batch_row_bitwise(self, params, monkeypatch):
+        sizes = []
+        series = ev._fall_series
+
+        def spy(*args):
+            coef = series(*args)
+            sizes.append(len(coef))
+            return coef
+
+        monkeypatch.setattr(ev, "_fall_series", spy)
+        template = PulseSpec(A_EDGE, DELTA, 4.0, 0.0, 4.0)
+        step = _edge_step(DELTA, 4.0, 4.0)
+        batch = ev._fall_unitaries(params, template, EDGE_DURS, step)
+        for i in (0, 1, 617, 1250, 2500):
+            one = ev._fall_unitaries(params, template, EDGE_DURS[i : i + 1], step)
+            assert np.array_equal(one[0], batch[i])
+        # K is chosen from the pulse and the step, not from the batch
+        assert len(set(sizes)) == 1 and len(sizes) == 6
+
+    def test_phase_cap_raises(self, params, monkeypatch):
+        # 1.33 GHz needs more than 16 phases (interpolation error ~2e-8 there)
+        monkeypatch.setattr(ev, "FALL_PHASES_CAP", 16)
+        template = PulseSpec(A_EDGE, DELTA, 1.0, 0.0, 4.0)
+        with pytest.raises(AccuracyError, match="interpolation error .* at K = 16"):
+            ev.final_states_for_durations(
+                params, template, [0.0, 1.0], target_step=2e-3, refine=False
+            )
 
 
 class TestFloquetFrame:
