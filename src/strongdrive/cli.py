@@ -2,9 +2,11 @@
 
 Each subcommand reads an INI config (defaults apply when omitted), writes
 plot-ready CSV/JSON data plus a run_report.json manifest (resolved config,
-version, wall time, sha256 of every output).  Data files are byte-identical
-for identical config and seed; the manifest's wall-time field is the one
-value that varies between runs.
+version, wall time, sha256 of every output).  Each command is one serial
+call chain: an amplitude scan is one batched propagation, an edge study one
+duration sweep per edge pair.  Data files are byte-identical for identical
+config and seed; the manifest's wall-time field is the one value that varies
+between runs.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 acceptance
 threshold failure (``check``).
@@ -17,7 +19,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +74,14 @@ def _device(config: ExperimentConfig) -> QubitParams:
     return QubitParams(
         delta=ghz_to_rad_per_ns(d["delta_ghz"]),
         persistent_current=d["persistent_current_na"],
-        t1=d["t1_ns"],
-        t_ramsey=d["t_ramsey_ns"],
     )
 
 
-def _solver_step(config: ExperimentConfig, fallback: float) -> float:
+def _solver_step(config: ExperimentConfig, template: PulseSpec, sample_dt: float) -> float:
+    """``[solver] propagator_step_ns`` if > 0, else the pulse default
+    ``evolve.default_step(template)`` capped at half the sample spacing."""
     step = config["solver"]["propagator_step_ns"]
-    return step if step > 0.0 else fallback
+    return step if step > 0.0 else min(evolve.default_step(template), sample_dt / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,34 +136,16 @@ def cmd_quasienergies(config: ExperimentConfig, out_dir: Path, oracle: bool) -> 
     return [path]
 
 
-def _rabi_traces(par, amps, omega, durations, step, threads, refine):
-    def run(chunk):
-        states = evolve.continuous_drive_states(
-            par, chunk, omega, durations, target_step=step, refine=refine
-        )
-        return np.abs(states[:, :, 1]) ** 2
-
-    # with refinement on, group per amplitude so the step-halving decisions
-    # (and therefore the bytes) cannot depend on batching or thread count;
-    # without it one batch is faster than any thread split
-    if refine:
-        chunks = [amps[i : i + 1] for i in range(len(amps))]
-        with ThreadPoolExecutor(max_workers=max(threads, 1)) as ex:
-            parts = list(ex.map(run, chunks))
-        return np.vstack(parts)
-    return run(amps)
-
-
-def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     par = _device(config)
     r = config["rabi"]
     omega = ghz_to_rad_per_ns(r["omega_ghz"])
     amps = ghz_to_rad_per_ns(np.linspace(r["amp_min_ghz"], r["amp_max_ghz"], r["amp_points"]))
     durations = np.arange(0.0, r["duration_ns"] + 1e-9, r["sample_dt_ns"])
-    step = _solver_step(config, min(TWO_PI / omega / 200.0, r["sample_dt_ns"] / 2.0))
-    p1 = _rabi_traces(
-        par, amps, omega, durations, step, threads, config["solver"]["refine"]
-    )
+    step = _solver_step(config, PulseSpec(0.0, omega), r["sample_dt_ns"])
+    p1 = np.abs(evolve.continuous_drive_states(
+        par, amps, omega, durations, target_step=step, refine=config["solver"]["refine"]
+    )[:, :, 1]) ** 2
 
     specs = floquet.quasienergy_sweep(
         par.delta, omega, amps, config["solver"]["truncation_n"]
@@ -206,17 +189,16 @@ def cmd_tomography_trace(
     t = config["tomotrace"]
     omega = ghz_to_rad_per_ns(t["omega_ghz"])
     durations = np.arange(0.0, t["duration_ns"] + 1e-9, t["sample_dt_ns"])
-    step = _solver_step(config, min(TWO_PI / omega / 200.0, t["sample_dt_ns"] / 2.0))
+    step = _solver_step(config, PulseSpec(0.0, omega), t["sample_dt_ns"])
     header = ["amplitude_ghz", "t_p_ns", "sx", "sy", "sz", "p1"]
     if shots > 0:
         header += ["sx_meas", "sy_meas", "sz_meas"]
+    batch = evolve.continuous_drive_states(
+        par, ghz_to_rad_per_ns(np.array(t["amplitudes_ghz"])), omega, durations,
+        target_step=step, refine=config["solver"]["refine"],
+    )
     parts = []
-    for a_ghz in t["amplitudes_ghz"]:
-        amp = ghz_to_rad_per_ns(a_ghz)
-        states = evolve.continuous_drive_states(
-            par, [amp], omega, durations, target_step=step,
-            refine=config["solver"]["refine"],
-        )[0]
+    for a_ghz, states in zip(t["amplitudes_ghz"], batch):
         z = np.conj(states[:, 0]) * states[:, 1]
         sx, sy = 2.0 * z.real, 2.0 * z.imag
         sz = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
@@ -240,41 +222,28 @@ def cmd_tomography_trace(
     return [path]
 
 
-def cmd_edge_study(config: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     par = _device(config)
     e = config["edges"]
     omega = ghz_to_rad_per_ns(e["omega_ghz"])
     amp = ghz_to_rad_per_ns(e["amplitude_ghz"])
     durations = np.arange(0.0, e["duration_ns"] + 1e-9, e["sample_dt_ns"])
+    n = len(durations)
     pairs = [(x, x) for x in e["edge_times_ns"]] + list(e["asymmetric_pairs_ns"])
     fspec = floquet.quasienergy_sweep(
         par.delta, omega, [amp], config["solver"]["truncation_n"]
     )[0]
-
-    def run(pair):
-        t_r, t_f = pair
+    trace_parts = []
+    amp_rows = []
+    for t_r, t_f in pairs:
         template = PulseSpec(amp, omega, t_r, 0.0, t_f)
         # same step policy as rabi-scan so the zero-edge pair reproduces it
-        cands = [TWO_PI / omega / 200.0, e["sample_dt_ns"] / 2.0]
-        cands += [x / 50.0 for x in (t_r, t_f) if x > 0.0]
-        step = _solver_step(config, min(cands))
+        step = _solver_step(config, template, e["sample_dt_ns"])
         p1 = evolve.sweep_pulse_duration(
             par, template, durations, target_step=step,
             refine=config["solver"]["refine"],
         )
         lo, hi = spectral.fast_component_amplitudes(durations, p1, omega, fspec.delta_eps)
-        return p1, lo, hi
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, pairs))
-    else:
-        results = [run(p) for p in pairs]
-
-    trace_parts = []
-    amp_rows = []
-    for (t_r, t_f), (p1, lo, hi) in zip(pairs, results):
-        n = len(durations)
         trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))
         amp_rows.append([t_r, t_f, lo, hi])
     paths = [out_dir / "edge_traces.csv", out_dir / "edge_fast_amplitudes.csv"]
@@ -357,15 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="INI config path")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    common.add_argument("--shots", type=int, default=0, help="shot-sampled columns (0 = noiseless)")
-    common.add_argument("--threads", type=int, default=None, help="override [run] threads")
-    common.add_argument("--oracle", action="store_true", help="add monodromy oracle columns")
 
-    sub.add_parser("quasienergies", parents=[common])
+    shots = argparse.ArgumentParser(add_help=False)
+    shots.add_argument(
+        "--shots", type=int, default=0,
+        help="shots per basis (0: noiseless trace, or [stateprep] shots)",
+    )
+
+    quasi = sub.add_parser("quasienergies", parents=[common])
+    quasi.add_argument("--oracle", action="store_true", help="add monodromy oracle columns")
     sub.add_parser("rabi-scan", parents=[common])
-    sub.add_parser("tomography-trace", parents=[common])
+    sub.add_parser("tomography-trace", parents=[common, shots])
     sub.add_parser("edge-study", parents=[common])
-    sub.add_parser("state-prep", parents=[common])
+    sub.add_parser("state-prep", parents=[common, shots])
     check = sub.add_parser("check", parents=[common])
     check.add_argument("--full", action="store_true", help="run every acceptance criterion")
     return parser
@@ -379,17 +352,16 @@ def main(argv=None) -> int:
             return cmd_check(args.full)
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config["run"]["seed"]
-        threads = args.threads if args.threads is not None else config["run"]["threads"]
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "quasienergies":
             outputs = cmd_quasienergies(config, out_dir, args.oracle)
         elif args.command == "rabi-scan":
-            outputs = cmd_rabi_scan(config, out_dir, threads)
+            outputs = cmd_rabi_scan(config, out_dir)
         elif args.command == "tomography-trace":
             outputs = cmd_tomography_trace(config, out_dir, args.shots, seed)
         elif args.command == "edge-study":
-            outputs = cmd_edge_study(config, out_dir, threads)
+            outputs = cmd_edge_study(config, out_dir)
         elif args.command == "state-prep":
             outputs = cmd_state_prep(config, out_dir, args.shots, seed)
         else:  # pragma: no cover - argparse enforces the choices

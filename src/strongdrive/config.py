@@ -11,6 +11,8 @@ import configparser
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigError
 from .spectral import WINDOWS
 
@@ -46,8 +48,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "device": {
         "delta_ghz": (float, 2.288),
         "persistent_current_na": (float, 690.0),
-        "t1_ns": (float, 1800.0),
-        "t_ramsey_ns": (float, 300.0),
     },
     "solver": {
         "truncation_n": (int, 50),
@@ -96,7 +96,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "run": {
         "seed": (int, 12345),
-        "threads": (int, 1),
     },
 }
 
@@ -125,19 +124,35 @@ class ExperimentConfig:
 _MINIMUMS = {
     ("quasienergies", "amp_points"): 1,
     ("rabi", "amp_points"): 1,
+    ("rabi", "n_max"): 0,
+    ("rabi", "zero_pad_factor"): 1,
     ("stateprep", "shots"): 1,
     ("stateprep", "bootstrap_b"): 100,
     ("solver", "monodromy_steps_per_period"): 1,
     ("solver", "truncation_n"): 1,
 }
 
+#: Time, frequency and amplitude keys that may be 0: the per-pulse default
+#: step, sharp edges, and zero drive amplitudes.
+_ZERO_ALLOWED = {
+    ("solver", "propagator_step_ns"),
+    ("edges", "edge_times_ns"),
+    ("edges", "asymmetric_pairs_ns"),
+    ("quasienergies", "amp_min_ghz"),
+    ("quasienergies", "amp_max_ghz"),
+    ("rabi", "amp_min_ghz"),
+    ("rabi", "amp_max_ghz"),
+    ("tomotrace", "amplitudes_ghz"),
+    ("edges", "amplitude_ghz"),
+}
+
 
 def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
     """Reject parsed values out of range, naming the key.
 
-    Durations and steps (keys ending in ``_ns``) must be positive, except
-    ``solver.propagator_step_ns``, where 0 selects the per-pulse default,
-    and the edge-time lists, where 0 is a sharp edge.
+    Times, steps, frequencies and amplitudes (keys ending in ``_ns`` or
+    ``_ghz``, and ``omega_factors``) must be > 0, every entry of a list;
+    the keys in ``_ZERO_ALLOWED`` must be >= 0.
     """
 
     def bad(sec, key, why):
@@ -145,16 +160,13 @@ def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
 
     for sec, keys in values.items():
         for key, v in keys.items():
-            if not key.endswith("_ns"):
+            if not key.endswith(("_ns", "_ghz")) and key != "omega_factors":
                 continue
-            if isinstance(v, tuple):
-                times = [x for item in v for x in (item if isinstance(item, tuple) else (item,))]
-                if not all(x >= 0.0 for x in times):
-                    raise bad(sec, key, "times must be >= 0")
-            elif key == "propagator_step_ns":
-                if not v >= 0.0:
-                    raise bad(sec, key, "must be >= 0; 0 selects the per-pulse default")
-            elif not v > 0.0:
+            flat = np.ravel(v)
+            if (sec, key) in _ZERO_ALLOWED:
+                if not np.all(flat >= 0.0):
+                    raise bad(sec, key, "must be >= 0")
+            elif not np.all(flat > 0.0):
                 raise bad(sec, key, "must be > 0")
     for (sec, key), lowest in _MINIMUMS.items():
         if values[sec][key] < lowest:

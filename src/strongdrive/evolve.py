@@ -144,7 +144,7 @@ def _refine(run, step, psi0, final, message):
     result = run(step)
     while True:
         finer = run(step / 2.0)
-        converged = np.max(np.abs(p1(result) - p1(finer))) < 1e-8
+        converged = np.max(np.abs(p1(result) - p1(finer)), initial=0.0) < 1e-8
         result = finer
         if converged:
             return result

@@ -39,14 +39,12 @@ class QubitParams:
 
     delta: minimum level splitting, rad/ns (angular).
     persistent_current: loop persistent current I_p, nA.
-    t1, t_ramsey: recorded coherence constants in ns; informational only,
-        no open-system dynamics is simulated.
+
+    The dynamics is closed (unitary): no relaxation or dephasing constants.
     """
 
     delta: float = DELTA_DEFAULT
     persistent_current: float = PERSISTENT_CURRENT_DEFAULT
-    t1: float = 1800.0
-    t_ramsey: float = 300.0
 
     def __post_init__(self):
         if not self.delta > 0.0:

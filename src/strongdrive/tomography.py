@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .evolve import propagate, propagate_train
+# propagate is unused here, but benchmarks/test_bench.py asserts that the
+# tracer patches tomography.propagate; drop it with that assertion.
+from .evolve import propagate, propagate_train  # noqa: F401
 from .model import PulseSpec, QubitParams, StateVector
 from .units import TWO_PI
 
@@ -449,9 +451,3 @@ def prerotation_pulses(
         "rx90": pulse_x,
         "ry90": PulseSpec(amplitude, params.delta, edge, t_cal, edge, phi_cal),
     }
-
-
-def realized_rotation_angle(params: QubitParams, pulse: PulseSpec) -> float:
-    """Polar rotation angle of |0> under one pulse: 2 asin(sqrt(P1))."""
-    traj = propagate(params, pulse, sample_dt=max(pulse.total, 1e-3))
-    return float(2.0 * np.arcsin(np.sqrt(np.clip(traj.p1[-1], 0.0, 1.0))))

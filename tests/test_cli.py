@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strongdrive import cli
+from strongdrive import cli, evolve
 from strongdrive.config import load_config
 from strongdrive.errors import ConfigError
+from strongdrive.model import QubitParams
 from strongdrive.units import TWO_PI
 
 
@@ -47,6 +48,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key 'bogus'"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "section, key", [("device", "t1_ns"), ("device", "t_ramsey_ns"), ("run", "threads")]
+    )
+    def test_removed_keys_rejected(self, tmp_path, section, key):
+        p = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+            load_config(p)
+
     def test_bad_value(self, tmp_path):
         p = write_config(tmp_path / "c.ini", "[rabi]\namp_points = lots\n")
         with pytest.raises(ConfigError, match="bad value"):
@@ -69,12 +78,26 @@ class TestConfig:
             ("tomotrace", "sample_dt_ns", "nan"),
             ("edges", "duration_ns", "-25"),
             ("stateprep", "min_edge_ns", "0"),
-            ("device", "t1_ns", "0"),
             ("solver", "propagator_step_ns", "-0.001"),
             ("edges", "edge_times_ns", "0, -1"),
             ("edges", "asymmetric_pairs_ns", "4:-1"),
             ("solver", "monodromy_steps_per_period", "0"),
             ("solver", "truncation_n", "0"),
+            ("device", "delta_ghz", "0"),
+            ("quasienergies", "omega_factors", "1, 0"),
+            ("quasienergies", "amp_min_ghz", "-0.5"),
+            ("quasienergies", "amp_max_ghz", "-1"),
+            ("rabi", "omega_ghz", "0"),
+            ("rabi", "amp_min_ghz", "-0.2"),
+            ("rabi", "amp_max_ghz", "-1"),
+            ("rabi", "max_freq_ghz", "-1"),
+            ("rabi", "n_max", "-1"),
+            ("rabi", "zero_pad_factor", "0"),
+            ("tomotrace", "amplitudes_ghz", "0.1, -1"),
+            ("tomotrace", "omega_ghz", "-2.288"),
+            ("edges", "amplitude_ghz", "-1.33"),
+            ("edges", "omega_ghz", "0"),
+            ("stateprep", "amplitude_ghz", "0"),
         ],
     )
     def test_out_of_range_value_names_key(self, tmp_path, section, key, value):
@@ -178,15 +201,25 @@ class TestRabiScanCommand:
         for name in ("rabi_p1.csv", "rabi_spectra.csv", "rabi_peaks.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path / "c.ini", SMALL_RABI)
-        out_a, out_b = tmp_path / "t1", tmp_path / "t4"
-        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(out_a)]) == 0
-        assert cli.main(
-            ["rabi-scan", "--config", cfg, "--out", str(out_b), "--threads", "4"]
-        ) == 0
-        for name in ("rabi_p1.csv", "rabi_spectra.csv", "rabi_peaks.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    def test_refine_is_one_batched_call(self, tmp_path):
+        # the refined step is shared by the whole amplitude batch
+        out_ref, out_def = tmp_path / "refine", tmp_path / "default"
+        cfg = write_config(tmp_path / "r.ini", SMALL_RABI + "[solver]\nrefine = true\n")
+        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(out_ref)]) == 0
+        cfg = write_config(tmp_path / "d.ini", SMALL_RABI)
+        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(out_def)]) == 0
+        p1_ref, p1_def = (
+            np.array([float(r[2]) for r in read_csv(d / "rabi_p1.csv")[1]])
+            for d in (out_ref, out_def)
+        )
+        omega = TWO_PI * 2.288
+        states = evolve.continuous_drive_states(
+            QubitParams(delta=omega), TWO_PI * np.linspace(0.4, 1.2, 3), omega,
+            np.arange(0.0, 20.0 + 1e-9, 0.01), target_step=TWO_PI / omega / 200.0,
+            refine=True,
+        )
+        assert np.array_equal(p1_ref, (np.abs(states[:, :, 1]) ** 2).ravel())
+        assert np.max(np.abs(p1_ref - p1_def)) < 1e-7
 
     def test_weak_drive_peak_near_amplitude(self, tmp_path):
         cfg = write_config(
@@ -374,6 +407,15 @@ class TestCheckCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv", [["rabi-scan", "--oracle"], ["edge-study", "--shots", "5"]]
+    )
+    def test_flag_on_command_that_ignores_it_exit_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "run_report.json").exists()
+
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[rabi]\nbogus = 1\n")
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 2

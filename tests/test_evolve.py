@@ -138,6 +138,12 @@ class TestDurationSweep:
             )[0]
             assert np.array_equal(got, one)
 
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_empty_amplitude_batch(self, params, refine):
+        times = np.arange(0.0, 1.0 + 1e-12, 0.1)
+        states = ev.continuous_drive_states(params, [], DELTA, times, refine=refine)
+        assert states.shape == (0, len(times), 2)
+
     def test_decreasing_durations_rejected(self, params):
         template = PulseSpec(TWO_PI * 0.3, DELTA, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):

@@ -20,8 +20,6 @@ class TestQubitParams:
         p = QubitParams()
         assert p.delta == pytest.approx(TWO_PI * 2.288, rel=1e-15)
         assert p.persistent_current == 690.0
-        assert p.t1 == 1800.0
-        assert p.t_ramsey == 300.0
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
