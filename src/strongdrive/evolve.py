@@ -6,20 +6,21 @@ blocked reduce/scan -> gather.  ``_mesh_propagators`` compiles the sample
 times and envelope kinks into the step mesh, so no step straddles a kink;
 ``_magnus.magnus_path`` does the rest, in fixed blocks of steps.
 
-Batched drivers cover the two scan geometries that dominate the figures:
-amplitude batches of continuous-drive traces, and plateau-duration batches
-sharing the rise segment.  Their falls are phase-harmonic: a fall depends on
-the duration only through its starting carrier phase theta, so it is
-propagated at 2K equally spaced phases and summed as a trigonometric series
-at each duration's theta, K doubling from 16 until the series reproduces
-directly computed falls to 1e-12.  ``_refine`` is the one step-refinement
-policy the drivers share.
+Batched drivers cover the scan geometries: amplitude batches of
+continuous-drive traces, and plateau-duration batches sharing the rise, by
+carrier phase too in the state-preparation scans.  Their falls are
+phase-harmonic: a fall depends on the duration and carrier phase only
+through its starting carrier phase theta, so it is propagated at 2K equally
+spaced phases and summed as a trigonometric series at each fall's theta, K
+doubling from 16 until the series reproduces directly computed falls to
+1e-12.  Pulse trains batch the pulses of one shape over theta likewise.
+``_refine`` is the one step-refinement policy the drivers share.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,12 +107,13 @@ def _kinks(pulse: PulseSpec):
     return np.array([0.0, pulse.t_rise, pulse.t_rise + pulse.t_plateau, pulse.total])
 
 
-def _drive_fn(pulse: PulseSpec, start: float = 0.0):
-    """sigma_x coefficient of ``pulse`` with its envelope starting at ``start``."""
+def _drive_fn(pulse: PulseSpec, phase=None):
+    """sigma_x coefficient env(t) cos(omega t + phase) of ``pulse``; ``phase``
+    is its carrier phase by default, or a column of phases (a batch axis)."""
+    phase = pulse.carrier_phase if phase is None else phase
 
     def x_of_t(t):
-        a = envelope(pulse, t - start, allow_outside=True)
-        return a * np.cos(pulse.carrier * t + pulse.carrier_phase)
+        return envelope(pulse, t, allow_outside=True) * np.cos(pulse.carrier * t + phase)
 
     return x_of_t
 
@@ -283,16 +285,18 @@ def final_states_for_durations(
     return _states_from_unitaries(u, psi0)
 
 
-def _duration_batch_unitaries(params, template, durs, step):
-    am = template.amplitude_max
-    omega, phi = template.carrier, template.carrier_phase
+def _duration_batch_unitaries(params, template, durs, step, phases=None):
+    """Unitaries of ``final_states_for_durations``; ``phases``, if given,
+    replace the carrier phase as a leading batch axis: (phases, durations)."""
+    am, omega = template.amplitude_max, template.carrier
     t_r, t_f = template.t_rise, template.t_fall
+    phi = template.carrier_phase if phases is None else np.asarray(phases)[:, None]
 
     # shared rise
     u_r = IDENTITY2
     if t_r > 0.0:
-        rise_pulse = PulseSpec(am, omega, t_r, max(durs[-1], 1.0), t_f, phi)
-        u_r = _mesh_propagators(params, _drive_fn(rise_pulse), [0.0, t_r], (), step)[-1]
+        u_r = _mesh_propagators(params, _drive_fn(template, phi), [0.0, t_r], (), step)
+        u_r = u_r[..., -1, :, :]
 
     # cumulative plateau, recorded at every requested duration; meshed in
     # plateau time s so the step counts come from the duration increments
@@ -300,9 +304,9 @@ def _duration_batch_unitaries(params, template, durs, step):
         return am * np.cos(omega * (t_r + s) + phi)
 
     u_p = _mesh_propagators(params, x_plateau, np.concatenate([[0.0], durs]), (), step)
-    out = matmul2(u_p[1:], u_r)
+    out = matmul2(u_p[..., 1:, :, :], u_r[..., None, :, :])
     if t_f > 0.0:
-        out = matmul2(_fall_unitaries(params, template, durs, step), out)
+        out = matmul2(_fall_unitaries(params, template, durs, step, phi), out)
     return out
 
 
@@ -351,26 +355,26 @@ def _fall_series(params, template, step):
         nodes, k = both, 2 * k
 
 
-def _fall_unitaries(params, template, durs, step):
+def _fall_unitaries(params, template, durs, step, phi=None):
     """Fall propagators of one pulse per plateau duration: the phase series
-    of ``_fall_series`` summed at each fall's starting carrier phase.
+    of ``_fall_series`` summed at each fall's starting carrier phase; a
+    column of carrier phases ``phi`` gives a (phases, durations) grid.
 
-    Each row is summed on its own in a fixed order (smallest |m| last), so a
-    duration's result does not depend on the rest of the batch.
+    Each entry is summed on its own in a fixed order (smallest |m| last), so
+    a duration's result does not depend on the rest of the batch.
     """
     coef = _fall_series(params, template, step)
-    theta = np.mod(
-        template.carrier * (template.t_rise + durs) + template.carrier_phase, TWO_PI
-    )
+    phi = template.carrier_phase if phi is None else phi
+    theta = np.mod(template.carrier * (template.t_rise + durs) + phi, TWO_PI)
     n2 = len(coef)
     m = np.fft.fftfreq(n2, 1.0 / n2)
     # the Nyquist term c_{-K} splits evenly between e^{-iK theta} and e^{+iK theta}
     m = np.append(m, n2 // 2)
     coef = np.concatenate([coef, coef[n2 // 2 : n2 // 2 + 1]])
     coef[[n2 // 2, -1]] *= 0.5
-    out = np.zeros((len(durs), 2, 2), dtype=complex)
+    out = np.zeros(theta.shape + (2, 2), dtype=complex)
     for j in np.argsort(-np.abs(m), kind="stable"):
-        out += coef[j] * np.exp(1j * m[j] * theta)[:, None, None]
+        out += coef[j] * np.exp(1j * m[j] * theta)[..., None, None]
     return out
 
 
@@ -420,22 +424,24 @@ def propagate_train(
     Pulse k starting at absolute time t_k contributes
     env_k(t - t_k) * cos(omega t + phi_k): envelopes shift, the carrier runs
     in absolute time, so equal-phase pulses share a rotation axis regardless
-    of their start times.
+    of their start times.  In local time s that is env_k(s) cos(omega s +
+    theta_k), theta_k = omega t_k + phi_k: the pulses of one shape are
+    propagated in one call batched over theta_k, on that shape's kinks and
+    step, and the 2x2 propagators are composed in time order.
     """
     psi = (StateVector.ground() if initial is None else initial).as_array()
     starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
-    cuts = np.unique(np.concatenate([starts[:1], *(s + _kinks(p) for p, s in zip(pulses, starts))]))
-    drives = [_drive_fn(p, s) for p, s in zip(pulses, starts)]
-    steps = [target_step if target_step is not None else default_step(p) for p in pulses]
-
-    def pulse_of(t):
-        return np.searchsorted(starts, t, side="right") - 1
-
-    def x_of_t(t):
-        return np.piecewise(t, [pulse_of(t) == k for k in range(len(drives))], drives)
-
-    step = np.asarray(steps)[pulse_of(cuts[:-1])]
-    u = _mesh_propagators(params, x_of_t, cuts[[0, -1]], cuts, step)[-1]
+    shapes = {}  # pulse shape (carrier phase 0) -> indices of its pulses
+    for k, p in enumerate(pulses):
+        shapes.setdefault(replace(p, carrier_phase=0.0), []).append(k)
+    units = {}
+    for shape, ks in shapes.items():
+        theta = np.array([[shape.carrier * starts[k] + pulses[k].carrier_phase] for k in ks])
+        step = target_step if target_step is not None else default_step(shape)
+        drive = _drive_fn(shape, theta)
+        u = _mesh_propagators(params, drive, [0.0, shape.total], _kinks(shape), step)
+        units.update(zip(ks, np.broadcast_to(u[..., -1, :, :], (len(ks), 2, 2))))
+    u = functools.reduce(lambda acc, k: units[k] @ acc, range(len(pulses)), IDENTITY2)
     return StateVector.from_array(u @ psi)
 
 
@@ -568,9 +574,10 @@ def prepare_state(
     first Rabi crest for the target (the shortest preparation, which is what
     made the sub-nanosecond pulses interesting): the crest estimate comes
     from the accumulated quasienergy phase matching the Bloch angle between
-    |0> and the target.  Coarse scan then local refinement at 0.5 ps and a
-    full carrier-phase circle.  Returns the best pulse and the achieved
-    state fidelity |<target|psi>|.
+    |0> and the target.  A coarse scan over a full carrier-phase circle, then
+    a local one at 0.5 ps; each is one (phase, duration) batch with a single
+    fall series.  Returns the best pulse and the achieved state fidelity
+    |<target|psi>|.
     """
     from .floquet import analytic_delta_epsilon
 
@@ -586,22 +593,15 @@ def prepare_state(
         t_star = max(angle / de - edges, 0.0)
         lo, hi = 0.55 * t_star, 1.4 * t_star + 0.05
 
+    template = PulseSpec(amp, omega, edges, 0.0, edges)
+    step = min(default_step(template), 2e-3)
+
     def scan(durs, phases):
-        best = (-1.0, None, None)
-        for phi in phases:
-            template = PulseSpec(amp, omega, edges, 0.0, edges, phi)
-            states = final_states_for_durations(
-                params,
-                template,
-                durs,
-                refine=False,
-                target_step=min(default_step(template), 2e-3),
-            )
-            fid = np.abs(states @ tgt.conj())
-            i = int(np.argmax(fid))
-            if fid[i] > best[0]:
-                best = (float(fid[i]), float(durs[i]), float(phi))
-        return best
+        u = _duration_batch_unitaries(params, template, durs, step, phases)
+        fid = np.abs(_states_from_unitaries(u, StateVector.ground().as_array()) @ tgt.conj())
+        # row-major argmax: the first strictly greater (phase, duration) wins
+        p, i = np.unravel_index(np.argmax(fid), fid.shape)
+        return float(fid[p, i]), float(durs[i]), float(phases[p])
 
     coarse_durs = np.arange(lo, hi, 0.004)
     if coarse_durs.size == 0:

@@ -212,6 +212,11 @@ def fast_component_amplitudes(times, values, omega: float, delta_eps: float):
     span = t[-1] - t[0]
     if span <= 0.0:
         raise ValueError("trace must span a positive time interval")
+    if delta_eps == 0.0:
+        raise ValueError(
+            "delta_eps = 0: the 2w +- delta_eps components coincide; "
+            "no trace length separates them"
+        )
     sep_bins = 2.0 * rad_per_ns_to_ghz(delta_eps) * span
     if sep_bins < 3.0:
         raise ValueError(

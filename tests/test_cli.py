@@ -427,6 +427,18 @@ class TestExitCodes:
         )
         assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_zero_drive_on_resonance_names_coincident_pair(self, tmp_path, capsys):
+        # at A = 0 and w = Delta, delta_eps = 0: no trace length separates the pair
+        cfg = write_config(
+            tmp_path / "c.ini",
+            "[edges]\namplitude_ghz = 0\nedge_times_ns = 0\nasymmetric_pairs_ns =\n"
+            "duration_ns = 5\nsample_dt_ns = 0.01\n",
+        )
+        assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "delta_eps = 0" in err and "coincide" in err
+        assert "too short" not in err
+
 
 class TestConfigRoundTrip:
     def test_report_config_reruns_identically(self, tmp_path):

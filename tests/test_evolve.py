@@ -9,7 +9,8 @@ from strongdrive import evolve as ev
 from strongdrive import floquet as fq
 from strongdrive._magnus import IDENTITY2, magnus_segment, matmul2
 from strongdrive.errors import AccuracyError, BasisDegeneracyError
-from strongdrive.model import PulseSpec, StateVector
+from strongdrive.model import PulseSpec, StateVector, envelope
+from strongdrive.tomography import PREROTATION_AMPLITUDE, PREROTATION_EDGE
 from strongdrive.units import TWO_PI
 
 DELTA = TWO_PI * 2.288
@@ -249,6 +250,69 @@ class TestPhaseHarmonicFalls:
             )
 
 
+def _serial_train(params, pulses, initial=None, *, target_step=None):
+    """Reference train: one serial mesh over the whole train in absolute
+    time, each interval between kinks driven by the pulse it lies in."""
+    psi = (StateVector.ground() if initial is None else initial).as_array()
+    starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
+    kinks = [s + ev._kinks(p) for p, s in zip(pulses, starts)]
+    cuts = np.unique(np.concatenate([starts[:1], *kinks]))
+
+    def drive(p, start):
+        return lambda t: envelope(p, t - start, allow_outside=True) * np.cos(
+            p.carrier * t + p.carrier_phase
+        )
+
+    drives = [drive(p, s) for p, s in zip(pulses, starts)]
+    steps = [target_step if target_step is not None else ev.default_step(p) for p in pulses]
+
+    def pulse_of(t):
+        return np.searchsorted(starts, t, side="right") - 1
+
+    def x_of_t(t):
+        return np.piecewise(t, [pulse_of(t) == k for k in range(len(drives))], drives)
+
+    step = np.asarray(steps)[pulse_of(cuts[:-1])]
+    u = ev._mesh_propagators(params, x_of_t, cuts[[0, -1]], cuts, step)[-1]
+    return u @ psi
+
+
+CAL_T_P = 1.7224584351438186  # the calibrated pi/2 plateau at the default device
+CAL_X = PulseSpec(PREROTATION_AMPLITUDE, DELTA, PREROTATION_EDGE, CAL_T_P, PREROTATION_EDGE)
+CAL_Y = dataclasses.replace(CAL_X, carrier_phase=-1.5667)
+MIXED_TRAIN = [
+    CAL_X,
+    PulseSpec(TWO_PI * 0.4, DELTA, 0.0, 0.7, 0.3, 0.5),  # second amplitude, sharp rise
+    dataclasses.replace(CAL_X, amplitude_max=0.0),  # the `id` wait
+    PulseSpec(PREROTATION_AMPLITUDE, TWO_PI * 2.05, 0.17, 0.53, 0.17, 0.7),  # second carrier
+    PulseSpec(TWO_PI * 0.4, DELTA, carrier_phase=0.3),  # zero total length
+    CAL_Y,
+    CAL_X,
+]
+# The oracle meshes in absolute time, the trains in pulse-local time, so a
+# span that is an exact multiple of the step (0.3 ns at 3 ps) may round to
+# one step more in one of them: the two then differ by the integrator error
+# of that one step, not by round-off.
+TRAIN_CASES = [  # (id, pulses, target_step, tolerance)
+    ("angle n=5", [CAL_X] * 11, None, 1e-12),
+    ("axis n=5", [CAL_X] + [CAL_Y, CAL_Y, CAL_X, CAL_X] * 5 + [CAL_Y], None, 1e-12),
+    ("mixed", MIXED_TRAIN, None, 1e-12),
+    ("mixed, explicit step", MIXED_TRAIN, 2.9e-3, 1e-12),
+    ("mixed, step tie", MIXED_TRAIN, 3e-3, 1e-9),
+]
+
+
+class TestPulseTrain:
+    @pytest.mark.parametrize(
+        "pulses, target_step, tol", [c[1:] for c in TRAIN_CASES], ids=[c[0] for c in TRAIN_CASES]
+    )
+    @pytest.mark.parametrize("initial", [StateVector.ground(), StateVector.minus_y()])
+    def test_matches_serial_train(self, params, pulses, target_step, tol, initial):
+        got = ev.propagate_train(params, pulses, initial, target_step=target_step).as_array()
+        want = _serial_train(params, pulses, initial, target_step=target_step)
+        assert np.max(np.abs(got - want)) <= tol
+
+
 class TestFloquetFrame:
     def test_ground_state_equal_weights(self, params):
         spec = fq.quasienergy_sweep(DELTA, DELTA, [0.0])[0]
@@ -353,6 +417,67 @@ class TestStatePrep:
         pulse, fid = ev.prepare_state(params, StateVector.ground(), TWO_PI * 0.46, 0.0)
         assert fid == pytest.approx(1.0, abs=1e-6)
         assert pulse.total < 0.1
+
+    @pytest.mark.parametrize("target", [StateVector.minus_y(), StateVector.excited()])
+    def test_phase_scans_match_per_phase_sweeps_bitwise(self, params, target, monkeypatch):
+        scans, series = [], []
+        batch, fall_series = ev._duration_batch_unitaries, ev._fall_series
+
+        def batch_spy(*args):
+            u = batch(*args)
+            if len(args) == 5:  # a phase-batched scan
+                scans.append((args[1], args[2], args[3], args[4], u))
+            return u
+
+        def series_spy(*args):
+            series.append(args)
+            return fall_series(*args)
+
+        monkeypatch.setattr(ev, "_duration_batch_unitaries", batch_spy)
+        monkeypatch.setattr(ev, "_fall_series", series_spy)
+        pulse, fid = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        assert len(scans) == 2 and len(series) == 2  # one fall series per scan
+        monkeypatch.undo()
+
+        tgt = target.as_array()
+        picks = []
+        for template, durs, step, phases, u in scans:
+            assert step == min(ev.default_step(template), 2e-3)
+            best = (-1.0, None, None)  # the per-phase loop's rule
+            for phi, u_phi in zip(phases, u):
+                one = dataclasses.replace(template, carrier_phase=phi)
+                for col, psi0 in enumerate((StateVector.ground(), StateVector.excited())):
+                    states = ev.final_states_for_durations(
+                        params, one, durs, initial=psi0, refine=False,
+                        target_step=min(ev.default_step(one), 2e-3),
+                    )
+                    assert np.array_equal(u_phi[:, :, col], states)
+                    if col == 0:
+                        f = np.abs(states @ tgt.conj())
+                        i = int(np.argmax(f))
+                        if f[i] > best[0]:
+                            best = (float(f[i]), float(durs[i]), float(phi))
+            picks.append(best)
+
+        (_, d_c, p_c), (f_b, d_b, p_b) = picks
+        assert np.array_equal(scans[1][1], np.arange(max(0.0, d_c - 0.006), d_c + 0.006, 0.0005))
+        assert np.array_equal(scans[1][3], p_c + np.linspace(-0.15, 0.15, 31))
+        assert (fid, pulse.t_plateau, pulse.carrier_phase) == (f_b, d_b, p_b % TWO_PI)
+
+    def test_scan_tie_goes_to_first_phase_then_duration(self, params, monkeypatch):
+        # the per-phase loop kept the first strictly greater fidelity
+        grids = []
+
+        def tied(params, template, durs, step, phases):
+            grids.append((durs, phases))
+            u = np.zeros((len(phases), len(durs), 2, 2), dtype=complex)
+            u[0, 5, 1, 0] = u[1, 2, 1, 0] = 1.0  # |<1|U|0>| = 1 at both
+            return u
+
+        monkeypatch.setattr(ev, "_duration_batch_unitaries", tied)
+        pulse, fid = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)
+        durs, phases = grids[1]
+        assert (fid, pulse.t_plateau, pulse.carrier_phase) == (1.0, durs[5], phases[0] % TWO_PI)
 
     def test_excited_target_near_quoted_point(self, params):
         pulse, fid = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongdrive import spectral
 from strongdrive.units import TWO_PI, ghz_to_rad_per_ns
@@ -56,6 +58,21 @@ class TestDft:
             ](len(v))
             energy = float(np.sum(((v - v.mean()) * w) ** 2))
             assert spectral.spectrum_energy(sp) == pytest.approx(energy, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(16, 700),
+        window=st.sampled_from(spectral.WINDOWS),
+        pad=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_parseval_property(self, n, window, pad, seed):
+        v = np.random.default_rng(seed).standard_normal(n)
+        t = 0.01 * np.arange(n)
+        sp = spectral.dft(t, v, window, pad)
+        w = {"hann": np.hanning, "hamming": np.hamming, "rectangular": np.ones}[window](n)
+        energy = float(np.sum(((v - v.mean()) * w) ** 2))
+        assert spectral.spectrum_energy(sp) == pytest.approx(energy, rel=1e-9)
 
 
 class TestFindPeaks:
@@ -147,3 +164,10 @@ class TestFastComponentFit:
         t = np.arange(0.0, 5.0, 0.01)
         with pytest.raises(ValueError):
             spectral.fast_component_amplitudes(t, np.ones_like(t), omega, de)
+
+    def test_zero_delta_eps_names_coincident_pair(self):
+        # long enough for any nonzero splitting of this size; 0 is never enough
+        t = np.arange(0.0, 50.0, 0.01)
+        with pytest.raises(ValueError, match="delta_eps = 0: .* coincide") as exc:
+            spectral.fast_component_amplitudes(t, np.ones_like(t), ghz_to_rad_per_ns(2.288), 0.0)
+        assert "too short" not in str(exc.value)
