@@ -135,10 +135,8 @@ def check_fig_s1() -> CheckResult:
     )
 
 
-def _classified_scan(omega, amps, durations, sample_dt, n_max=10, min_prominence=0.05):
-    states = evolve.continuous_drive_states(
-        QubitParams(), amps, omega, durations, target_step=1.25e-3, refine=False
-    )
+def _classified_scan(omega, amps, durations, n_max=10, min_prominence=0.05):
+    states = evolve.continuous_drive_states(QubitParams(), amps, omega, durations)
     p1 = np.abs(states[:, :, 1]) ** 2
     specs = floquet.quasienergy_sweep(DELTA, omega, amps)
     results = []
@@ -164,7 +162,7 @@ def check_fig2() -> CheckResult:
         unassigned = 0
         total = 0
         worst_score = 0.0
-        for classified, score, _res in _classified_scan(omega, amps, durations, 0.005):
+        for classified, score, _res in _classified_scan(omega, amps, durations):
             total += len(classified)
             unassigned += sum(1 for p in classified if p.classification == "unassigned")
             worst_score = max(worst_score, score)

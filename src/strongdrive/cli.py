@@ -3,7 +3,7 @@
 Each subcommand reads an INI config (defaults apply when omitted), writes
 plot-ready CSV/JSON data plus a run_report.json manifest (resolved config,
 version, wall time, sha256 of every output).  Each command is one serial
-call chain: an amplitude scan is one batched propagation, an edge study one
+call chain: an amplitude scan is one Floquet-expansion batch, an edge study one
 duration sweep per edge pair.  Data files are byte-identical for identical
 config and seed; the manifest's wall-time field is the one value that varies
 between runs.
@@ -77,13 +77,6 @@ def _device(config: ExperimentConfig) -> QubitParams:
     )
 
 
-def _solver_step(config: ExperimentConfig, template: PulseSpec, sample_dt: float) -> float:
-    """``[solver] propagator_step_ns`` if > 0, else the pulse default
-    ``evolve.default_step(template)`` capped at half the sample spacing."""
-    step = config["solver"]["propagator_step_ns"]
-    return step if step > 0.0 else min(evolve.default_step(template), sample_dt / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -142,14 +135,12 @@ def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     omega = ghz_to_rad_per_ns(r["omega_ghz"])
     amps = ghz_to_rad_per_ns(np.linspace(r["amp_min_ghz"], r["amp_max_ghz"], r["amp_points"]))
     durations = np.arange(0.0, r["duration_ns"] + 1e-9, r["sample_dt_ns"])
-    step = _solver_step(config, PulseSpec(0.0, omega), r["sample_dt_ns"])
+    n_trunc = config["solver"]["truncation_n"]
     p1 = np.abs(evolve.continuous_drive_states(
-        par, amps, omega, durations, target_step=step, refine=config["solver"]["refine"]
+        par, amps, omega, durations, truncation_n=n_trunc
     )[:, :, 1]) ** 2
 
-    specs = floquet.quasienergy_sweep(
-        par.delta, omega, amps, config["solver"]["truncation_n"]
-    )
+    specs = floquet.quasienergy_sweep(par.delta, omega, amps, n_trunc)
     amps_ghz = rad_per_ns_to_ghz(amps)
     p1_rows = np.column_stack(
         [np.repeat(amps_ghz, len(durations)), np.tile(durations, len(amps)), p1.ravel()]
@@ -189,20 +180,15 @@ def cmd_tomography_trace(
     t = config["tomotrace"]
     omega = ghz_to_rad_per_ns(t["omega_ghz"])
     durations = np.arange(0.0, t["duration_ns"] + 1e-9, t["sample_dt_ns"])
-    step = _solver_step(config, PulseSpec(0.0, omega), t["sample_dt_ns"])
     header = ["amplitude_ghz", "t_p_ns", "sx", "sy", "sz", "p1"]
     if shots > 0:
         header += ["sx_meas", "sy_meas", "sz_meas"]
     batch = evolve.continuous_drive_states(
         par, ghz_to_rad_per_ns(np.array(t["amplitudes_ghz"])), omega, durations,
-        target_step=step, refine=config["solver"]["refine"],
+        truncation_n=config["solver"]["truncation_n"],
     )
     parts = []
     for a_ghz, states in zip(t["amplitudes_ghz"], batch):
-        z = np.conj(states[:, 0]) * states[:, 1]
-        sx, sy = 2.0 * z.real, 2.0 * z.imag
-        sz = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
-        p1 = np.abs(states[:, 1]) ** 2
         meas = None
         if shots > 0:
             seqs = np.random.SeedSequence((seed, int(a_ghz * 1e6))).spawn(len(durations))
@@ -215,7 +201,8 @@ def cmd_tomography_trace(
                     k = rng.binomial(shots, p)
                     val = 1.0 - 2.0 * k / shots
                     meas[i, j] = -val if basis == "ry90" else val
-        cols = [np.full(len(durations), a_ghz), durations, sx, sy, sz, p1]
+        cols = [np.full(len(durations), a_ghz), durations,
+                *evolve._bloch_components(states).T, np.abs(states[:, 1]) ** 2]
         parts.append(np.column_stack(cols if meas is None else cols + [meas]))
     path = out_dir / "bloch_trace.csv"
     _write_csv(path, header, np.array(parts, dtype=float))
@@ -237,8 +224,8 @@ def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     amp_rows = []
     for t_r, t_f in pairs:
         template = PulseSpec(amp, omega, t_r, 0.0, t_f)
-        # same step policy as rabi-scan so the zero-edge pair reproduces it
-        step = _solver_step(config, template, e["sample_dt_ns"])
+        step = config["solver"]["propagator_step_ns"]  # 0: pulse default, <= dt/2
+        step = step or min(evolve.default_step(template), e["sample_dt_ns"] / 2.0)
         p1 = evolve.sweep_pulse_duration(
             par, template, durations, target_step=step,
             refine=config["solver"]["refine"],

@@ -1,14 +1,16 @@
 """Pulse-level Schroedinger propagation and Floquet-frame analysis.
 
-All evolution runs through one pipeline of exactly unitary 2x2 steps (so
+Pulse evolution runs through one pipeline of exactly unitary 2x2 steps (so
 the norm is conserved to machine precision): mesh -> step unitaries ->
 blocked reduce/scan -> gather.  ``_mesh_propagators`` compiles the sample
 times and envelope kinks into the step mesh, so no step straddles a kink;
-``_magnus.magnus_path`` does the rest, in fixed blocks of steps.
+``_magnus.magnus_path`` does the rest, in fixed blocks of steps.  The
+un-enveloped drive takes no step: ``continuous_drive_states`` sums the
+Floquet expansion psi(t) = sum_j c_j e^{-i eps_j t} u_j(t) (Shirley, Phys.
+Rev. 138, B979 (1965)), and a zero-edge pulse is its time-stepped oracle.
 
-Batched drivers cover the scan geometries: amplitude batches of
-continuous-drive traces, and plateau-duration batches sharing the rise, by
-carrier phase too in the state-preparation scans.  Their falls are
+Batched drivers cover the pulse scans: plateau-duration batches sharing the
+rise, by carrier phase too in the state-preparation scans.  Their falls are
 phase-harmonic: a fall depends on the duration and carrier phase only
 through its starting carrier phase theta, so it is propagated at 2K equally
 spaced phases and summed as a trigonometric series at each fall's theta, K
@@ -33,7 +35,7 @@ from ._magnus import (
     unitarity_defect,
 )
 from .errors import AccuracyError, BasisDegeneracyError
-from .floquet import FloquetSpectrum, quasienergy_sweep
+from .floquet import DEFAULT_TRUNCATION, ROT, FloquetSpectrum, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
 from .units import TWO_PI
 
@@ -225,30 +227,43 @@ def continuous_drive_states(
     *,
     carrier_phase: float = 0.0,
     initial: StateVector | None = None,
-    target_step: float | None = None,
-    refine: bool = True,
+    truncation_n: int = DEFAULT_TRUNCATION,
 ):
     """States under the un-enveloped drive A cos(wt+phi) at each time.
 
     Batched over amplitudes; returns an array of shape (n_amp, n_time, 2).
     Equivalent to zero-edge pulses of every duration in ``times``, since the
-    Hamiltonians agree on [0, t] for each duration t.
+    Hamiltonians agree on [0, t] for each duration t.  Summed from the
+    Floquet expansion psi(t) = sum_j <u_j(0)|psi(0)> e^{-i eps_j t} u_j(t),
+    u_j(t) = sum_n u_jn e^{in(wt+phi)}, of one ``quasienergy_sweep``: one
+    e^{in(wt+phi)} table, trimmed to the n with a coefficient above 1e-16,
+    serves the batch.  A resummed t = 0 basis that is not unitary to 1e-10
+    (``truncation_n`` too small for the amplitude) raises AccuracyError.
     """
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must start at 0 and increase")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
-    step = target_step if target_step is not None else TWO_PI / omega / 200.0
-
-    def x_of_t(t):
-        return amps[:, None] * np.cos(omega * t + carrier_phase)[None, :]
-
-    run = functools.partial(_mesh_propagators, params, x_of_t, times, ())
-    u = run(step) if not refine else _refine(
-        run, step, psi0, lambda u: u[:, -1], "batched propagation did not converge"
-    )
-    return _states_from_unitaries(u, psi0)
+    specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
+    # lab-frame tables (n, branch, component) and the rows [a, b) each one needs
+    tables = [np.stack([s.u0, s.u1], axis=1) @ ROT for s in specs]
+    live = [np.flatnonzero(np.abs(u).max(axis=(1, 2)) > 1e-16)[[0, -1]] + [0, 1] for u in tables]
+    lo, hi = min((r[0] for r in live), default=0), max((r[1] for r in live), default=0)
+    harmonics = np.exp(1j * np.arange(lo - truncation_n, hi - truncation_n)[:, None]
+                       * (omega * times + carrier_phase))
+    out = np.empty((len(amps), len(times), 2), dtype=complex)
+    for i, (s, u, (a, b)) in enumerate(zip(specs, tables, live)):
+        u, h = u[a:b], harmonics[a - lo : b - lo]
+        basis0 = np.einsum("n,njk->kj", h[:, 0], u)
+        if (defect := unitarity_defect(basis0[None])) > 1e-10:
+            raise AccuracyError(
+                f"Floquet expansion at A = {s.amp:.6g} rad/ns: t = 0 basis unitarity "
+                f"defect {defect:.2e} > 1e-10; raise truncation_n (now {truncation_n})"
+            )
+        parts = np.einsum("nt,njk->tjk", h, u * (basis0.conj().T @ psi0)[:, None])
+        out[i] = np.einsum("tj,tjk->tk", np.exp(-1j * np.outer(times, [s.eps0, s.eps1])), parts)
+    return out
 
 
 def final_states_for_durations(

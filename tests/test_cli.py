@@ -201,25 +201,24 @@ class TestRabiScanCommand:
         for name in ("rabi_p1.csv", "rabi_spectra.csv", "rabi_peaks.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_refine_is_one_batched_call(self, tmp_path):
-        # the refined step is shared by the whole amplitude batch
-        out_ref, out_def = tmp_path / "refine", tmp_path / "default"
-        cfg = write_config(tmp_path / "r.ini", SMALL_RABI + "[solver]\nrefine = true\n")
-        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(out_ref)]) == 0
-        cfg = write_config(tmp_path / "d.ini", SMALL_RABI)
-        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(out_def)]) == 0
-        p1_ref, p1_def = (
-            np.array([float(r[2]) for r in read_csv(d / "rabi_p1.csv")[1]])
-            for d in (out_ref, out_def)
-        )
+    def test_p1_is_the_floquet_expansion_whatever_the_step_policy(self, tmp_path):
+        # the amplitude scans take no step: [solver] refine and
+        # propagator_step_ns reach edge-study only
+        solver = "[solver]\nrefine = true\npropagator_step_ns = 0.0005\n"
+        for name, text in (("default", SMALL_ALL), ("stepped", SMALL_ALL + solver)):
+            cfg = write_config(tmp_path / f"{name}.ini", text)
+            for cmd in ("rabi-scan", "tomography-trace"):
+                assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        default, stepped = tmp_path / "default", tmp_path / "stepped"
+        for f in ("rabi_p1.csv", "rabi_spectra.csv", "rabi_peaks.csv", "bloch_trace.csv"):
+            assert (default / f).read_bytes() == (stepped / f).read_bytes()
+        p1 = np.array([float(r[2]) for r in read_csv(default / "rabi_p1.csv")[1]])
         omega = TWO_PI * 2.288
         states = evolve.continuous_drive_states(
             QubitParams(delta=omega), TWO_PI * np.linspace(0.4, 1.2, 3), omega,
-            np.arange(0.0, 20.0 + 1e-9, 0.01), target_step=TWO_PI / omega / 200.0,
-            refine=True,
+            np.arange(0.0, 20.0 + 1e-9, 0.01),
         )
-        assert np.array_equal(p1_ref, (np.abs(states[:, :, 1]) ** 2).ravel())
-        assert np.max(np.abs(p1_ref - p1_def)) < 1e-7
+        assert np.array_equal(p1, (np.abs(states[:, :, 1]) ** 2).ravel())
 
     def test_weak_drive_peak_near_amplitude(self, tmp_path):
         cfg = write_config(
@@ -275,7 +274,8 @@ class TestEdgeStudyCommand:
             "[edges]\namplitude_ghz = 1.33\nedge_times_ns = 0\nasymmetric_pairs_ns =\n"
             "duration_ns = 12\nsample_dt_ns = 0.01\n"
             "[rabi]\namp_min_ghz = 1.33\namp_max_ghz = 1.33\namp_points = 1\n"
-            "duration_ns = 12\nsample_dt_ns = 0.01\n",
+            "duration_ns = 12\nsample_dt_ns = 0.01\n"
+            "[solver]\npropagator_step_ns = 0.0005\n",
         )
         assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -414,6 +414,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
+        assert not (tmp_path / "run_report.json").exists()
+
+    def test_truncation_too_small_exit_3(self, tmp_path, capsys):
+        # N = 10 leaves a t = 0 basis defect of 1.5e-6 at the 4.78 GHz amplitude
+        cfg = write_config(tmp_path / "c.ini", "[solver]\ntruncation_n = 10\n")
+        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "truncation_n" in capsys.readouterr().err
         assert not (tmp_path / "run_report.json").exists()
 
     def test_config_error_exit_2(self, tmp_path):

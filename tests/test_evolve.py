@@ -93,11 +93,9 @@ class TestDurationSweep:
         times = np.arange(0.0, 8.0 + 1e-12, 0.01)
         template = PulseSpec(TWO_PI * 1.0, DELTA, 0.0, 0.0, 0.0)
         st_a = ev.final_states_for_durations(
-            params, template, times, target_step=1.25e-3, refine=False
+            params, template, times, target_step=1e-4, refine=False
         )
-        st_b = ev.continuous_drive_states(
-            params, [TWO_PI * 1.0], DELTA, times, target_step=1.25e-3, refine=False
-        )[0]
+        st_b = ev.continuous_drive_states(params, [TWO_PI * 1.0], DELTA, times)[0]
         assert np.max(np.abs(st_a - st_b)) < 1e-12
 
     def test_matches_independent_propagation_with_edges(self, params):
@@ -127,22 +125,18 @@ class TestDurationSweep:
         assert np.max(np.abs(ca / 512 - p1a)) < 0.2
 
     def test_amplitude_batch_equals_single_calls_bitwise(self, params):
-        # block edges are fixed in steps, so batching cannot reorder the sums
+        # each amplitude is summed over its own rows of the shared harmonic
+        # table, so the rest of the batch cannot reorder its sums
         amps = TWO_PI * np.linspace(0.1, 2.5, 12)
-        times = np.arange(0.0, 2.0 + 1e-12, 0.01)  # 1600 steps, several blocks
-        batch = ev.continuous_drive_states(
-            params, amps, DELTA, times, target_step=1.25e-3, refine=False
-        )
+        times = np.arange(0.0, 2.0 + 1e-12, 0.01)
+        batch = ev.continuous_drive_states(params, amps, DELTA, times)
         for a, got in zip(amps, batch):
-            one = ev.continuous_drive_states(
-                params, [a], DELTA, times, target_step=1.25e-3, refine=False
-            )[0]
+            one = ev.continuous_drive_states(params, [a], DELTA, times)[0]
             assert np.array_equal(got, one)
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_empty_amplitude_batch(self, params, refine):
+    def test_empty_amplitude_batch(self, params):
         times = np.arange(0.0, 1.0 + 1e-12, 0.1)
-        states = ev.continuous_drive_states(params, [], DELTA, times, refine=refine)
+        states = ev.continuous_drive_states(params, [], DELTA, times)
         assert states.shape == (0, len(times), 2)
 
     def test_decreasing_durations_rejected(self, params):
@@ -155,6 +149,39 @@ class TestDurationSweep:
         template = PulseSpec(TWO_PI * 0.3, DELTA, t_rise, 0.0, 1.0)
         with pytest.raises(ValueError, match="non-empty"):
             ev.final_states_for_durations(params, template, [])
+
+
+class TestContinuousDrive:
+    @pytest.mark.parametrize("omega", [DELTA, TWO_PI * 1.373, TWO_PI * 3.1])
+    @pytest.mark.parametrize(
+        "phase, initial", [(0.0, StateVector.ground()), (1.1, StateVector.minus_y())]
+    )
+    def test_matches_magnus_oracle(self, params, omega, phase, initial):
+        # the time-stepped oracle: a zero-edge pulse over the whole span.  At
+        # A = 0 and w = Delta the branches are degenerate and the expansion
+        # runs on the limit-convention basis.
+        times = np.arange(0.0, 10.0 + 1e-12, 0.01)
+        amps = TWO_PI * np.array([0.0, 0.10, 1.33, 4.78])
+        got = ev.continuous_drive_states(
+            params, amps, omega, times, carrier_phase=phase, initial=initial
+        )
+        for a, states in zip(amps, got):
+            pulse = PulseSpec(a, omega, 0.0, times[-1], 0.0, phase)
+            traj = ev.propagate(params, pulse, initial, sample_dt=0.01,
+                                target_step=2.5e-4, refine=False)
+            assert np.array_equal(traj.times, times)
+            assert np.max(np.abs(traj.states - states)) < 1e-9
+
+    def test_truncation_gate(self, params):
+        # t = 0 basis unitarity defect at 4.78 GHz: 2.6e-12 at N = 15,
+        # 1.5e-6 at N = 10
+        times = np.arange(0.0, 5.0 + 1e-12, 0.01)
+        amps = [TWO_PI * 4.78]
+        ok = ev.continuous_drive_states(params, amps, DELTA, times, truncation_n=15)
+        full = ev.continuous_drive_states(params, amps, DELTA, times)
+        assert np.max(np.abs(ok - full)) < 1e-9
+        with pytest.raises(AccuracyError, match="truncation_n"):
+            ev.continuous_drive_states(params, amps, DELTA, times, truncation_n=10)
 
 
 def _direct_falls(params, template, durs, step):
