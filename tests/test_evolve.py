@@ -134,9 +134,13 @@ class TestDurationSweep:
             one = ev.continuous_drive_states(params, [a], DELTA, times)[0]
             assert np.array_equal(got, one)
 
-    def test_empty_amplitude_batch(self, params):
+    @pytest.mark.parametrize("small_truncation", [False, True])
+    def test_empty_amplitude_batch(self, params, small_truncation):
+        # an empty batch has no basis to gate, so even a truncation too small
+        # for any strong drive returns the empty result
         times = np.arange(0.0, 1.0 + 1e-12, 0.1)
-        states = ev.continuous_drive_states(params, [], DELTA, times)
+        kwargs = {"truncation_n": 10} if small_truncation else {}
+        states = ev.continuous_drive_states(params, [], DELTA, times, **kwargs)
         assert states.shape == (0, len(times), 2)
 
     def test_decreasing_durations_rejected(self, params):
