@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j0
 
 from . import evolve, floquet, spectral, tomography
 from .model import PulseSpec, QubitParams, StateVector
@@ -83,7 +84,7 @@ def check_analytic_limits() -> CheckResult:
         omega = f * DELTA
         for a in np.linspace(3.0, 6.0, 13) * omega:
             full = floquet.analytic_delta_epsilon(DELTA, a, omega)
-            strong = omega - DELTA * _j0(2.0 * a / omega)
+            strong = omega - DELTA * j0(2.0 * a / omega)
             rel = abs(full - strong) / abs(strong)
             if rel > worst_strong:
                 worst_strong, worst_at = rel, a / omega
@@ -92,12 +93,6 @@ def check_analytic_limits() -> CheckResult:
         f"strong limit rel dev {worst_strong:.4f} at A={worst_at:.2f}w (tol 0.01)"
     )
     return CheckResult("analytic formula limits", bool(ok), "; ".join(msgs))
-
-
-def _j0(x):
-    from scipy.special import j0
-
-    return float(j0(x))
 
 
 def check_fig_s1() -> CheckResult:
@@ -136,9 +131,8 @@ def check_fig_s1() -> CheckResult:
 
 
 def _classified_scan(omega, amps, durations, n_max=10, min_prominence=0.05):
-    states = evolve.continuous_drive_states(QubitParams(), amps, omega, durations)
+    states, specs = evolve._drive_states_and_spectra(QubitParams(), amps, omega, durations)
     p1 = np.abs(states[:, :, 1]) ** 2
-    specs = floquet.quasienergy_sweep(DELTA, omega, amps)
     results = []
     for row, spec in zip(p1, specs):
         sp = spectral.dft(durations, row, "hann", 4)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, acceptance, evolve, floquet, spectral, tomography
+from . import __version__, evolve, floquet, spectral, tomography
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SimulationError
 from .model import PulseSpec, QubitParams, StateVector
@@ -135,12 +135,10 @@ def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     omega = ghz_to_rad_per_ns(r["omega_ghz"])
     amps = ghz_to_rad_per_ns(np.linspace(r["amp_min_ghz"], r["amp_max_ghz"], r["amp_points"]))
     durations = np.arange(0.0, r["duration_ns"] + 1e-9, r["sample_dt_ns"])
-    n_trunc = config["solver"]["truncation_n"]
-    p1 = np.abs(evolve.continuous_drive_states(
-        par, amps, omega, durations, truncation_n=n_trunc
-    )[:, :, 1]) ** 2
-
-    specs = floquet.quasienergy_sweep(par.delta, omega, amps, n_trunc)
+    states, specs = evolve._drive_states_and_spectra(
+        par, amps, omega, durations, truncation_n=config["solver"]["truncation_n"]
+    )
+    p1 = np.abs(states[:, :, 1]) ** 2
     amps_ghz = rad_per_ns_to_ghz(amps)
     p1_rows = np.column_stack(
         [np.repeat(amps_ghz, len(durations)), np.tile(durations, len(amps)), p1.ravel()]
@@ -284,6 +282,8 @@ def cmd_state_prep(config: ExperimentConfig, out_dir: Path, shots: int, seed: in
 
 
 def cmd_check(full: bool) -> int:
+    from . import acceptance  # the only command that needs it: keeps start-up lean
+
     checks = acceptance.ALL_CHECKS if full else (
         acceptance.check_analytic_limits,
         acceptance.check_printed_matrices,

@@ -240,6 +240,17 @@ def continuous_drive_states(
     serves the batch.  A resummed t = 0 basis that is not unitary to 1e-10
     (``truncation_n`` too small for the amplitude) raises AccuracyError.
     """
+    return _drive_states_and_spectra(
+        params, amplitudes, omega, times, carrier_phase, initial, truncation_n
+    )[0]
+
+
+def _drive_states_and_spectra(
+    params, amplitudes, omega, times, carrier_phase=0.0, initial=None,
+    truncation_n=DEFAULT_TRUNCATION,
+):
+    """``continuous_drive_states`` and the ``quasienergy_sweep`` it sums, for
+    the scans that also classify peaks by the quasienergy difference."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
@@ -263,7 +274,7 @@ def continuous_drive_states(
             )
         parts = np.einsum("nt,njk->tjk", h, u * (basis0.conj().T @ psi0)[:, None])
         out[i] = np.einsum("tj,tjk->tk", np.exp(-1j * np.outer(times, [s.eps0, s.eps1])), parts)
-    return out
+    return out, specs
 
 
 def final_states_for_durations(

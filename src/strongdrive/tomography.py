@@ -33,14 +33,15 @@ factor; the estimators here invert the exact response).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 # propagate is unused here, but benchmarks/test_bench.py asserts that the
 # tracer patches tomography.propagate; drop it with that assertion.
 from .evolve import propagate, propagate_train  # noqa: F401
+from .errors import NumericError
 from .model import PulseSpec, QubitParams, StateVector
 from .units import TWO_PI
 
@@ -372,6 +373,72 @@ def bootstrap_errors(records, target, b: int = 200, seed=None) -> TomographyResu
 # Pulse calibration
 # ---------------------------------------------------------------------------
 
+#: Relative tolerance and iteration cap of ``_brentq``: scipy's defaults.
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, a, b, xtol):
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's C ``brentq`` at its default rtol and
+    maxiter: the same float operations in the same order, so it returns what
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol)`` returns, bit for bit,
+    without importing ``scipy.optimize``.  No sign change over the bracket,
+    a NaN value of f and no convergence raise NumericError.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericError(f"brentq on [{a!r}, {b!r}]: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(
+            f"brentq on [{a!r}, {b!r}]: no sign change (f = {fpre!r}, {fcur!r})"
+        )
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # underflow to 0: C gets inf or nan, and bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericError(
+        f"brentq on [{a!r}, {b!r}]: no convergence in {_BRENT_MAXITER} iterations "
+        f"(x = {xcur!r}, f = {fcur!r})"
+    )
+
 
 def angle_calibration_sequence(
     params: QubitParams, pulse: PulseSpec, n: int, *, target_step: float | None = None
@@ -423,7 +490,8 @@ def prerotation_pulses(
 
     Pulse length is solved so the repeated-pulse angle estimate vanishes
     (realized rotation angle pi/2 within the calibration tolerance), then
-    the y pulse's carrier phase is solved so the axis estimate vanishes.
+    the y pulse's carrier phase is solved so the axis estimate vanishes;
+    both are ``_brentq`` roots to 1e-7 in a bracket around the ideal value.
     The identity is a zero-amplitude wait of the same shape.
     """
     n = 5
@@ -435,7 +503,7 @@ def prerotation_pulses(
     # RWA estimate pi/2 = amplitude * (t_p + edge), then bracket and solve
     t_guess = (np.pi / 2.0) / amplitude - edge
     t_lo, t_hi = 0.8 * t_guess, 1.2 * t_guess
-    t_cal = optimize.brentq(angle_err, t_lo, t_hi, xtol=1e-7)
+    t_cal = _brentq(angle_err, t_lo, t_hi, xtol=1e-7)
 
     pulse_x = PulseSpec(amplitude, params.delta, edge, t_cal, edge, 0.0)
 
@@ -444,7 +512,7 @@ def prerotation_pulses(
         return axis_calibration_sequence(params, pulse_x, pulse_y, n)
 
     phi0 = -np.pi / 2.0
-    phi_cal = optimize.brentq(axis_err, phi0 - 0.15, phi0 + 0.15, xtol=1e-7)
+    phi_cal = _brentq(axis_err, phi0 - 0.15, phi0 + 0.15, xtol=1e-7)
 
     return {
         "id": PulseSpec(0.0, params.delta, edge, t_cal, edge, 0.0),

@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strongdrive import cli, evolve
+from strongdrive import acceptance, cli, evolve, floquet
 from strongdrive.config import load_config
 from strongdrive.errors import ConfigError
 from strongdrive.model import QubitParams
-from strongdrive.units import TWO_PI
+from strongdrive.units import HBAR, PHI0, TWO_PI
 
 
 def write_config(path: Path, text: str) -> str:
@@ -220,6 +223,22 @@ class TestRabiScanCommand:
         )
         assert np.array_equal(p1, (np.abs(states[:, :, 1]) ** 2).ravel())
 
+    def test_one_floquet_sweep_per_scan(self, tmp_path, monkeypatch):
+        # the scan classifies peaks with the spectra its traces were summed from
+        sweeps, sweep = [], floquet.quasienergy_sweep
+
+        def counted(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, "quasienergy_sweep", counted)
+        monkeypatch.setattr(floquet, "quasienergy_sweep", counted)
+        cfg = write_config(tmp_path / "c.ini", SMALL_RABI)
+        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(sweeps) == 1
+        acceptance._classified_scan(TWO_PI * 2.288, [TWO_PI * 0.5], np.arange(0.0, 5.0, 0.01))
+        assert len(sweeps) == 2
+
     def test_weak_drive_peak_near_amplitude(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.ini",
@@ -404,6 +423,27 @@ class TestCheckCommand:
         assert "[FAIL] analytic formula limits" in out
         assert "[PASS] printed-matrix fidelities" in out
         assert "[PASS] numerical hygiene" in out
+
+
+class TestStartup:
+    def test_import_leaves_unused_modules_unloaded(self):
+        # a fresh interpreter: this one has loaded them for the tests
+        code = (
+            "import sys, strongdrive.cli\n"
+            "print(*(m for m in ('scipy.optimize', 'scipy.constants', "
+            "'strongdrive.acceptance') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.split() == []
+
+    def test_constants_match_scipy(self):
+        from scipy import constants
+
+        assert PHI0 == constants.physical_constants["mag. flux quantum"][0]
+        assert HBAR == constants.hbar
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 """Tomography: sampling, MLE, fidelity, bootstrap, pulse calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from scipy import optimize
 from scipy.special import xlogy
 
 from strongdrive import tomography as tg
+from strongdrive.errors import NumericError
 from strongdrive.evolve import propagate_train
 from strongdrive.model import PulseSpec, QubitParams, StateVector
 
@@ -548,3 +551,79 @@ class TestCalibration:
     def test_sequence_validation(self, params, cal_pulses):
         with pytest.raises(ValueError):
             tg.angle_calibration_sequence(params, cal_pulses["rx90"], 0)
+
+
+def _bracketed(kind, r, c):
+    """An increasing function with its root at r, of one of seven shapes."""
+    return (
+        lambda x: c * (x - r) ** 3 + (x - r),
+        lambda x: math.sin(2.0 * (x - r)) + (2.0 + c) * (x - r),
+        lambda x: math.expm1(c * (x - r)),
+        lambda x: math.atan(10.0 * (x - r)),
+        lambda x: math.tanh(50.0 * (x - r)),
+        lambda x: c * (x - r) ** 5,  # flat at the root: often runs out of iterations
+        # tiny values: the extrapolation's denominator underflows to 0
+        lambda x: 1e-300 * (c * (x - r) ** 3 + (x - r)),
+    )[kind]
+
+
+def _root_or_none(solve, *args, **kwargs):
+    """The root, or None when the solver runs out of iterations."""
+    try:
+        return solve(*args, **kwargs)
+    except (RuntimeError, NumericError):
+        return None
+
+
+class TestBrentq:
+    def test_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(7)
+        converged = 0
+        for k in range(3000):
+            a, r, b = np.sort(rng.uniform(-3.0, 3.0, 3)).tolist()
+            if k % 2:
+                a, b = b, a
+            f = _bracketed(k % 7, r, float(rng.uniform(0.1, 2.0)))
+            xtol = 10.0 ** rng.uniform(-14.0, -2.0)
+            ref = _root_or_none(optimize.brentq, f, a, b, xtol=xtol)
+            assert _root_or_none(tg._brentq, f, a, b, xtol) == ref
+            converged += ref is not None
+        assert converged > 2800
+
+    def test_calibration_roots_match_scipy_bitwise(self, params, cal_pulses):
+        amp, edge = tg.PREROTATION_AMPLITUDE, tg.PREROTATION_EDGE
+        rx = cal_pulses["rx90"]
+
+        def angle_err(t_p):
+            pulse = PulseSpec(amp, params.delta, edge, t_p, edge, 0.0)
+            return tg.angle_calibration_sequence(params, pulse, 5)
+
+        def axis_err(phi):
+            pulse_y = PulseSpec(amp, params.delta, edge, rx.t_plateau, edge, phi)
+            return tg.axis_calibration_sequence(params, rx, pulse_y, 5)
+
+        t_guess = (np.pi / 2.0) / amp - edge
+        t_ref = optimize.brentq(angle_err, 0.8 * t_guess, 1.2 * t_guess, xtol=1e-7)
+        phi_ref = optimize.brentq(axis_err, -np.pi / 2 - 0.15, -np.pi / 2 + 0.15, xtol=1e-7)
+        assert rx.t_plateau == t_ref
+        assert cal_pulses["ry90"].carrier_phase == phi_ref
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(NumericError, match=r"\[1\.0, 2\.0\].*no sign change"):
+            tg._brentq(lambda x: x, 1.0, 2.0, 1e-12)
+
+    def test_nan_value_raises(self):
+        # finite at the ends, NaN at the first bisection point x = 0
+        f = lambda x: x if abs(x) > 0.5 else math.nan  # noqa: E731
+        with pytest.raises(ValueError):
+            optimize.brentq(f, -1.0, 1.0)
+        with pytest.raises(NumericError, match=r"\[-1\.0, 1\.0\].*NaN"):
+            tg._brentq(f, -1.0, 1.0, 1e-12)
+
+    def test_no_convergence_raises(self):
+        # a step bisects every time; 100 halvings cannot reach xtol = 1e-300
+        f = lambda x: 1.0 if x > 1e-200 else -1.0  # noqa: E731
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, -1.0, 1.0, xtol=1e-300)
+        with pytest.raises(NumericError, match=r"\[-1\.0, 1\.0\].*100 iterations"):
+            tg._brentq(f, -1.0, 1.0, 1e-300)
