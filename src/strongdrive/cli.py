@@ -15,6 +15,7 @@ threshold failure (``check``).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -32,6 +33,10 @@ from .units import TWO_PI, ghz_to_rad_per_ns, rad_per_ns_to_ghz
 
 #: Rows per %-format call of ``_write_csv``: bounds the strings it builds.
 _CSV_BLOCK = 8192
+
+#: glibc ``mallopt`` parameters, and the size from which buffers are mmapped
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 2 << 20
 
 
 def _fmt(v) -> str:
@@ -65,8 +70,34 @@ def _write_json(path: Path, payload) -> None:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 16), b""):
+            h.update(block)
     return h.hexdigest()
+
+
+def _pin_mmap_threshold() -> None:
+    """Map buffers of ``_MMAP_THRESHOLD`` bytes or more on their own rather
+    than grow the heap for them.
+
+    glibc raises its mmap threshold to the largest block freed so far, after
+    which the scans' multi-MB tables are carved from the heap.  Whether one
+    of them fits a free gap or grows the heap then depends on the small
+    blocks allocated in between, so the peak memory of the same commands,
+    repeated in one process, differed from process to process by about one
+    6 MB ``rabi-scan`` table.  With the threshold fixed, such a table is
+    taken from free heap space or mapped, and a mapped one goes back to the
+    OS when it is freed.  The heap keeps up to twice the threshold free at
+    its top, the ratio glibc itself sets when it moves the threshold, so the
+    smaller buffers keep reusing heap pages rather than faulting them in
+    anew after each trim.  No-op off glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
 def _device(config: ExperimentConfig) -> QubitParams:
@@ -333,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pin_mmap_threshold()
     t0 = time.time()
     try:
         if args.command == "check":

@@ -261,8 +261,10 @@ def _drive_states_and_spectra(
     tables = [np.stack([s.u0, s.u1], axis=1) @ ROT for s in specs]
     live = [np.flatnonzero(np.abs(u).max(axis=(1, 2)) > 1e-16)[[0, -1]] + [0, 1] for u in tables]
     lo, hi = min((r[0] for r in live), default=0), max((r[1] for r in live), default=0)
-    harmonics = np.exp(1j * np.arange(lo - truncation_n, hi - truncation_n)[:, None]
-                       * (omega * times + carrier_phase))
+    harmonics = 1j * np.arange(lo - truncation_n, hi - truncation_n)[:, None] * (
+        omega * times + carrier_phase
+    )
+    np.exp(harmonics, out=harmonics)  # in place: one (n, t) table, not two
     out = np.empty((len(amps), len(times), 2), dtype=complex)
     for i, (s, u, (a, b)) in enumerate(zip(specs, tables, live)):
         u, h = u[a:b], harmonics[a - lo : b - lo]

@@ -1,5 +1,6 @@
 """CLI: config validation, command outputs, determinism, manifests."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -193,6 +194,13 @@ class TestQuasienergiesCommand:
             blob = (tmp_path / entry["path"]).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
             assert len(blob) == entry["bytes"]
+
+
+def test_manifest_hash_of_a_multi_block_file(tmp_path):
+    # _sha256 reads 64 KiB blocks; the default rabi_p1.csv is 6.6 MB
+    blob = np.random.default_rng(0).bytes(3 * 65536 + 5)
+    (tmp_path / "f").write_bytes(blob)
+    assert cli._sha256(tmp_path / "f") == hashlib.sha256(blob).hexdigest()
 
 
 class TestRabiScanCommand:
@@ -438,6 +446,34 @@ class TestStartup:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         ).stdout
         assert out.split() == []
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+        reason="needs glibc >= 2.33",
+    )
+    def test_large_buffers_stay_mmapped_after_a_larger_one_is_freed(self):
+        # a fresh interpreter: its heap has no free 8 MiB block to carve the
+        # table from.  Unpinned, freeing the 16 MiB block would raise glibc's
+        # threshold past 8 MiB and the table would grow the heap instead.
+        code = (
+            "import ctypes, numpy as np\n"
+            "from strongdrive import cli\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks', 'smblks',\n"
+            "        'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+            "info = ctypes.CDLL(None).mallinfo2\n"
+            "info.restype = Info\n"
+            "cli._pin_mmap_threshold()\n"
+            "np.ones(2 << 20)  # 16 MiB, mapped and freed\n"
+            "before = info().hblkhd\n"
+            "table = np.ones(1 << 20)\n"
+            "print(info().hblkhd - before >= table.nbytes)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.split() == ["True"]
 
     def test_constants_match_scipy(self):
         from scipy import constants
