@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from . import evolve, floquet, spectral, tomography
 from .model import PulseSpec, QubitParams, StateVector
@@ -84,7 +83,7 @@ def check_analytic_limits() -> CheckResult:
         omega = f * DELTA
         for a in np.linspace(3.0, 6.0, 13) * omega:
             full = floquet.analytic_delta_epsilon(DELTA, a, omega)
-            strong = omega - DELTA * j0(2.0 * a / omega)
+            strong = omega - DELTA * floquet.j0(2.0 * a / omega)
             rel = abs(full - strong) / abs(strong)
             if rel > worst_strong:
                 worst_strong, worst_at = rel, a / omega

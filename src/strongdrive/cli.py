@@ -140,8 +140,8 @@ def cmd_quasienergies(config: ExperimentConfig, out_dir: Path, oracle: bool) -> 
             period = TWO_PI / omega
             step = period / config["solver"]["monodromy_steps_per_period"]
             mono = floquet.monodromy_quasienergies_batch(par.delta, amps, omega, step)
-        for i, (a, s) in enumerate(zip(amps, specs)):
-            e0a, e1a = floquet.analytic_quasienergies(par.delta, a, omega)
+        analytic = floquet.analytic_quasienergies(par.delta, amps, omega)
+        for i, (a, s, e0a, e1a) in enumerate(zip(amps, specs, *analytic)):
             row = [
                 rad_per_ns_to_ghz(a),
                 rad_per_ns_to_ghz(omega),

@@ -604,8 +604,9 @@ def prepare_state(
     from the accumulated quasienergy phase matching the Bloch angle between
     |0> and the target.  A coarse scan over a full carrier-phase circle, then
     a local one at 0.5 ps; each is one (phase, duration) batch with a single
-    fall series.  Returns the best pulse and the achieved state fidelity
-    |<target|psi>|.
+    fall series.  The phase is reported mod pi for a target on the z axis
+    (where phi and phi + pi give the same fidelity), else mod 2 pi.  Returns
+    the best pulse and the achieved state fidelity |<target|psi>|.
     """
     from .floquet import analytic_delta_epsilon
 
@@ -641,5 +642,8 @@ def prepare_state(
     fine_phis = p_c + np.linspace(-0.15, 0.15, 31)
     f_b, d_b, p_b = scan(fine_durs, fine_phis)
 
-    best_pulse = PulseSpec(amp, omega, edges, d_b, edges, p_b % TWO_PI)
+    # on the z axis phi and phi + pi tie exactly (sigma_z U(phi + pi) sigma_z
+    # = U(phi)), so round-off picks the winner; report it mod pi
+    period = np.pi if tgt[0] * tgt[1] == 0.0 else TWO_PI
+    best_pulse = PulseSpec(amp, omega, edges, d_b, edges, p_b % period)
     return best_pulse, f_b

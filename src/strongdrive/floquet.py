@@ -15,10 +15,15 @@ PRL 67, 516 (1991)).  Both branches lie in its even sector, spanned by
 |n> (x) |x = (-1)^n>, where the matrix is symmetric tridiagonal with
 diagonal n*omega - (Delta/2)(-1)^n and off-diagonal -A/2; their copies
 shifted by omega live in the odd sector.  Each amplitude is an independent
-sector solve for two eigenvalue ranks fixed once per (Delta, omega, N).
+sector solve for two eigenvalue ranks fixed once per (Delta, omega, N); all
+amplitudes are solved together by a Sturm-safeguarded Newton iteration for
+the eigenvalues and one twisted factorization per eigenvector (Parlett &
+Dhillon, Linear Algebra Appl. 267, 247 (1997)).  The module needs numpy
+only: J0 and J1 come from their integral representation (DLMF 10.9.1).
 
 An independent oracle is provided by the one-period propagator (monodromy
-operator), whose eigenphases divided by T give the quasienergies mod omega.
+operator), whose eigenphases, read from its SU(2) form, divided by T give
+the quasienergies mod omega.
 The approximate Bessel-function chain (rotating-frame transformation,
 truncated 4x4 matrix, decoupled 2x2 block) yields the closed-form
 quasienergies and the generalized Rabi frequency
@@ -39,8 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import j0, j1
 
 from ._magnus import IDENTITY2, magnus_segment, unitarity_defect
 from .errors import AccuracyError, NumericError
@@ -146,18 +149,18 @@ class FloquetSpectrum:
         return cols
 
 
-def reduce_to_zone(x: float, omega: float) -> float:
-    """Reduce a quasienergy to the window (-omega/2, omega/2].
+def reduce_to_zone(x, omega: float):
+    """Reduce quasienergies to the window (-omega/2, omega/2].
 
     A value within a few ulps of -omega/2 is on the zone edge and maps to
     +omega/2, so round-off cannot choose the sign of an edge quasienergy
     (e.g. both monodromy eigenphases at A = 0 when Delta is an odd multiple
-    of omega).
+    of omega).  Elementwise on arrays; a float for scalar x.
     """
+    x = np.asarray(x, dtype=float)
     r = x - omega * np.round(x / omega)
-    if r <= -0.5 * omega + 8.0 * np.spacing(0.5 * omega):
-        r += omega
-    return float(r)
+    r = np.where(r <= -0.5 * omega + 8.0 * np.spacing(0.5 * omega), r + omega, r)
+    return float(r) if r.ndim == 0 else r
 
 
 def zone_distance(a: float, b: float, omega: float) -> float:
@@ -181,24 +184,110 @@ def _check_floquet_args(omega: float, truncation_n: int) -> None:
         raise ValueError("omega must be positive")
 
 
-def _even_sector(delta, amp, omega, truncation_n):
+def _even_sector(delta, omega, truncation_n):
     """Tridiagonal Pi = +1 block in the basis |n> (x) |x = (-1)^n>.
 
-    Returns the diagonal n*omega - (Delta/2)(-1)^n, the off-diagonal -A/2
-    and the parities (-1)^n.
+    Returns the diagonal n*omega - (Delta/2)(-1)^n and the parities (-1)^n;
+    every off-diagonal entry is -A/2.
     """
     n = np.arange(-truncation_n, truncation_n + 1)
     parity = 1.0 - 2.0 * (n % 2)
-    return n * omega - 0.5 * delta * parity, np.full(2 * truncation_n, -0.5 * amp), parity
+    return n * omega - 0.5 * delta * parity, parity
 
 
-def _sector_eigh(diag, off, **kwargs):
-    try:
-        return eigh_tridiagonal(diag, off, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"Floquet sector eigensolver failed for {len(diag)} photon indices"
-        ) from exc
+#: Sweep cap of :func:`_sector_eigenvalues`; the default scans need 4-6.
+_MAX_SWEEPS = 100
+
+#: Smallest pivot magnitude of the twisted factorizations.
+_PIVMIN = np.sqrt(np.finfo(float).tiny)
+
+
+def _sector_eigenvalues(diag, off, ranks, start):
+    """Eigenvalue of rank ranks[l] (0 = smallest) of lane l's tridiagonal
+    matrix T_l, whose diagonal is ``diag`` and every off-diagonal off[l].
+
+    A Sturm-safeguarded Newton iteration over all lanes at once.  One pass
+    over the rows of the pivot recurrence q_i = (d_i - x) - off^2/q_{i-1}
+    (T - x = L D L^T, D = diag(q)) gives both the Sturm count, the number of
+    q_i < 0, which is the number of eigenvalues below x and so moves one end
+    of the lane's bracket, and d/dx log|det(T - x)| = sum q_i'/q_i for a
+    Newton step.  A step that leaves the bracket is replaced by its midpoint,
+    and so is a zero pivot's NaN step.  Brackets start from Weyl's
+    inequality, d_(k) +- 2|off|, and x from ``start`` clipped into them.  A
+    lane is done when its step is at most 4 ulp of the matrix scale and the
+    step's sign and the count name the wanted rank, or when its bracket is
+    that narrow.  Raises NumericError after _MAX_SWEEPS sweeps.
+    """
+    e2 = off * off
+    centre = np.sort(diag)[ranks]
+    lo, hi = centre - 2.0 * np.abs(off), centre + 2.0 * np.abs(off)
+    x = np.clip(start, lo, hi)
+    tol = 4.0 * np.spacing(np.abs(diag).max() + 2.0 * np.abs(off))
+    done = np.zeros(x.shape, dtype=bool)
+    q = np.empty((len(diag), len(x)))
+    w = np.empty_like(q)  # q_i' / q_i, from q_i' = -1 + (off^2 / q_{i-1}) (q_{i-1}' / q_{i-1})
+    t = np.empty_like(x)
+    sweeps = 0
+    while not done.all():
+        if sweeps == _MAX_SWEEPS:
+            raise NumericError(
+                f"Floquet sector eigenvalues not converged after {_MAX_SWEEPS} sweeps "
+                f"for {len(diag)} photon indices"
+            )
+        sweeps += 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dmx = diag[:, None] - x
+            q[0] = dmx[0]
+            np.divide(-1.0, q[0], out=w[0])
+            for i in range(1, len(diag)):
+                np.divide(e2, q[i - 1], out=t)
+                np.subtract(dmx[i], t, out=q[i])
+                np.multiply(t, w[i - 1], out=w[i])
+                w[i] -= 1.0
+                w[i] /= q[i]
+            step = -1.0 / w.sum(axis=0)
+        count = np.count_nonzero(q < 0.0, axis=0)
+        below = count <= ranks
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        small = np.abs(step) <= tol
+        # close to an eigenvalue a step points at it, so x lies below the
+        # eigenvalue of rank count (step > 0) or above that of count - 1
+        wrong_root = small & (count - (step < 0.0) != ranks)
+        newton = (x + step >= lo) & (x + step <= hi) & ~wrong_root
+        x = np.where(done, x, np.where(newton, x + step, 0.5 * (lo + hi)))
+        done |= (newton & small) | (hi - lo <= 2.0 * tol)
+    return x
+
+
+def _twisted_vectors(diag, off, lam):
+    """Unit eigenvectors, one column per lane, of the lanes' tridiagonal
+    matrices at their eigenvalues ``lam``.
+
+    One twisted factorization per lane (Parlett & Dhillon 1997): the forward
+    pivots D+ of T - lam = L D+ L^T and the backward pivots D- of
+    T - lam = U D- U^T give the twist pivots gamma_r = D+_r + D-_r - (d_r -
+    lam).  With v_r = 1 at the r of smallest |gamma_r|, v_i = -(off/D+_i)
+    v_{i+1} above r and v_i = -(off/D-_i) v_{i-1} below it.  Pivots smaller
+    than _PIVMIN are set to -_PIVMIN.
+    """
+    dmx = diag[:, None] - lam
+    # row i holds D+_i and D-_{m-1-i}: one recurrence runs both directions
+    pivots = np.stack([dmx, dmx[::-1]], axis=1)
+    e2 = off * off
+    for i in range(len(diag)):
+        row = pivots[i]
+        if i:
+            row -= e2 / pivots[i - 1]
+        np.copyto(row, -_PIVMIN, where=np.abs(row) < _PIVMIN)
+    fwd, bwd = pivots[:, 0], pivots[::-1, 1]
+    twist = np.argmin(np.abs(fwd + bwd - dmx), axis=0)
+    rows = np.arange(len(diag))[:, None]
+    # v_i as products of the ratios between r and i, all other factors 1
+    above = np.where(rows < twist, -off / fwd, 1.0)
+    below = np.where(rows > twist, -off / bwd, 1.0)
+    v = np.cumprod(above[::-1], axis=0)[::-1] * np.cumprod(below, axis=0)
+    return v / np.linalg.norm(v, axis=0)
 
 
 def _branch_ranks(delta, omega, truncation_n):
@@ -211,8 +300,14 @@ def _branch_ranks(delta, omega, truncation_n):
     the positions hold for every A > 0.
     """
     a_star = min(0.02 * omega, TWO_PI * 0.05)
-    diag, off, _ = _even_sector(delta, a_star, omega, truncation_n)
-    evals = _sector_eigh(diag, off, eigvals_only=True)
+    diag, _ = _even_sector(delta, omega, truncation_n)
+    coupling = np.full(len(diag) - 1, -0.5 * a_star)
+    try:
+        evals = np.linalg.eigvalsh(np.diag(diag) + np.diag(coupling, 1) + np.diag(coupling, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"Floquet sector eigensolver failed for {len(diag)} photon indices"
+        ) from exc
     e0a, e1a = analytic_quasienergies(delta, a_star, omega)
     k0 = int(np.argmin(np.abs(evals - e0a)))
     k1 = int(np.argmin(np.abs(evals - e1a)))
@@ -243,26 +338,34 @@ def quasienergy_sweep(
     """The two quasienergy branches at each requested amplitude, in any order.
 
     Each A > 0 is an independent solve of the even parity sector (size 2N+1)
-    for the eigenpairs at the two ranks of :func:`_branch_ranks`; A = 0
+    for the eigenpairs at the two ranks of :func:`_branch_ranks`, all of
+    them in one :func:`_sector_eigenvalues` iteration that starts from the
+    closed-form values; A = 0
     returns the anchored states of :func:`_zero_amp_state`.  Returns one
     FloquetSpectrum per amplitude.
     """
     _check_floquet_args(omega, truncation_n)
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    if np.any(amps < 0.0):
-        raise ValueError("amplitudes must be >= 0")
+    if not np.all(np.isfinite(amps) & (amps >= 0.0)):
+        raise ValueError("amplitudes must be finite and >= 0")
 
+    diag, parity = _even_sector(delta, omega, truncation_n)
     ranks = _branch_ranks(delta, omega, truncation_n)
+    driven = amps[amps != 0.0]
+    off = np.repeat(-0.5 * driven, 2)  # one lane per (amplitude, branch)
+    start = np.column_stack(analytic_quasienergies(delta, driven, omega)).ravel()
+    lam = _sector_eigenvalues(diag, off, np.tile(ranks, len(driven)), start)
+    vecs = _twisted_vectors(diag, off, lam)
+    lanes = iter(range(0, len(off), 2))
     results = []
     for a in amps:
-        diag, off, parity = _even_sector(delta, a, omega, truncation_n)
         if a == 0.0:
-            eps, vecs, limit = _zero_amp_state(delta, omega, truncation_n)
+            eps, c, limit = _zero_amp_state(delta, omega, truncation_n)
         else:
-            eps, vecs = _sector_eigh(diag, off, select="i", select_range=ranks)
-            eps, vecs, limit = eps[[0, -1]], vecs[:, [0, -1]], False
+            j = next(lanes)
+            eps, c, limit = lam[j : j + 2], vecs[:, j : j + 2], False
         results.append(
-            _make_spectrum(delta, float(a), omega, truncation_n, eps, vecs, parity, limit)
+            _make_spectrum(delta, float(a), omega, truncation_n, eps, c, parity, limit)
         )
     return results
 
@@ -321,8 +424,9 @@ def monodromy_quasienergies_batch(
     """Quasienergies mod omega from the one-period propagator eigenphases.
 
     Integrates U over one period of the continuous drive A cos(omega t) for
-    each amplitude and returns -arg(eigenvalues)/T, each reduced to
-    (-omega/2, omega/2], as (n, 2) sorted rows.  Independent of the
+    each amplitude and returns -arg(eigenvalues)/T = -+theta/T from U's SU(2)
+    form (:func:`_su2_eigenphases`), each reduced to (-omega/2, omega/2], as
+    (n, 2) sorted rows.  Independent of the
     Floquet-matrix route; serves as its oracle.
     """
     if omega <= 0.0:
@@ -348,11 +452,17 @@ def monodromy_quasienergies_batch(
             f"one-period propagator unitarity defect {defect:.2e} > 1e-8; "
             "use a smaller integrator_step"
         )
-    out = np.empty((len(amps), 2))
-    for i in range(len(amps)):
-        lam = np.linalg.eigvals(u[i])
-        out[i] = sorted(reduce_to_zone(-np.angle(v) / period, omega) for v in lam)
-    return out
+    return np.sort(reduce_to_zone(_su2_eigenphases(u)[:, None] * [-1.0, 1.0] / period, omega))
+
+
+def _su2_eigenphases(u):
+    """theta in [0, pi] of each U = a I - i b.sigma in SU(2), whose eigenvalues
+    are exp(-+i theta): theta = atan2(|b|, a), accurate at 0 and pi alike."""
+    a = 0.5 * (u[:, 0, 0] + u[:, 1, 1]).real
+    bz = 0.5 * (u[:, 1, 1] - u[:, 0, 0]).imag
+    bx = -0.5 * (u[:, 0, 1] + u[:, 1, 0]).imag
+    by = 0.5 * (u[:, 1, 0] - u[:, 0, 1]).real
+    return np.arctan2(np.sqrt(bx * bx + by * by + bz * bz), a)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +470,52 @@ def monodromy_quasienergies_batch(
 # ---------------------------------------------------------------------------
 
 
-def analytic_delta_epsilon(delta: float, amp: float, omega: float) -> float:
-    """Generalized Rabi frequency sqrt((w - D J0)^2 + D^2 J1^2), args 2A/w."""
+def _bessel(order: int, x):
+    """J_order(x) = (1/pi) Int_0^pi cos(order tau - x sin tau) dtau (DLMF 10.9.1).
+
+    The integrand is smooth and periodic, so the midpoint rule converges
+    exponentially (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); each x
+    takes ceil(|x|) + 32 nodes, which matches scipy.special to a few 1e-15
+    for |x| <= 100.  Evaluated at |x| and signed by parity, so J0 is exactly
+    even and J1 exactly odd.  Elementwise on arrays; a float for scalar x.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    nodes = 32 + np.ceil(np.where(np.isfinite(ax), ax, 0.0)).astype(int)
+    out = np.empty_like(ax)
+    for m in np.unique(nodes):
+        sel = nodes == m
+        tau = (np.arange(m) + 0.5) * (np.pi / m)
+        out[sel] = np.cos(order * tau - ax[sel, None] * np.sin(tau)).sum(axis=1) / m
+    if order % 2:
+        out *= np.sign(x.ravel())
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def j0(x):
+    """Bessel function J0, by :func:`_bessel`."""
+    return _bessel(0, x)
+
+
+def j1(x):
+    """Bessel function J1, by :func:`_bessel`."""
+    return _bessel(1, x)
+
+
+def analytic_delta_epsilon(delta: float, amp, omega: float):
+    """Generalized Rabi frequency sqrt((w - D J0)^2 + D^2 J1^2), args 2A/w.
+
+    Elementwise over an array of amplitudes; a float for a scalar one."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    x = 2.0 * amp / omega
-    return float(np.hypot(omega - delta * j0(x), delta * j1(x)))
+    x = 2.0 * np.asarray(amp, dtype=float) / omega
+    de = np.hypot(omega - delta * j0(x), delta * j1(x))
+    return float(de) if np.ndim(de) == 0 else de
 
 
-def analytic_quasienergies(delta: float, amp: float, omega: float) -> tuple[float, float]:
-    """Closed-form branch values -omega/2 -+ Omega_R/2."""
+def analytic_quasienergies(delta: float, amp, omega: float):
+    """Closed-form branch values -omega/2 -+ Omega_R/2, elementwise over an
+    array of amplitudes."""
     half = 0.5 * analytic_delta_epsilon(delta, amp, omega)
     return (-0.5 * omega - half, -0.5 * omega + half)
 

@@ -433,19 +433,28 @@ class TestCheckCommand:
         assert "[PASS] numerical hygiene" in out
 
 
+def _fresh_loaded(code: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``
+    (this one has loaded them for the tests)."""
+    code += f"\nimport sys\nprint(*(m for m in {tuple(modules)!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    return out.split()
+
+
 class TestStartup:
     def test_import_leaves_unused_modules_unloaded(self):
-        # a fresh interpreter: this one has loaded them for the tests
+        assert _fresh_loaded("import strongdrive.cli", ("scipy", "strongdrive.acceptance")) == []
+
+    def test_floquet_work_loads_no_scipy(self):
         code = (
-            "import sys, strongdrive.cli\n"
-            "print(*(m for m in ('scipy.optimize', 'scipy.constants', "
-            "'strongdrive.acceptance') if m in sys.modules))"
+            "from strongdrive import floquet\n"
+            "floquet.quasienergy_sweep(14.4, 14.4, [0.0, 1.0, 2.0], 10)\n"
+            "floquet.analytic_delta_epsilon(14.4, 1.0, 14.4)"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        ).stdout
-        assert out.split() == []
+        assert _fresh_loaded(code, ("scipy",)) == []
 
     @pytest.mark.skipif(
         sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
@@ -497,6 +506,12 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.ini", "[solver]\ntruncation_n = 10\n")
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "truncation_n" in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
+
+    def test_sector_sweep_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(floquet, "_MAX_SWEEPS", 1)
+        assert cli.main(["quasienergies", "--out", str(tmp_path)]) == 3
+        assert "101 photon indices" in capsys.readouterr().err
         assert not (tmp_path / "run_report.json").exists()
 
     def test_config_error_exit_2(self, tmp_path):

@@ -508,7 +508,37 @@ class TestStatePrep:
         monkeypatch.setattr(ev, "_duration_batch_unitaries", tied)
         pulse, fid = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)
         durs, phases = grids[1]
-        assert (fid, pulse.t_plateau, pulse.carrier_phase) == (1.0, durs[5], phases[0] % TWO_PI)
+        assert (fid, pulse.t_plateau, pulse.carrier_phase) == (1.0, durs[5], phases[0] % np.pi)
+
+    @staticmethod
+    def _hide_phases_below_pi(monkeypatch):
+        batch = ev._duration_batch_unitaries
+
+        def upper_half(params, template, durs, step, phases):
+            u = batch(params, template, durs, step, phases)
+            u[np.mod(phases, TWO_PI) < np.pi] = 0.0
+            return u
+
+        monkeypatch.setattr(ev, "_duration_batch_unitaries", upper_half)
+
+    @pytest.mark.parametrize("target", [StateVector.excited(), StateVector.ground()])
+    def test_z_axis_target_reports_the_same_phase_when_phi_plus_pi_wins(
+        self, params, target, monkeypatch
+    ):
+        # sigma_z U(phi + pi) sigma_z = U(phi): with the phases below pi
+        # hidden, the twin phi + pi of the free scan's winner wins instead
+        free, fid = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        self._hide_phases_below_pi(monkeypatch)
+        twin, twin_fid = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        assert 0.0 <= free.carrier_phase < np.pi and 0.0 <= twin.carrier_phase < np.pi
+        assert twin.carrier_phase == pytest.approx(free.carrier_phase, abs=1e-12)
+        assert twin.t_plateau == free.t_plateau
+        assert twin_fid == pytest.approx(fid, abs=1e-12)
+
+    def test_off_axis_target_keeps_the_full_phase_circle(self, params, monkeypatch):
+        self._hide_phases_below_pi(monkeypatch)
+        pulse, _ = ev.prepare_state(params, StateVector.minus_y(), TWO_PI * 0.46, 0.02)
+        assert np.pi <= pulse.carrier_phase < TWO_PI
 
     def test_excited_target_near_quoted_point(self, params):
         pulse, fid = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)

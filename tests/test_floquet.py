@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import j1
+from scipy import special
+from scipy.linalg import eigh_tridiagonal
 
 from strongdrive import floquet as fq
+from strongdrive.errors import NumericError
 from strongdrive.units import TWO_PI
 
 DELTA = TWO_PI * 2.288
@@ -159,6 +161,47 @@ class TestMonodromyOracle:
         with pytest.raises(ValueError):
             getattr(fq, oracle)(DELTA, 1.0, DELTA, -1.0)
 
+    @pytest.mark.parametrize("factor", [1.0, 1.0 / 3.0, 0.6, 1.4])
+    def test_su2_eigenphases_match_eigvals(self, factor, monkeypatch):
+        # the eigvals loop the SU(2) form replaced, on the same propagators;
+        # A = 0 with Delta an odd multiple of omega puts both on the zone edge
+        omega = factor * DELTA
+        amps = np.concatenate([[0.0, 1e-6], np.linspace(0.1, 3.5, 9) * omega])
+        kept, defect = [], fq.unitarity_defect
+
+        def keep(u):
+            kept.append(u.copy())
+            return defect(u)
+
+        monkeypatch.setattr(fq, "unitarity_defect", keep)
+        got = fq.monodromy_quasienergies_batch(DELTA, amps, omega)
+        period = TWO_PI / omega
+        for u, row in zip(kept[0], got):
+            lam = np.linalg.eigvals(u)
+            want = sorted(fq.reduce_to_zone(-np.angle(v) / period, omega) for v in lam)
+            assert np.max(np.abs(row - want)) <= 1e-12
+
+    def test_su2_eigenphases_at_plus_and_minus_identity(self):
+        rng = np.random.default_rng(5)
+        sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        theta = np.concatenate([[0.0, 1e-9, np.pi - 1e-9, np.pi], rng.uniform(0, np.pi, 60)])
+        axis = rng.normal(size=(len(theta), 3))
+        axis /= np.linalg.norm(axis, axis=1)[:, None]
+        b_sigma = np.einsum("na,aij->nij", axis, sigma)
+        u = np.cos(theta)[:, None, None] * np.eye(2) - 1j * np.sin(theta)[:, None, None] * b_sigma
+        got = fq._su2_eigenphases(u)
+        want = [np.max(np.abs(np.angle(np.linalg.eigvals(x)))) for x in u]
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert got[0] == 0.0 and got[3] == np.pi
+
+    def test_reduce_to_zone_arrays_match_scalars(self):
+        omega = 1.7
+        x = np.concatenate([np.linspace(-5.0, 5.0, 101), [-0.5 * omega, 0.5 * omega]])
+        got = fq.reduce_to_zone(x, omega)
+        assert isinstance(fq.reduce_to_zone(0.3, omega), float)
+        assert got.tolist() == [fq.reduce_to_zone(float(v), omega) for v in x]
+        assert fq.reduce_to_zone(-0.5 * omega, omega) == 0.5 * omega
+
 
 def _parity(table):
     """Pi = (-1)^n sigma_x applied to a (2N+1, 2) rotated-frame table."""
@@ -229,6 +272,99 @@ class TestParitySector:
                     assert abs(np.linalg.norm(c) - 1.0) < 1e-12
 
 
+def _assert_sector_matches_lapack(delta, omega, amps, n_trunc=fq.DEFAULT_TRUNCATION):
+    """The oracle: eigh_tridiagonal at the sweep's two ranks."""
+    diag, _ = fq._even_sector(delta, omega, n_trunc)
+    ranks = fq._branch_ranks(delta, omega, n_trunc)
+    for amp, spec in zip(amps, fq.quasienergy_sweep(delta, omega, amps, n_trunc)):
+        off = np.full(2 * n_trunc, -0.5 * amp)
+        w, v = eigh_tridiagonal(diag, off, select="i", select_range=ranks)
+        assert np.max(np.abs([spec.eps0 - w[0], spec.eps1 - w[-1]])) <= 1e-12
+        for table, want in ((spec.u0, v[:, 0]), (spec.u1, v[:, -1])):
+            c = np.sqrt(2.0) * table[:, 0].real
+            assert min(np.max(np.abs(c - want)), np.max(np.abs(c + want))) <= 1e-12
+
+
+class TestSectorSolve:
+    """The numpy sector solve against LAPACK's tridiagonal eigensolver."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta=st.floats(0.5, 20.0),
+        omega=st.floats(0.5, 20.0),
+        amps=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6),
+        n_trunc=st.integers(2, 50),
+    )
+    def test_matches_eigh_tridiagonal(self, delta, omega, amps, n_trunc):
+        _assert_sector_matches_lapack(delta, omega, amps, n_trunc)
+
+    @pytest.mark.parametrize("divisor", [1, 3, 7])  # resonance and odd multiphoton resonances
+    def test_matches_eigh_tridiagonal_at_resonances(self, divisor):
+        amps = TWO_PI * np.array([1e-3 / TWO_PI, 0.01, 0.3, 1.0, 2.4048, 4.8])
+        _assert_sector_matches_lapack(DELTA, DELTA / divisor, amps)
+
+    def test_matches_eigh_tridiagonal_as_amplitude_goes_to_zero(self):
+        _assert_sector_matches_lapack(DELTA, DELTA, [1e-3, 1e-4])
+        _assert_sector_matches_lapack(DELTA, 0.6 * DELTA, [1e-6, 1e-9, 1e-12])
+
+    def test_sweep_cap_raises_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(fq, "_MAX_SWEEPS", 2)
+        with pytest.raises(NumericError, match="101 photon indices"):
+            fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.0])
+
+    def test_exact_zero_pivots(self):
+        # zero diagonal, unit coupling: eigenvalues 2 cos(k pi / 6), and x = 0
+        # or +-1 makes a pivot exactly zero in both recurrences
+        m = 5
+        t = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+        w, v = np.linalg.eigh(t)
+        off = np.ones(m)
+        lam = fq._sector_eigenvalues(np.zeros(m), off, np.arange(m), np.zeros(m))
+        assert np.max(np.abs(lam - w)) <= 1e-14
+        got = fq._twisted_vectors(np.zeros(m), off, lam)
+        assert np.max(np.minimum(np.abs(got - v), np.abs(got + v))) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="amplitudes"):
+            fq.quasienergy_sweep(DELTA, DELTA, [1.0, bad])
+
+    def test_zero_amplitudes_only(self):
+        specs = fq.quasienergy_sweep(DELTA, 0.6 * DELTA, [0.0, 0.0])
+        assert [s.delta_eps for s in specs] == [0.4 * DELTA, 0.4 * DELTA]
+
+
+class TestBessel:
+    @pytest.mark.parametrize("order, oracle", [(0, special.j0), (1, special.j1)])
+    def test_matches_scipy(self, order, oracle):
+        x = np.concatenate(
+            [np.linspace(-100.0, 100.0, 20001), np.random.default_rng(3).uniform(-100, 100, 5000)]
+        )
+        got = fq.j0(x) if order == 0 else fq.j1(x)
+        assert np.max(np.abs(got - oracle(x))) <= 4e-15
+
+    def test_parity_is_exact(self):
+        x = np.linspace(0.0, 100.0, 3001)
+        assert np.array_equal(fq.j0(-x), fq.j0(x))
+        assert np.array_equal(fq.j1(-x), -fq.j1(x))
+
+    def test_scalars_give_floats_equal_to_array_entries(self):
+        x = np.linspace(-7.0, 7.0, 57)
+        for fn in (fq.j0, fq.j1):
+            assert all(type(fn(float(v))) is float for v in x[:3])
+            assert [fn(float(v)) for v in x] == fn(x).tolist()
+        assert fq.j1(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_analytic_functions_vectorize(self):
+        amps = np.linspace(0.0, 30.0, 41)
+        de = fq.analytic_delta_epsilon(DELTA, amps, 0.6 * DELTA)
+        e0, e1 = fq.analytic_quasienergies(DELTA, amps, 0.6 * DELTA)
+        assert de.tolist() == [fq.analytic_delta_epsilon(DELTA, a, 0.6 * DELTA) for a in amps]
+        pairs = [fq.analytic_quasienergies(DELTA, a, 0.6 * DELTA) for a in amps]
+        assert (e0.tolist(), e1.tolist()) == tuple(map(list, zip(*pairs)))
+        assert type(fq.analytic_delta_epsilon(DELTA, 1.0, DELTA)) is float
+
+
 class TestAnalyticChain:
     def test_zero_drive_exact(self):
         for factor in (1.0, 0.6, 1.4):
@@ -245,7 +381,7 @@ class TestAnalyticChain:
         x0 = 2.404825557695773
         a = 0.5 * x0 * DELTA
         got = fq.analytic_delta_epsilon(DELTA, a, DELTA)
-        want = DELTA * np.hypot(1.0, j1(x0))
+        want = DELTA * np.hypot(1.0, special.j1(x0))
         assert got == pytest.approx(want, rel=1e-12)
         assert got / DELTA == pytest.approx(1.1268, abs=2e-4)
 
