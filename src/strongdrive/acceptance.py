@@ -131,7 +131,7 @@ def check_fig_s1() -> CheckResult:
 
 def _classified_scan(omega, amps, durations, n_max=10, min_prominence=0.05):
     states, specs = evolve._drive_states_and_spectra(QubitParams(), amps, omega, durations)
-    p1 = np.abs(states[:, :, 1]) ** 2
+    p1 = np.abs(states[:, 0, :, 1]) ** 2
     results = []
     for row, spec in zip(p1, specs):
         sp = spectral.dft(durations, row, "hann", 4)

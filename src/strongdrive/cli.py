@@ -169,7 +169,7 @@ def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     states, specs = evolve._drive_states_and_spectra(
         par, amps, omega, durations, truncation_n=config["solver"]["truncation_n"]
     )
-    p1 = np.abs(states[:, :, 1]) ** 2
+    p1 = np.abs(states[:, 0, :, 1]) ** 2
     amps_ghz = rad_per_ns_to_ghz(amps)
     p1_rows = np.column_stack(
         [np.repeat(amps_ghz, len(durations)), np.tile(durations, len(amps)), p1.ravel()]
@@ -246,18 +246,17 @@ def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     durations = np.arange(0.0, e["duration_ns"] + 1e-9, e["sample_dt_ns"])
     n = len(durations)
     pairs = [(x, x) for x in e["edge_times_ns"]] + list(e["asymmetric_pairs_ns"])
-    fspec = floquet.quasienergy_sweep(
-        par.delta, omega, [amp], config["solver"]["truncation_n"]
-    )[0]
+    solver = config["solver"]
+    fspec = floquet.quasienergy_sweep(par.delta, omega, [amp], solver["truncation_n"])[0]
     trace_parts = []
     amp_rows = []
     for t_r, t_f in pairs:
         template = PulseSpec(amp, omega, t_r, 0.0, t_f)
-        step = config["solver"]["propagator_step_ns"]  # 0: pulse default, <= dt/2
+        step = solver["propagator_step_ns"]  # 0: pulse default, <= dt/2
         step = step or min(evolve.default_step(template), e["sample_dt_ns"] / 2.0)
         p1 = evolve.sweep_pulse_duration(
-            par, template, durations, target_step=step,
-            refine=config["solver"]["refine"],
+            par, template, durations, target_step=step, refine=solver["refine"],
+            truncation_n=solver["truncation_n"],
         )
         lo, hi = spectral.fast_component_amplitudes(durations, p1, omega, fspec.delta_eps)
         trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))
@@ -276,13 +275,13 @@ def cmd_state_prep(config: ExperimentConfig, out_dir: Path, shots: int, seed: in
     par = _device(config)
     sp = config["stateprep"]
     amp = ghz_to_rad_per_ns(sp["amplitude_ghz"])
-    edges = sp["min_edge_ns"]
+    edges, n_trunc = sp["min_edge_ns"], config["solver"]["truncation_n"]
     n_shots = shots if shots > 0 else sp["shots"]
     report = {}
     for offset, (name, target) in enumerate(
         (("minus_y", StateVector.minus_y()), ("excited", StateVector.excited()))
     ):
-        pulse, fid = evolve.prepare_state(par, target, amp, edges)
+        pulse, fid = evolve.prepare_state(par, target, amp, edges, truncation_n=n_trunc)
         final = evolve.propagate(par, pulse, sample_dt=max(pulse.total, 1e-3)).state_at(-1)
         recs = [
             tomography.simulate_shots(final, b, n_shots, seed=seed + 13 * i + 1000 * offset)

@@ -1,22 +1,17 @@
 """Pulse-level Schroedinger propagation and Floquet-frame analysis.
 
-Pulse evolution runs through one pipeline of exactly unitary 2x2 steps (so
-the norm is conserved to machine precision): mesh -> step unitaries ->
-blocked reduce/scan -> gather.  ``_mesh_propagators`` compiles the sample
-times and envelope kinks into the step mesh, so no step straddles a kink;
-``_magnus.magnus_path`` does the rest, in fixed blocks of steps.  The
-un-enveloped drive takes no step: ``continuous_drive_states`` sums the
-Floquet expansion psi(t) = sum_j c_j e^{-i eps_j t} u_j(t) (Shirley, Phys.
-Rev. 138, B979 (1965)), and a zero-edge pulse is its time-stepped oracle.
-
-Batched drivers cover the pulse scans: plateau-duration batches sharing the
-rise, by carrier phase too in the state-preparation scans.  Their falls are
-phase-harmonic: a fall depends on the duration and carrier phase only
-through its starting carrier phase theta, so it is propagated at 2K equally
-spaced phases and summed as a trigonometric series at each fall's theta, K
-doubling from 16 until the series reproduces directly computed falls to
-1e-12.  Pulse trains batch the pulses of one shape over theta likewise.
-``_refine`` is the one step-refinement policy the drivers share.
+Time steps run through one pipeline of exactly unitary 2x2 steps: mesh ->
+step unitaries -> blocked reduce/scan -> gather.  ``_mesh_propagators`` cuts
+the span at the sample times and envelope kinks, so no step straddles a
+kink, and ``_magnus.magnus_path`` does the rest.  A constant-amplitude drive
+takes no step: the Floquet expansion psi(t) = sum_j c_j e^{-i eps_j t}
+u_j(t) (Shirley, Phys. Rev. 138, B979 (1965)) sums the un-enveloped drive
+and every scanned plateau, with a time-stepped pulse as its oracle.  So a
+duration scan steps only its edges: a shared rise, and falls that depend on
+the duration and carrier phase only through their starting carrier phase
+theta, propagated at 2K phases and summed as a series in theta.  Pulse
+trains batch the pulses of one shape over theta likewise.  ``_refine`` is
+the one step-refinement policy the drivers share.
 """
 
 from __future__ import annotations
@@ -120,15 +115,20 @@ def _drive_fn(pulse: PulseSpec, phase=None):
     return x_of_t
 
 
+def _step_count(span, step):
+    """Steps of at most ``step`` over ``span``, at least one; ratio rounded to 1e-9."""
+    return np.maximum(1, np.ceil(np.round(span / step, 9)).astype(int))
+
+
 def _mesh_propagators(params, x_of_t, times, kinks, step, u0=IDENTITY2):
     """Propagators from times[0] to each of the non-decreasing ``times``: the
     times and the drive ``kinks`` between them cut the span into intervals
-    [a, b] of ceil((b - a)/step) equal steps (at least one), so no step
-    straddles a kink; ``step`` is a scalar or one value per interval."""
+    of ``_step_count`` equal steps, so no step straddles a kink; ``step`` is
+    a scalar or one value per interval."""
     kinks = np.asarray(kinks, dtype=float)
     cuts = np.union1d(times, kinks[(kinks > times[0]) & (kinks < times[-1])])
     span = np.diff(cuts)
-    n = np.maximum(1, np.ceil(span / step).astype(int))
+    n = _step_count(span, step)
     before = np.concatenate([[0], np.cumsum(n)])
     h = np.repeat(span / n, n)
     lo = h * (np.arange(before[-1]) - np.repeat(before[:-1], n))
@@ -236,46 +236,49 @@ def continuous_drive_states(
     Hamiltonians agree on [0, t] for each duration t.  Summed from the
     Floquet expansion psi(t) = sum_j <u_j(0)|psi(0)> e^{-i eps_j t} u_j(t),
     u_j(t) = sum_n u_jn e^{in(wt+phi)}, of one ``quasienergy_sweep``: one
-    e^{in(wt+phi)} table, trimmed to the n with a coefficient above 1e-16,
-    serves the batch.  A resummed t = 0 basis that is not unitary to 1e-10
+    e^{inwt} table, trimmed to the n with a coefficient above 1e-16, serves
+    the batch.  A resummed t = 0 basis that is not unitary to 1e-10
     (``truncation_n`` too small for the amplitude) raises AccuracyError.
     """
+    psi0 = (StateVector.ground() if initial is None else initial).as_array()
     return _drive_states_and_spectra(
-        params, amplitudes, omega, times, carrier_phase, initial, truncation_n
-    )[0]
+        params, amplitudes, omega, times, [carrier_phase], [psi0], truncation_n
+    )[0][:, 0]
 
 
 def _drive_states_and_spectra(
-    params, amplitudes, omega, times, carrier_phase=0.0, initial=None,
+    params, amplitudes, omega, times, carrier_phases=(0.0,), initials=((1.0, 0.0),),
     truncation_n=DEFAULT_TRUNCATION,
 ):
-    """``continuous_drive_states`` and the ``quasienergy_sweep`` it sums, for
-    the scans that also classify peaks by the quasienergy difference."""
+    """``continuous_drive_states`` per amplitude and carrier phase, shape
+    (n_amp, n_phase, n_time, 2), each phase from its state in ``initials`` (|0>),
+    and the ``quasienergy_sweep`` it sums.  A phase enters as e^{in phi} on
+    the coefficients u_jn, so the t = 0 basis is their sum."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must start at 0 and increase")
-    psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
     specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
     # lab-frame tables (n, branch, component) and the rows [a, b) each one needs
     tables = [np.stack([s.u0, s.u1], axis=1) @ ROT for s in specs]
     live = [np.flatnonzero(np.abs(u).max(axis=(1, 2)) > 1e-16)[[0, -1]] + [0, 1] for u in tables]
     lo, hi = min((r[0] for r in live), default=0), max((r[1] for r in live), default=0)
-    harmonics = 1j * np.arange(lo - truncation_n, hi - truncation_n)[:, None] * (
-        omega * times + carrier_phase
-    )
+    n = np.arange(lo - truncation_n, hi - truncation_n)
+    harmonics = 1j * n[:, None] * (omega * times)
     np.exp(harmonics, out=harmonics)  # in place: one (n, t) table, not two
-    out = np.empty((len(amps), len(times), 2), dtype=complex)
+    shifts = np.exp(1j * np.outer(carrier_phases, n))
+    out = np.empty((len(amps), len(shifts), len(times), 2), dtype=complex)
     for i, (s, u, (a, b)) in enumerate(zip(specs, tables, live)):
-        u, h = u[a:b], harmonics[a - lo : b - lo]
-        basis0 = np.einsum("n,njk->kj", h[:, 0], u)
-        if (defect := unitarity_defect(basis0[None])) > 1e-10:
-            raise AccuracyError(
-                f"Floquet expansion at A = {s.amp:.6g} rad/ns: t = 0 basis unitarity "
-                f"defect {defect:.2e} > 1e-10; raise truncation_n (now {truncation_n})"
-            )
-        parts = np.einsum("nt,njk->tjk", h, u * (basis0.conj().T @ psi0)[:, None])
-        out[i] = np.einsum("tj,tjk->tk", np.exp(-1j * np.outer(times, [s.eps0, s.eps1])), parts)
+        h = harmonics[a - lo : b - lo]
+        decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
+        for p, (shift, psi0) in enumerate(zip(shifts[:, a - lo : b - lo], initials)):
+            u_p = u[a:b] * shift[:, None, None]
+            basis0 = u_p.sum(axis=0).T
+            if (defect := unitarity_defect(basis0[None])) > 1e-10:
+                raise AccuracyError(
+                    f"Floquet expansion at A = {s.amp:.6g} rad/ns: t = 0 basis unitarity "
+                    f"defect {defect:.2e} > 1e-10; raise truncation_n (now {truncation_n})"
+                )
+            parts = np.einsum("nt,njk->tjk", h, u_p * (basis0.conj().T @ psi0)[:, None])
+            out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
     return out, specs
 
 
@@ -287,16 +290,15 @@ def final_states_for_durations(
     initial: StateVector | None = None,
     target_step: float | None = None,
     refine: bool = True,
+    truncation_n: int = DEFAULT_TRUNCATION,
 ):
-    """Final state of one pulse per plateau duration, batched.
+    """Final state of one pulse per plateau duration, batched: the same
+    quantity as one independent propagation per duration.
 
-    Durations index the plateau length t_p; the rise [0, t_r] is shared and
-    the plateau propagator is accumulated cumulatively.  A fall depends on
-    the duration only through the carrier phase theta at its start, so the
-    falls come from a trigonometric series in theta through falls computed
-    at 2K equally spaced phases, K doubling from 16 until the series matches
-    directly computed falls to 1e-12 (``_fall_series``).  The result is the
-    same quantity as one independent propagation per duration.
+    Only the edges take time steps, so ``target_step`` and ``refine`` govern
+    them alone: one shared rise, then the plateau summed from its Floquet
+    expansion at carrier phase w t_r + phi, then falls summed from a phase
+    series (``_fall_series``).
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
@@ -306,36 +308,33 @@ def final_states_for_durations(
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
     step = target_step if target_step is not None else default_step(pulse_template)
 
-    run = functools.partial(_duration_batch_unitaries, params, pulse_template, durs)
+    run = functools.partial(
+        _duration_batch_unitaries, params, pulse_template, durs, truncation_n=truncation_n
+    )
     u = run(step) if not refine else _refine(
         run, step, psi0, lambda u: u, "duration sweep did not converge"
     )
     return _states_from_unitaries(u, psi0)
 
 
-def _duration_batch_unitaries(params, template, durs, step, phases=None):
+def _duration_batch_unitaries(
+    params, template, durs, step, phases=None, truncation_n=DEFAULT_TRUNCATION
+):
     """Unitaries of ``final_states_for_durations``; ``phases``, if given,
     replace the carrier phase as a leading batch axis: (phases, durations)."""
-    am, omega = template.amplitude_max, template.carrier
-    t_r, t_f = template.t_rise, template.t_fall
-    phi = template.carrier_phase if phases is None else np.asarray(phases)[:, None]
-
-    # shared rise
-    u_r = IDENTITY2
-    if t_r > 0.0:
-        u_r = _mesh_propagators(params, _drive_fn(template, phi), [0.0, t_r], (), step)
-        u_r = u_r[..., -1, :, :]
-
-    # cumulative plateau, recorded at every requested duration; meshed in
-    # plateau time s so the step counts come from the duration increments
-    def x_plateau(s):
-        return am * np.cos(omega * (t_r + s) + phi)
-
-    u_p = _mesh_propagators(params, x_plateau, np.concatenate([[0.0], durs]), (), step)
-    out = matmul2(u_p[..., 1:, :, :], u_r[..., None, :, :])
-    if t_f > 0.0:
-        out = matmul2(_fall_unitaries(params, template, durs, step, phi), out)
-    return out
+    omega, t_r = template.carrier, template.t_rise
+    phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
+    u_r = _mesh_propagators(params, _drive_fn(template, phi[:, None]), [0.0, t_r], (), step)
+    u_r = np.broadcast_to(u_r[..., -1, :, :], (len(phi), 2, 2))  # the identity for a sharp rise
+    # a Floquet sum from each rise column: (phase, col, duration, row) -> (.., row, col)
+    out = _drive_states_and_spectra(
+        params, [template.amplitude_max], omega, durs, np.repeat(omega * t_r + phi, 2),
+        np.swapaxes(u_r, -1, -2).reshape(-1, 2), truncation_n,
+    )[0][0].reshape(len(phi), 2, len(durs), 2).transpose(0, 2, 3, 1)
+    out[:, durs == 0.0] = u_r[:, None]  # a zero-length plateau passes the rise exactly
+    if template.t_fall > 0.0:
+        out = matmul2(_fall_unitaries(params, template, durs, step, phi[:, None]), out)
+    return out if phases is not None else out[0]
 
 
 def _fall_series(params, template, step):
@@ -352,7 +351,7 @@ def _fall_series(params, template, step):
     raises AccuracyError.
     """
     am, omega, t_f = template.amplitude_max, template.carrier, template.t_fall
-    n_fall = max(1, int(np.ceil(t_f / step)))
+    n_fall = int(_step_count(t_f, step))
 
     def falls(theta):
         """Falls under env(s) cos(omega s + theta), local time s in [0, t_f]."""
@@ -383,16 +382,15 @@ def _fall_series(params, template, step):
         nodes, k = both, 2 * k
 
 
-def _fall_unitaries(params, template, durs, step, phi=None):
+def _fall_unitaries(params, template, durs, step, phi):
     """Fall propagators of one pulse per plateau duration: the phase series
-    of ``_fall_series`` summed at each fall's starting carrier phase; a
-    column of carrier phases ``phi`` gives a (phases, durations) grid.
+    of ``_fall_series`` summed at each fall's starting carrier phase; ``phi``
+    is the carrier phase, or a column of them for a (phases, durations) grid.
 
     Each entry is summed on its own in a fixed order (smallest |m| last), so
     a duration's result does not depend on the rest of the batch.
     """
     coef = _fall_series(params, template, step)
-    phi = template.carrier_phase if phi is None else phi
     theta = np.mod(template.carrier * (template.t_rise + durs) + phi, TWO_PI)
     n2 = len(coef)
     m = np.fft.fftfreq(n2, 1.0 / n2)
@@ -415,6 +413,7 @@ def sweep_pulse_duration(
     seed: int | None = None,
     target_step: float | None = None,
     refine: bool = True,
+    truncation_n: int = DEFAULT_TRUNCATION,
 ):
     """Final-state P1 for one pulse per plateau duration.
 
@@ -423,7 +422,8 @@ def sweep_pulse_duration(
     do not depend on evaluation order.
     """
     states = final_states_for_durations(
-        params, pulse_template, durations, target_step=target_step, refine=refine
+        params, pulse_template, durations, target_step=target_step, refine=refine,
+        truncation_n=truncation_n,
     )
     p1 = np.abs(states[:, 1]) ** 2
     if shots is None:
@@ -595,6 +595,7 @@ def prepare_state(
     *,
     carrier: float | None = None,
     t_max: float | None = None,
+    truncation_n: int = DEFAULT_TRUNCATION,
 ) -> tuple[PulseSpec, float]:
     """Scan plateau duration and carrier phase for the best target fidelity.
 
@@ -626,7 +627,7 @@ def prepare_state(
     step = min(default_step(template), 2e-3)
 
     def scan(durs, phases):
-        u = _duration_batch_unitaries(params, template, durs, step, phases)
+        u = _duration_batch_unitaries(params, template, durs, step, phases, truncation_n)
         fid = np.abs(_states_from_unitaries(u, StateVector.ground().as_array()) @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

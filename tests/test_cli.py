@@ -508,6 +508,15 @@ class TestExitCodes:
         assert "truncation_n" in capsys.readouterr().err
         assert not (tmp_path / "run_report.json").exists()
 
+    def test_edge_study_truncation_too_small_exit_3(self, tmp_path, capsys):
+        # the plateau is the same Floquet sum, gated at [solver] truncation_n
+        cfg = write_config(
+            tmp_path / "c.ini", "[edges]\namplitude_ghz = 4.78\n[solver]\ntruncation_n = 10\n"
+        )
+        assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "truncation_n" in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
+
     def test_sector_sweep_cap_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(floquet, "_MAX_SWEEPS", 1)
         assert cli.main(["quasienergies", "--out", str(tmp_path)]) == 3
