@@ -189,7 +189,7 @@ def _fig4_fast_amps(t_r, t_f, durations):
     spec = floquet.quasienergy_sweep(DELTA, DELTA, [amp])[0]
     template = PulseSpec(amp, DELTA, t_r, 0.0, t_f)
     p1 = evolve.sweep_pulse_duration(
-        par, template, durations, target_step=1.5e-3, refine=False
+        par, template, durations, target_step=1.5e-3, refine=False, spectrum=spec
     )
     return spectral.fast_component_amplitudes(durations, p1, DELTA, spec.delta_eps)
 

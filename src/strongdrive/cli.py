@@ -45,18 +45,45 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _distinct_strings(col):
+    """(sorted bit patterns, their "%.17g" strings) of a float column with
+    fewer distinct values than half its rows, else None.  Keyed by bits, so
+    -0.0 and each NaN pattern keep their own string."""
+    bits = col.view(np.int64).copy()
+    bits.sort()
+    first = np.empty(len(bits), dtype=bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) >= len(bits):
+        return None
+    bits = bits[first]
+    text = ("%.17g," * len(bits)) % tuple(bits.view(np.float64).tolist())
+    return bits, np.array(text.split(",")[:-1], dtype=object)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     """Header plus rows.  A float array, read as rows of len(header) values,
     is written with one %-format per block of rows, whose "%.17g" gives the
-    same bytes as ``_fmt``."""
+    same bytes as ``_fmt``.  A column of few distinct values (a scan's key
+    grid) has each formatted once, and their strings are spliced in."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            rows = rows.reshape(-1, len(header))
-            line = "%.17g," * (len(header) - 1) + "%.17g\n"
+            ncol = len(header)
+            rows = np.asarray(rows, dtype=float).reshape(-1, ncol)
+            keys = [_distinct_strings(col) for col in rows.T]
+            line = ",".join("%.17g" if k is None else "%s" for k in keys) + "\n"
             for s in range(0, len(rows), _CSV_BLOCK):
                 block = rows[s : s + _CSV_BLOCK]
-                f.write((line * len(block)) % tuple(block.ravel().tolist()))
+                args = [None] * block.size
+                for j, key in enumerate(keys):
+                    col = block[:, j]
+                    if key is None:
+                        args[j::ncol] = col.tolist()
+                    else:
+                        bits, strs = key
+                        args[j::ncol] = strs[np.searchsorted(bits, col.view(np.int64))].tolist()
+                f.write((line * len(block)) % tuple(args))
             return
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
@@ -256,7 +283,7 @@ def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         step = step or min(evolve.default_step(template), e["sample_dt_ns"] / 2.0)
         p1 = evolve.sweep_pulse_duration(
             par, template, durations, target_step=step, refine=solver["refine"],
-            truncation_n=solver["truncation_n"],
+            truncation_n=solver["truncation_n"], spectrum=fspec,
         )
         lo, hi = spectral.fast_component_amplitudes(durations, p1, omega, fspec.delta_eps)
         trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))

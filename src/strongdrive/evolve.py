@@ -248,15 +248,18 @@ def continuous_drive_states(
 
 def _drive_states_and_spectra(
     params, amplitudes, omega, times, carrier_phases=(0.0,), initials=((1.0, 0.0),),
-    truncation_n=DEFAULT_TRUNCATION,
+    truncation_n=DEFAULT_TRUNCATION, specs=None,
 ):
     """``continuous_drive_states`` per amplitude and carrier phase, shape
     (n_amp, n_phase, n_time, 2), each phase from its state in ``initials`` (|0>),
-    and the ``quasienergy_sweep`` it sums.  A phase enters as e^{in phi} on
-    the coefficients u_jn, so the t = 0 basis is their sum."""
+    and the ``quasienergy_sweep`` it sums (``specs``, if already solved for
+    these amplitudes).  A phase enters as e^{in phi} on the coefficients
+    u_jn, so the t = 0 basis is their sum.  The sum over n is one matrix
+    product of the e^{inwt} table with the coefficients."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
-    specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
+    if specs is None:
+        specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
     # lab-frame tables (n, branch, component) and the rows [a, b) each one needs
     tables = [np.stack([s.u0, s.u1], axis=1) @ ROT for s in specs]
     live = [np.flatnonzero(np.abs(u).max(axis=(1, 2)) > 1e-16)[[0, -1]] + [0, 1] for u in tables]
@@ -277,7 +280,8 @@ def _drive_states_and_spectra(
                     f"Floquet expansion at A = {s.amp:.6g} rad/ns: t = 0 basis unitarity "
                     f"defect {defect:.2e} > 1e-10; raise truncation_n (now {truncation_n})"
                 )
-            parts = np.einsum("nt,njk->tjk", h, u_p * (basis0.conj().T @ psi0)[:, None])
+            w = u_p * (basis0.conj().T @ psi0)[:, None]
+            parts = (h.T @ w.reshape(len(w), 4)).reshape(-1, 2, 2)
             out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
     return out, specs
 
@@ -291,6 +295,7 @@ def final_states_for_durations(
     target_step: float | None = None,
     refine: bool = True,
     truncation_n: int = DEFAULT_TRUNCATION,
+    spectrum: FloquetSpectrum | None = None,
 ):
     """Final state of one pulse per plateau duration, batched: the same
     quantity as one independent propagation per duration.
@@ -298,7 +303,9 @@ def final_states_for_durations(
     Only the edges take time steps, so ``target_step`` and ``refine`` govern
     them alone: one shared rise, then the plateau summed from its Floquet
     expansion at carrier phase w t_r + phi, then falls summed from a phase
-    series (``_fall_series``).
+    series (``_fall_series``).  The plateau's sector is solved once per call,
+    or passed in as ``spectrum``, which must be the solve at this call's
+    Delta, amplitude, carrier and ``truncation_n`` (else ValueError).
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
@@ -307,9 +314,18 @@ def final_states_for_durations(
         raise ValueError("durations must be >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
     step = target_step if target_step is not None else default_step(pulse_template)
+    if spectrum is None:
+        spectrum = _plateau_spectrum(params, pulse_template, truncation_n)
+    solved = (spectrum.delta, spectrum.amp, spectrum.omega, spectrum.truncation_n)
+    want = (params.delta, pulse_template.amplitude_max, pulse_template.carrier, truncation_n)
+    if solved != want:
+        raise ValueError(
+            f"spectrum solved at (delta, amp, omega, truncation_n) = {solved}, "
+            f"not at the pulse's {want}"
+        )
 
     run = functools.partial(
-        _duration_batch_unitaries, params, pulse_template, durs, truncation_n=truncation_n
+        _duration_batch_unitaries, params, pulse_template, durs, phases=None, spectrum=spectrum
     )
     u = run(step) if not refine else _refine(
         run, step, psi0, lambda u: u, "duration sweep did not converge"
@@ -317,19 +333,25 @@ def final_states_for_durations(
     return _states_from_unitaries(u, psi0)
 
 
-def _duration_batch_unitaries(
-    params, template, durs, step, phases=None, truncation_n=DEFAULT_TRUNCATION
-):
-    """Unitaries of ``final_states_for_durations``; ``phases``, if given,
-    replace the carrier phase as a leading batch axis: (phases, durations)."""
+def _plateau_spectrum(params, template, truncation_n):
+    """The plateau's Floquet solve: one ``quasienergy_sweep`` amplitude."""
+    return quasienergy_sweep(
+        params.delta, template.carrier, [template.amplitude_max], truncation_n
+    )[0]
+
+
+def _duration_batch_unitaries(params, template, durs, step, phases, spectrum):
+    """Unitaries of ``final_states_for_durations``, the plateau summed from
+    ``spectrum`` (``_plateau_spectrum``); ``phases``, if not None, replace
+    the carrier phase as a leading batch axis: (phases, durations)."""
     omega, t_r = template.carrier, template.t_rise
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
     u_r = _mesh_propagators(params, _drive_fn(template, phi[:, None]), [0.0, t_r], (), step)
     u_r = np.broadcast_to(u_r[..., -1, :, :], (len(phi), 2, 2))  # the identity for a sharp rise
     # a Floquet sum from each rise column: (phase, col, duration, row) -> (.., row, col)
     out = _drive_states_and_spectra(
-        params, [template.amplitude_max], omega, durs, np.repeat(omega * t_r + phi, 2),
-        np.swapaxes(u_r, -1, -2).reshape(-1, 2), truncation_n,
+        params, [spectrum.amp], omega, durs, np.repeat(omega * t_r + phi, 2),
+        np.swapaxes(u_r, -1, -2).reshape(-1, 2), spectrum.truncation_n, [spectrum],
     )[0][0].reshape(len(phi), 2, len(durs), 2).transpose(0, 2, 3, 1)
     out[:, durs == 0.0] = u_r[:, None]  # a zero-length plateau passes the rise exactly
     if template.t_fall > 0.0:
@@ -414,8 +436,10 @@ def sweep_pulse_duration(
     target_step: float | None = None,
     refine: bool = True,
     truncation_n: int = DEFAULT_TRUNCATION,
+    spectrum: FloquetSpectrum | None = None,
 ):
-    """Final-state P1 for one pulse per plateau duration.
+    """Final-state P1 for one pulse per plateau duration (``spectrum`` as in
+    ``final_states_for_durations``).
 
     With ``shots`` set, also draws binomial(shots, P1) counts per duration
     from independent per-point streams split off the master seed, so results
@@ -423,7 +447,7 @@ def sweep_pulse_duration(
     """
     states = final_states_for_durations(
         params, pulse_template, durations, target_step=target_step, refine=refine,
-        truncation_n=truncation_n,
+        truncation_n=truncation_n, spectrum=spectrum,
     )
     p1 = np.abs(states[:, 1]) ** 2
     if shots is None:
@@ -625,9 +649,10 @@ def prepare_state(
 
     template = PulseSpec(amp, omega, edges, 0.0, edges)
     step = min(default_step(template), 2e-3)
+    spectrum = _plateau_spectrum(params, template, truncation_n)
 
     def scan(durs, phases):
-        u = _duration_batch_unitaries(params, template, durs, step, phases, truncation_n)
+        u = _duration_batch_unitaries(params, template, durs, step, phases, spectrum)
         fid = np.abs(_states_from_unitaries(u, StateVector.ground().as_array()) @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,15 @@ class TestRabiScanCommand:
         assert len(sweeps) == 1
         acceptance._classified_scan(TWO_PI * 2.288, [TWO_PI * 0.5], np.arange(0.0, 5.0, 0.01))
         assert len(sweeps) == 2
+        # an edge study solves its plateau once, whatever the edges and the
+        # step halvings; state preparation once per target
+        cfg = write_config(tmp_path / "e.ini", SMALL_ALL + "[solver]\nrefine = true\n")
+        sweeps.clear()
+        assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(sweeps) == 1
+        sweeps.clear()
+        assert cli.main(["state-prep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(sweeps) == 2
 
     def test_weak_drive_peak_near_amplitude(self, tmp_path):
         cfg = write_config(
@@ -359,6 +369,60 @@ class TestBulkCsvWriter:
         cli._write_csv(tmp_path / "bulk.csv", ["a", "b", "c"], table)
         _row_writer(tmp_path / "rows.csv", ["a", "b", "c"], table)
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @staticmethod
+    def _same_bytes(path, table, keyed):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        assert [cli._distinct_strings(col) is not None for col in table.T] == keyed
+        cli._write_csv(path / "bulk.csv", header, table)
+        _row_writer(path / "rows.csv", header, table)
+        assert (path / "bulk.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+    def test_key_columns_keep_every_bit_pattern(self, tmp_path, monkeypatch):
+        # formatted once per bit pattern: -0 is not 0, and each NaN keeps its own
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+        special = [0.0, -0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf, 5e-324, 1 / 3]
+        n = 8 * len(special)
+        table = np.column_stack([
+            np.repeat(special, 8), np.tile(special, 8),
+            np.random.default_rng(5).permutation(np.resize(special, n)),
+            np.random.default_rng(6).random(n),
+        ])
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 5)  # splices cross block edges
+        self._same_bytes(tmp_path, table, [True, True, True, False])
+
+    @pytest.mark.parametrize("distinct, keyed", [(50, False), (49, True)])
+    def test_half_the_rows_distinct_is_not_a_key(self, tmp_path, distinct, keyed):
+        col = np.resize(np.linspace(-1.0, 1.0, distinct), 100)
+        self._same_bytes(tmp_path, np.column_stack([col, col[::-1]]), [keyed, keyed])
+
+    def test_one_row(self, tmp_path):
+        self._same_bytes(tmp_path, np.array([[0.1, -0.0, np.nan]]), [False, False, False])
+
+    def test_non_contiguous_input(self, tmp_path, monkeypatch):
+        t = np.arange(0.0, 3.0, 0.01)
+        table = np.column_stack([np.repeat([0.1, 0.2, 0.7], len(t)), np.tile(t, 3),
+                                 np.random.default_rng(7).random(3 * len(t))])
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
+        self._same_bytes(tmp_path, table[:, ::-1], [False, True, True])
+        self._same_bytes(tmp_path, table[::2], [True, True, False])
+
+    def test_key_columns_add_little_memory(self, tmp_path):
+        # rabi_p1.csv's shape: amplitude (repeat), t_p (tile), p1.  One
+        # %-format per block traces 1.5 MB, the key columns 2.1 MB; holding
+        # full-length np.unique inverse indices instead traced 7.6 MB
+        amps, t = np.linspace(0.1, 6.0, 12), np.arange(10001) * 0.002
+        table = np.column_stack([
+            np.repeat(amps, len(t)), np.tile(t, len(amps)),
+            np.random.default_rng(0).random(len(amps) * len(t)),
+        ])
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "t.csv", ["amplitude_ghz", "t_p_ns", "p1"], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
     def test_empty_tables_write_the_header_only(self, tmp_path):
         cfg = write_config(

@@ -144,7 +144,8 @@ class TestDurationSweep:
         # Delta) and falls 16-fold per halving, so it is the oracle's plateau
         # error, not the Floquet sum's.
         step = 2.5e-4
-        got = ev._duration_batch_unitaries(params, template, durs, step, phases)
+        spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
+        got = ev._duration_batch_unitaries(params, template, durs, step, phases, spec)
         for p, phi in enumerate(phases):
             for i in sorted({0, len(durs) // 2, len(durs) - 1}):
                 pulse = dataclasses.replace(template, t_plateau=durs[i], carrier_phase=phi)
@@ -198,6 +199,20 @@ class TestDurationSweep:
         template = PulseSpec(TWO_PI * 0.3, DELTA, t_rise, 0.0, 1.0)
         with pytest.raises(ValueError, match="non-empty"):
             ev.final_states_for_durations(params, template, [])
+
+    @pytest.mark.parametrize("field", ["delta", "amp", "omega", "truncation_n"])
+    def test_spectrum_passed_in_must_match_the_pulse(self, params, field):
+        # a matching solve is the one the sweep makes itself, to the bit
+        template = PulseSpec(TWO_PI * 1.33, DELTA, 0.5, 0.0, 0.5)
+        durs = np.arange(0.0, 3.0, 0.05)
+        spec = ev._plateau_spectrum(params, template, 30)
+        kwargs = {"truncation_n": 30, "refine": False}
+        own = ev.sweep_pulse_duration(params, template, durs, **kwargs)
+        given = ev.sweep_pulse_duration(params, template, durs, spectrum=spec, **kwargs)
+        assert np.array_equal(own, given)
+        other = dataclasses.replace(spec, **{field: getattr(spec, field) + 1})
+        with pytest.raises(ValueError, match="spectrum solved at"):
+            ev.final_states_for_durations(params, template, durs, spectrum=other, **kwargs)
 
 
 class TestContinuousDrive:
@@ -257,6 +272,34 @@ class TestContinuousDrive:
         )[0]
         assert np.max(np.abs(shifted - trace)) <= 1e-10
 
+    @pytest.mark.parametrize("omega", [DELTA, TWO_PI * 1.373])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_harmonic_sum_matches_per_harmonic_loop(self, params, omega, seed):
+        # psi(t) = sum_n e^{in(wt + phi)} sum_j c_j e^{-i eps_j t} u_jn, one
+        # harmonic at a time over every n of the truncation, against the
+        # matrix product over the trimmed rows
+        rng = np.random.default_rng(seed)
+        amps = TWO_PI * rng.uniform(0.05, 3.0, 3)
+        phases = rng.uniform(0.0, TWO_PI, 2)
+        initials = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        initials /= np.linalg.norm(initials, axis=1, keepdims=True)
+        times = np.sort(rng.uniform(0.0, 20.0, 400))
+        got, specs = ev._drive_states_and_spectra(params, amps, omega, times, phases, initials)
+        assert got.shape == (len(amps), len(phases), len(times), 2)
+        for s, got_a in zip(specs, got):
+            n_max = s.truncation_n
+            # lab-frame coefficients, (harmonic, branch, component)
+            lab = [np.stack([fq.ROT.T @ s.u0[k], fq.ROT.T @ s.u1[k]]) for k in range(2 * n_max + 1)]
+            decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
+            for phi, psi0, got_p in zip(phases, initials, got_a):
+                shift = [np.exp(1j * (phi * n)) for n in range(-n_max, n_max + 1)]
+                basis0 = sum(z * u for z, u in zip(shift, lab))  # rows: branches at t = 0
+                c = basis0.conj() @ psi0
+                want = np.zeros((len(times), 2), dtype=complex)
+                for n, z, u in zip(range(-n_max, n_max + 1), shift, lab):
+                    want += np.exp(1j * n * (omega * times))[:, None] * ((decay * (z * c)) @ u)
+                assert np.max(np.abs(got_p - want)) <= 1e-14
+
 
 def _direct_falls(params, template, durs, step):
     """Reference falls: one Magnus-integrated fall per duration, its carrier
@@ -315,11 +358,12 @@ class TestPhaseHarmonicFalls:
     def test_matches_direct_falls(self, params, template, step, durs):
         # rise and plateau are shared code; the fall is the only new path
         no_fall = dataclasses.replace(template, t_fall=0.0)
+        spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
         want = matmul2(
             _direct_falls(params, template, durs, step),
-            ev._duration_batch_unitaries(params, no_fall, durs, step),
+            ev._duration_batch_unitaries(params, no_fall, durs, step, None, spec),
         )
-        got = ev._duration_batch_unitaries(params, template, durs, step)
+        got = ev._duration_batch_unitaries(params, template, durs, step, None, spec)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_single_duration_equals_batch_row_bitwise(self, params, monkeypatch):
@@ -587,7 +631,7 @@ class TestStatePrep:
         # the per-phase loop kept the first strictly greater fidelity
         grids = []
 
-        def tied(params, template, durs, step, phases, truncation_n):
+        def tied(params, template, durs, step, phases, spectrum):
             grids.append((durs, phases))
             u = np.zeros((len(phases), len(durs), 2, 2), dtype=complex)
             u[0, 5, 1, 0] = u[1, 2, 1, 0] = 1.0  # |<1|U|0>| = 1 at both
@@ -602,8 +646,8 @@ class TestStatePrep:
     def _hide_phases_below_pi(monkeypatch):
         batch = ev._duration_batch_unitaries
 
-        def upper_half(params, template, durs, step, phases, truncation_n):
-            u = batch(params, template, durs, step, phases, truncation_n)
+        def upper_half(params, template, durs, step, phases, spectrum):
+            u = batch(params, template, durs, step, phases, spectrum)
             u[np.mod(phases, TWO_PI) < np.pi] = 0.0
             return u
 

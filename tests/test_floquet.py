@@ -146,6 +146,20 @@ class TestMonodromyOracle:
                 for x in s.mod_omega():
                     assert min(fq.zone_distance(x, y, omega) for y in pair) < 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta=st.floats(0.5, 20.0),
+        omega=st.floats(0.5, 20.0),
+        amp=st.floats(0.0, 20.0),
+    )
+    def test_amplitude_sign_is_a_half_period_shift(self, delta, omega, amp):
+        # -A cos(wt) = A cos(w(t + T/2)): the one-period propagators at +-A
+        # are conjugate, so their quasienergies agree mod omega
+        plus, minus = fq.monodromy_quasienergies_batch(delta, [amp, -amp], omega)
+        for a, b in ((plus, minus), (minus, plus)):
+            for x in a:
+                assert min(fq.zone_distance(x, y, omega) for y in b) <= 1e-10
+
     def test_convergence_in_step(self):
         omega = DELTA
         period = TWO_PI / omega
