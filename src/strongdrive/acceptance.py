@@ -171,8 +171,8 @@ def check_state_prep() -> CheckResult:
     """5: fast state preparation fidelities at the quoted durations."""
     par = QubitParams()
     amp = TWO_PI * 0.46
-    pulse_y, fid_y = evolve.prepare_state(par, StateVector.minus_y(), amp, 0.02)
-    pulse_1, fid_1 = evolve.prepare_state(par, StateVector.excited(), amp, 0.02)
+    pulse_y, fid_y, _ = evolve.prepare_state(par, StateVector.minus_y(), amp, 0.02)
+    pulse_1, fid_1, _ = evolve.prepare_state(par, StateVector.excited(), amp, 0.02)
     ok_y = fid_y >= 0.9997 - 0.001 and abs(pulse_y.total - 0.48) <= 0.05
     ok_1 = fid_1 >= 0.9976 - 0.001 and abs(pulse_1.total - 1.08) <= 0.05
     return CheckResult(
@@ -399,7 +399,3 @@ ALL_CHECKS = (
     check_calibration_slopes,
     check_numerical_hygiene,
 )
-
-
-def run_all(checks=ALL_CHECKS) -> list[CheckResult]:
-    return [fn() for fn in checks]

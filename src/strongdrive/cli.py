@@ -232,6 +232,9 @@ def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path) -> list[Path]:
 def cmd_tomography_trace(
     config: ExperimentConfig, out_dir: Path, shots: int, seed: int
 ) -> list[Path]:
+    """Bloch components and P1 of the continuous drive per amplitude and time;
+    ``shots`` > 0 adds ``tomography._sample_bloch`` draws from those components,
+    one generator per point from SeedSequence((seed, amplitude in kHz))."""
     par = _device(config)
     t = config["tomotrace"]
     omega = ghz_to_rad_per_ns(t["omega_ghz"])
@@ -245,21 +248,12 @@ def cmd_tomography_trace(
     )
     parts = []
     for a_ghz, states in zip(t["amplitudes_ghz"], batch):
-        meas = None
+        bloch = evolve._bloch_components(states)
+        cols = [np.full(len(durations), a_ghz), durations, bloch, np.abs(states[:, 1]) ** 2]
         if shots > 0:
             seqs = np.random.SeedSequence((seed, int(a_ghz * 1e6))).spawn(len(durations))
-            meas = np.empty((len(durations), 3))
-            for i, (child, psi) in enumerate(zip(seqs, states)):
-                st = StateVector.from_array(psi)
-                rng = np.random.default_rng(child)
-                for j, basis in enumerate(("ry90", "rx90", "id")):
-                    p = np.clip(tomography.measured_p1(st, basis), 0.0, 1.0)
-                    k = rng.binomial(shots, p)
-                    val = 1.0 - 2.0 * k / shots
-                    meas[i, j] = -val if basis == "ry90" else val
-        cols = [np.full(len(durations), a_ghz), durations,
-                *evolve._bloch_components(states).T, np.abs(states[:, 1]) ** 2]
-        parts.append(np.column_stack(cols if meas is None else cols + [meas]))
+            cols.append(tomography._sample_bloch(bloch, shots, seqs))
+        parts.append(np.column_stack(cols))
     path = out_dir / "bloch_trace.csv"
     _write_csv(path, header, np.array(parts, dtype=float))
     return [path]
@@ -308,8 +302,7 @@ def cmd_state_prep(config: ExperimentConfig, out_dir: Path, shots: int, seed: in
     for offset, (name, target) in enumerate(
         (("minus_y", StateVector.minus_y()), ("excited", StateVector.excited()))
     ):
-        pulse, fid = evolve.prepare_state(par, target, amp, edges, truncation_n=n_trunc)
-        final = evolve.propagate(par, pulse, sample_dt=max(pulse.total, 1e-3)).state_at(-1)
+        pulse, fid, final = evolve.prepare_state(par, target, amp, edges, truncation_n=n_trunc)
         recs = [
             tomography.simulate_shots(final, b, n_shots, seed=seed + 13 * i + 1000 * offset)
             for i, b in enumerate(tomography.BASES)

@@ -237,8 +237,8 @@ def continuous_drive_states(
     Floquet expansion psi(t) = sum_j <u_j(0)|psi(0)> e^{-i eps_j t} u_j(t),
     u_j(t) = sum_n u_jn e^{in(wt+phi)}, of one ``quasienergy_sweep``: one
     e^{inwt} table, trimmed to the n with a coefficient above 1e-16, serves
-    the batch.  A resummed t = 0 basis that is not unitary to 1e-10
-    (``truncation_n`` too small for the amplitude) raises AccuracyError.
+    the batch.  A resummed t = 0 basis that is not unitary to 1e-10 raises
+    AccuracyError, which names ``truncation_n`` or the near-degenerate pair.
     """
     psi0 = (StateVector.ground() if initial is None else initial).as_array()
     return _drive_states_and_spectra(
@@ -276,9 +276,12 @@ def _drive_states_and_spectra(
             u_p = u[a:b] * shift[:, None, None]
             basis0 = u_p.sum(axis=0).T
             if (defect := unitarity_defect(basis0[None])) > 1e-10:
+                cause = f"raise truncation_n (now {truncation_n})" if a == 0 or b == len(u) else (
+                    f"eps0, eps1 near-degenerate mod omega (delta_eps = {s.delta_eps:.2e} "
+                    "rad/ns), which no truncation_n splits")
                 raise AccuracyError(
                     f"Floquet expansion at A = {s.amp:.6g} rad/ns: t = 0 basis unitarity "
-                    f"defect {defect:.2e} > 1e-10; raise truncation_n (now {truncation_n})"
+                    f"defect {defect:.2e} > 1e-10; {cause}"
                 )
             w = u_p * (basis0.conj().T @ psi0)[:, None]
             parts = (h.T @ w.reshape(len(w), 4)).reshape(-1, 2, 2)
@@ -620,7 +623,7 @@ def prepare_state(
     carrier: float | None = None,
     t_max: float | None = None,
     truncation_n: int = DEFAULT_TRUNCATION,
-) -> tuple[PulseSpec, float]:
+) -> tuple[PulseSpec, float, StateVector]:
     """Scan plateau duration and carrier phase for the best target fidelity.
 
     Amplitude and edge times stay fixed.  The plateau window brackets the
@@ -631,7 +634,9 @@ def prepare_state(
     a local one at 0.5 ps; each is one (phase, duration) batch with a single
     fall series.  The phase is reported mod pi for a target on the z axis
     (where phi and phi + pi give the same fidelity), else mod 2 pi.  Returns
-    the best pulse and the achieved state fidelity |<target|psi>|.
+    the best pulse, the achieved state fidelity |<target|psi>| and psi, the
+    state the scan scored, with its |1> amplitude negated if the reported
+    phase is an odd multiple of pi from the scanned one (sigma_z|0> = |0>).
     """
     from .floquet import analytic_delta_epsilon
 
@@ -653,23 +658,25 @@ def prepare_state(
 
     def scan(durs, phases):
         u = _duration_batch_unitaries(params, template, durs, step, phases, spectrum)
-        fid = np.abs(_states_from_unitaries(u, StateVector.ground().as_array()) @ tgt.conj())
+        states = _states_from_unitaries(u, StateVector.ground().as_array())
+        fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)
-        return float(fid[p, i]), float(durs[i]), float(phases[p])
+        return float(fid[p, i]), float(durs[i]), float(phases[p]), states[p, i]
 
     coarse_durs = np.arange(lo, hi, 0.004)
     if coarse_durs.size == 0:
         coarse_durs = np.array([lo])
     coarse_phis = np.linspace(0.0, TWO_PI, 24, endpoint=False)
-    f_c, d_c, p_c = scan(coarse_durs, coarse_phis)
+    _, d_c, p_c, _ = scan(coarse_durs, coarse_phis)
 
     fine_durs = np.arange(max(0.0, d_c - 0.006), d_c + 0.006, 0.0005)
     fine_phis = p_c + np.linspace(-0.15, 0.15, 31)
-    f_b, d_b, p_b = scan(fine_durs, fine_phis)
+    f_b, d_b, p_b, psi = scan(fine_durs, fine_phis)
 
     # on the z axis phi and phi + pi tie exactly (sigma_z U(phi + pi) sigma_z
     # = U(phi)), so round-off picks the winner; report it mod pi
     period = np.pi if tgt[0] * tgt[1] == 0.0 else TWO_PI
-    best_pulse = PulseSpec(amp, omega, edges, d_b, edges, p_b % period)
-    return best_pulse, f_b
+    phase = p_b % period
+    psi = psi * [1.0, (-1.0) ** round((p_b - phase) / np.pi)]  # sigma_z per pi moved
+    return PulseSpec(amp, omega, edges, d_b, edges, phase), f_b, StateVector.from_array(psi)

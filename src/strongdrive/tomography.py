@@ -1,15 +1,15 @@
 """Tomography pipeline: sampling, MLE reconstruction, bootstrap, calibration.
 
 Measurement model: ideal projective readout of sigma_z after one of three
-pre-rotations.  Basis tags and the observable each one maps onto the
-measurement axis:
+pre-rotations.  ``_MEASUREMENTS`` is the whole model: the Bloch axis each basis
+maps onto the measurement axis and its sign, P1 = (1 - sign s_axis) / 2:
 
-    id    measure sigma_z          sz = 1 - 2 p1
-    rx90  Rx(pi/2) then sigma_z    sy = 1 - 2 p1
     ry90  Ry(pi/2) then sigma_z    sx = 2 p1 - 1
+    rx90  Rx(pi/2) then sigma_z    sy = 1 - 2 p1
+    id    measure sigma_z          sz = 1 - 2 p1
 
-with Rx(pi/2) = exp(-i pi sigma_x / 4) and Ry(pi/2) = exp(-i pi sigma_y / 4).
-The sign pattern follows from R^dag sigma_z R and is a recorded convention.
+with Rx(pi/2) = exp(-i pi sigma_x / 4) and Ry(pi/2) = exp(-i pi sigma_y / 4)
+(``ROTATIONS``), against which the table is checked: P1 = (R rho R^dag)[1, 1].
 
 Because each basis measures one Bloch component, the binomial likelihood
 splits into three concave one-variable terms.  The maximum-likelihood state
@@ -46,6 +46,12 @@ from .model import PulseSpec, QubitParams, StateVector
 from .units import TWO_PI
 
 BASES = ("id", "rx90", "ry90")
+
+#: Basis -> (Bloch axis, sign) of the component it measures, in axis order
+#: x, y, z: P1 = (1 - sign s_axis) / 2.
+_MEASUREMENTS = {"ry90": (0, -1.0), "rx90": (1, +1.0), "id": (2, +1.0)}
+_AXIS_BASES = tuple(_MEASUREMENTS)
+_AXIS_SIGNS = np.array([sign for _, sign in _MEASUREMENTS.values()])
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 ROTATIONS = {
@@ -146,19 +152,26 @@ class TomographyResult:
             raise ValueError("stderr must be >= 0")
 
 
-def _as_density(state) -> DensityMatrix:
+def _bloch(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
-        return state
+        return state.bloch()
     if isinstance(state, StateVector):
-        return DensityMatrix.from_state(state)
+        return state.bloch().as_array()
     raise TypeError("expected StateVector or DensityMatrix")
 
 
 def measured_p1(state, basis: str) -> float:
     """P1 after the ideal pre-rotation for the basis."""
-    rho = _as_density(state).matrix
-    r = ROTATIONS[basis]
-    return float((r @ rho @ r.conj().T)[1, 1].real)
+    axis, sign = _MEASUREMENTS[basis]
+    return float(0.5 * (1.0 - sign * _bloch(state)[axis]))
+
+
+def _sample_bloch(bloch, shots: int, seeds) -> np.ndarray:
+    """Linear-inversion Bloch vectors of binomial(shots, P1) counts; row k draws from seeds[k]."""
+    p1 = np.clip(0.5 * (1.0 - _AXIS_SIGNS * bloch), 0.0, 1.0).tolist()
+    rngs = map(np.random.default_rng, seeds)
+    counts = np.array([[rng.binomial(shots, p) for p in row] for rng, row in zip(rngs, p1)])
+    return _AXIS_SIGNS * (1.0 - 2.0 * counts / shots)
 
 
 def simulate_shots(state, basis: str, shots: int, seed=None) -> ShotRecord:
@@ -172,9 +185,7 @@ def simulate_shots(state, basis: str, shots: int, seed=None) -> ShotRecord:
 
 def exact_records(state, shots: int) -> list[ShotRecord]:
     """Infinite-shot-limit records: exact probabilities as fractional counts."""
-    return [
-        ShotRecord(b, shots, measured_p1(state, b) * shots) for b in BASES
-    ]
+    return [ShotRecord(b, shots, measured_p1(state, b) * shots) for b in BASES]
 
 
 def bloch_from_records(records) -> np.ndarray:
@@ -182,18 +193,12 @@ def bloch_from_records(records) -> np.ndarray:
     by_basis = {r.basis: r for r in records}
     if set(by_basis) != set(BASES):
         raise ValueError(f"need one record per basis {BASES}")
-    sz = 1.0 - 2.0 * by_basis["id"].p1
-    sy = 1.0 - 2.0 * by_basis["rx90"].p1
-    sx = 2.0 * by_basis["ry90"].p1 - 1.0
-    return np.array([sx, sy, sz])
+    return _AXIS_SIGNS * (1.0 - 2.0 * np.array([by_basis[b].p1 for b in _AXIS_BASES]))
 
 
 # ---------------------------------------------------------------------------
 # Maximum likelihood reconstruction
 # ---------------------------------------------------------------------------
-
-#: Basis measuring each Bloch axis x, y, z.
-_AXIS_BASES = ("ry90", "rx90", "id")
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -330,7 +335,7 @@ def fidelity(rho: DensityMatrix, rho_ideal: DensityMatrix) -> float:
     sqrt((1 - |s|^2)(1 - |t|^2))/2); for a pure target it reduces to
     sqrt(<psi|rho|psi>).  Clamped to [0, 1].
     """
-    return float(_bloch_fidelity(_as_density(rho).bloch(), _as_density(rho_ideal).bloch()))
+    return float(_bloch_fidelity(_bloch(rho), _bloch(rho_ideal)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +357,6 @@ def bootstrap_errors(records, target, b: int = 200, seed=None) -> TomographyResu
     if b < 100:
         raise ValueError("bootstrap size b must be >= 100")
     records = list(records)
-    target = _as_density(target)
     s_hat = bloch_from_records(records)
     shots = _axis_shots(records)
     sigma = np.sqrt(np.maximum(1.0 - s_hat * s_hat, 0.0) / shots)
@@ -362,7 +366,7 @@ def bootstrap_errors(records, target, b: int = 200, seed=None) -> TomographyResu
             for child in np.random.SeedSequence(seed).spawn(b)
         ]
     )
-    fids = _bloch_fidelity(_mle_bloch(s_hat + sigma * draws, shots), target.bloch())
+    fids = _bloch_fidelity(_mle_bloch(s_hat + sigma * draws, shots), _bloch(target))
     rho_hat = mle_reconstruct(records)
     return TomographyResult(
         rho_hat, fidelity(rho_hat, target), float(np.std(fids, ddof=1)), b

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strongdrive import acceptance, cli, evolve, floquet
+from strongdrive import acceptance, cli, evolve, floquet, tomography
 from strongdrive.config import load_config
 from strongdrive.errors import ConfigError
-from strongdrive.model import QubitParams
-from strongdrive.units import HBAR, PHI0, TWO_PI
+from strongdrive.model import QubitParams, StateVector
+from strongdrive.units import HBAR, PHI0, TWO_PI, ghz_to_rad_per_ns
 
 
 def write_config(path: Path, text: str) -> str:
@@ -303,6 +303,41 @@ class TestTomographyTraceCommand:
         exact = np.array([[float(x) for x in r[2:5]] for r in rows])
         assert np.max(np.abs(meas - exact)) < 0.25  # 512 shots of binomial noise
 
+    def test_shot_columns_are_the_per_point_draws(self, tmp_path, monkeypatch):
+        # reference: one StateVector, then measured_p1 and a binomial draw per
+        # basis in the order ry90, rx90, id, from one generator per point
+        cfg = write_config(tmp_path / "c.ini", SMALL_ALL)
+        made = []
+        for cls in (StateVector, tomography.DensityMatrix):
+            init = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, init=init: made.append(self) or init(self)
+            )
+        argv = ["tomography-trace", "--config", cfg, "--out", str(tmp_path), "--shots", "64"]
+        assert cli.main(argv) == 0
+        monkeypatch.undo()
+        assert made == [StateVector.ground()]  # the drive's initial state, once
+        _, rows = read_csv(tmp_path / "bloch_trace.csv")
+
+        config = load_config(cfg)
+        t = config["tomotrace"]
+        durations = np.arange(0.0, t["duration_ns"] + 1e-9, t["sample_dt_ns"])
+        batch = evolve.continuous_drive_states(
+            cli._device(config), ghz_to_rad_per_ns(np.array(t["amplitudes_ghz"])),
+            ghz_to_rad_per_ns(t["omega_ghz"]), durations,
+        )
+        want = []
+        for a_ghz, states in zip(t["amplitudes_ghz"], batch):
+            seqs = np.random.SeedSequence((77, int(a_ghz * 1e6))).spawn(len(durations))
+            for child, psi in zip(seqs, states):
+                state, rng = StateVector.from_array(psi), np.random.default_rng(child)
+                row = []
+                for basis, sign in (("ry90", -1.0), ("rx90", 1.0), ("id", 1.0)):
+                    p = np.clip(tomography.measured_p1(state, basis), 0.0, 1.0)
+                    row.append(cli._fmt(sign * (1.0 - 2.0 * rng.binomial(64, p) / 64)))
+                want.append(row)
+        assert [r[-3:] for r in rows] == want
+
 
 class TestEdgeStudyCommand:
     def test_zero_edge_matches_rabi(self, tmp_path):
@@ -484,6 +519,26 @@ class TestStatePrepCommand:
             )
         assert report["excited"]["pulse"]["total_ns"] == pytest.approx(1.08, abs=0.05)
 
+    def test_shots_sample_the_scanned_state(self, tmp_path, monkeypatch):
+        prepared, sampled, stepped = [], [], []
+        prepare, simulate = evolve.prepare_state, tomography.simulate_shots
+
+        def prepare_spy(*args, **kwargs):
+            out = prepare(*args, **kwargs)
+            prepared.append(out[2])
+            return out
+
+        monkeypatch.setattr(evolve, "prepare_state", prepare_spy)
+        monkeypatch.setattr(
+            tomography, "simulate_shots",
+            lambda state, *a, **k: sampled.append(state) or simulate(state, *a, **k),
+        )
+        monkeypatch.setattr(evolve, "propagate", lambda *a, **k: stepped.append(a))
+        assert cli.main(["state-prep", "--out", str(tmp_path)]) == 0
+        assert stepped == []  # the pulse is not propagated a second time
+        assert len(prepared) == 2 and len(sampled) == 6  # three bases per target
+        assert all(state is prepared[k // 3] for k, state in enumerate(sampled))
+
 
 class TestCheckCommand:
     def test_quick_check_reports_known_failure(self, capsys):
@@ -579,6 +634,17 @@ class TestExitCodes:
         )
         assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "truncation_n" in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
+
+    def test_near_degenerate_basis_exit_3_names_delta_eps(self, tmp_path, capsys):
+        # a tiny amplitude on resonance: no truncation_n gives a unitary basis
+        cfg = write_config(
+            tmp_path / "c.ini",
+            "[rabi]\namp_min_ghz = 1e-10\namp_max_ghz = 1e-10\namp_points = 1\n",
+        )
+        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "delta_eps = 6.28e-10" in err and "raise truncation_n" not in err
         assert not (tmp_path / "run_report.json").exists()
 
     def test_sector_sweep_cap_exit_3(self, tmp_path, capsys, monkeypatch):

@@ -247,6 +247,17 @@ class TestContinuousDrive:
         with pytest.raises(AccuracyError, match="truncation_n"):
             ev.continuous_drive_states(params, amps, DELTA, times, truncation_n=10)
 
+    @pytest.mark.parametrize("truncation_n", [10, 50])
+    def test_near_degenerate_basis_names_delta_eps(self, params, truncation_n):
+        # on resonance at A = 2 pi 1e-10 rad/ns, delta_eps = 6.3e-10 rad/ns: the
+        # |n| = N rows carry no weight, and the defect is the same at any N
+        times = np.arange(0.0, 1.0, 0.1)
+        with pytest.raises(AccuracyError, match="delta_eps = 6.28e-10 rad/ns") as exc:
+            ev.continuous_drive_states(
+                params, [TWO_PI * 1e-10], DELTA, times, truncation_n=truncation_n
+            )
+        assert "raise truncation_n" not in str(exc.value)
+
     @settings(max_examples=30, deadline=None)
     @given(
         delta=st.floats(TWO_PI * 1.0, TWO_PI * 4.0),
@@ -575,7 +586,7 @@ class TestAsymmetry:
 
 class TestStatePrep:
     def test_ground_target_zero_pulse(self, params):
-        pulse, fid = ev.prepare_state(params, StateVector.ground(), TWO_PI * 0.46, 0.0)
+        pulse, fid, _ = ev.prepare_state(params, StateVector.ground(), TWO_PI * 0.46, 0.0)
         assert fid == pytest.approx(1.0, abs=1e-6)
         assert pulse.total < 0.1
 
@@ -596,7 +607,7 @@ class TestStatePrep:
 
         monkeypatch.setattr(ev, "_duration_batch_unitaries", batch_spy)
         monkeypatch.setattr(ev, "_fall_series", series_spy)
-        pulse, fid = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        pulse, fid, _ = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
         assert len(scans) == 2 and len(series) == 2  # one fall series per scan
         monkeypatch.undo()
 
@@ -638,7 +649,7 @@ class TestStatePrep:
             return u
 
         monkeypatch.setattr(ev, "_duration_batch_unitaries", tied)
-        pulse, fid = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)
+        pulse, fid, _ = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)
         durs, phases = grids[1]
         assert (fid, pulse.t_plateau, pulse.carrier_phase) == (1.0, durs[5], phases[0] % np.pi)
 
@@ -658,21 +669,34 @@ class TestStatePrep:
         self, params, target, monkeypatch
     ):
         # sigma_z U(phi + pi) sigma_z = U(phi): with the phases below pi
-        # hidden, the twin phi + pi of the free scan's winner wins instead
-        free, fid = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        # hidden, the twin phi + pi of the free scan's winner wins instead,
+        # and its state, scanned at phi + pi, is sigma_z-flipped back
+        free, fid, state = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
         self._hide_phases_below_pi(monkeypatch)
-        twin, twin_fid = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        twin, twin_fid, twin_state = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
         assert 0.0 <= free.carrier_phase < np.pi and 0.0 <= twin.carrier_phase < np.pi
         assert twin.carrier_phase == pytest.approx(free.carrier_phase, abs=1e-12)
         assert twin.t_plateau == free.t_plateau
         assert twin_fid == pytest.approx(fid, abs=1e-12)
+        assert np.max(np.abs(twin_state.as_array() - state.as_array())) <= 1e-12
 
     def test_off_axis_target_keeps_the_full_phase_circle(self, params, monkeypatch):
         self._hide_phases_below_pi(monkeypatch)
-        pulse, _ = ev.prepare_state(params, StateVector.minus_y(), TWO_PI * 0.46, 0.02)
+        pulse, _, _ = ev.prepare_state(params, StateVector.minus_y(), TWO_PI * 0.46, 0.02)
         assert np.pi <= pulse.carrier_phase < TWO_PI
 
     def test_excited_target_near_quoted_point(self, params):
-        pulse, fid = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)
+        pulse, fid, _ = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)
         assert fid >= 0.9976 - 0.001
         assert abs(pulse.total - 1.08) < 0.05
+
+    @pytest.mark.parametrize(
+        "target", [StateVector.minus_y(), StateVector.excited(), StateVector.ground()]
+    )
+    def test_returned_state_is_the_stepped_pulse(self, params, target):
+        # the state the Floquet-composed scan scored against the time-stepped
+        # propagation of the pulse reported for it
+        pulse, fid, state = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        final = ev.propagate(params, pulse, sample_dt=max(pulse.total, 1e-3)).state_at(-1)
+        assert np.max(np.abs(state.as_array() - final.as_array())) <= 1e-9
+        assert abs(target.overlap(state)) == pytest.approx(fid, abs=1e-15)

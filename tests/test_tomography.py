@@ -64,6 +64,27 @@ class TestShots:
         plus = StateVector.from_array([1.0, 1.0] / np.sqrt(2.0))
         assert tg.measured_p1(plus, "ry90") == pytest.approx(1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        pure=st.booleans(),
+    )
+    def test_measurement_table_matches_rotations(self, parts, pure):
+        # P1 = (1 - sign s_axis) / 2 of the table against (R rho R^dag)[1, 1]
+        a = np.array(parts[0:4:2]) + 1j * np.array(parts[1:4:2])
+        assume(np.linalg.norm(a) > 1e-3)
+        if pure:
+            state = StateVector.from_array(a / np.linalg.norm(a))
+            rho = np.outer(state.as_array(), state.as_array().conj())
+        else:
+            m = np.stack([a, np.array(parts[4::2]) + 1j * np.array(parts[5::2])])
+            rho = m @ m.conj().T
+            rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+            state = tg.DensityMatrix(rho)
+        for b, r in tg.ROTATIONS.items():
+            want = (r @ rho @ r.conj().T)[1, 1].real
+            assert abs(tg.measured_p1(state, b) - want) <= 1e-15
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             tg.ShotRecord("id", 100, 101)
