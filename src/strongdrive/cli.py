@@ -273,11 +273,9 @@ def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     amp_rows = []
     for t_r, t_f in pairs:
         template = PulseSpec(amp, omega, t_r, 0.0, t_f)
-        step = solver["propagator_step_ns"]  # 0: pulse default, <= dt/2
-        step = step or min(evolve.default_step(template), e["sample_dt_ns"] / 2.0)
-        p1 = evolve.sweep_pulse_duration(
-            par, template, durations, target_step=step, refine=solver["refine"],
-            truncation_n=solver["truncation_n"], spectrum=fspec,
+        p1 = evolve.sweep_pulse_duration(  # step 0: the pulse's default_step
+            par, template, durations, target_step=solver["propagator_step_ns"] or None,
+            refine=solver["refine"], truncation_n=solver["truncation_n"], spectrum=fspec,
         )
         lo, hi = spectral.fast_component_amplitudes(durations, p1, omega, fspec.delta_eps)
         trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))
@@ -352,6 +350,14 @@ def cmd_check(full: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of ``--shots`` and ``--seed``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strongdrive",
@@ -362,11 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="INI config path")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    common.add_argument(
+        "--seed", type=non_negative_int, default=None, help="override [run] seed"
+    )
 
     shots = argparse.ArgumentParser(add_help=False)
     shots.add_argument(
-        "--shots", type=int, default=0,
+        "--shots", type=non_negative_int, default=0,
         help="shots per basis (0: noiseless trace, or [stateprep] shots)",
     )
 

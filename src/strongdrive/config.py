@@ -120,7 +120,8 @@ class ExperimentConfig:
         return out
 
 
-#: Integer keys with a lower bound (the bootstrap needs b >= 100).
+#: Integer keys with a lower bound (the bootstrap needs b >= 100; numpy
+#: seeds are >= 0).
 _MINIMUMS = {
     ("quasienergies", "amp_points"): 1,
     ("rabi", "amp_points"): 1,
@@ -130,6 +131,7 @@ _MINIMUMS = {
     ("stateprep", "bootstrap_b"): 100,
     ("solver", "monodromy_steps_per_period"): 1,
     ("solver", "truncation_n"): 1,
+    ("run", "seed"): 0,
 }
 
 #: Time, frequency and amplitude keys that may be 0: the per-pulse default

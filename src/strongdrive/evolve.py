@@ -7,9 +7,11 @@ kink, and ``_magnus.magnus_path`` does the rest.  A constant-amplitude drive
 takes no step: the Floquet expansion psi(t) = sum_j c_j e^{-i eps_j t}
 u_j(t) (Shirley, Phys. Rev. 138, B979 (1965)) sums the un-enveloped drive
 and every scanned plateau, with a time-stepped pulse as its oracle.  So a
-duration scan steps only its edges: a shared rise, and falls that depend on
-the duration and carrier phase only through their starting carrier phase
-theta, propagated at 2K phases and summed as a series in theta.  Pulse
+duration scan steps only its edges: a shared rise applied to the initial
+state, and one fall propagated at 2K starting carrier phases theta as a
+series F(theta) in theta.  A plateau ends at the phase its Floquet states
+u_j(theta) run on, so the fall dresses their tables, F(theta) u_j(theta),
+and one Floquet sum gives the final state at every duration.  Pulse
 trains batch the pulses of one shape over theta likewise.  ``_refine`` is
 the one step-refinement policy the drivers share.
 """
@@ -26,7 +28,6 @@ from ._magnus import (
     STEP_FLOOR,
     magnus_path,
     magnus_segment,
-    matmul2,
     unitarity_defect,
 )
 from .errors import AccuracyError, BasisDegeneracyError
@@ -63,16 +64,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FloquetFrameCoeffs:
-    """Amplitudes on the instantaneous quasienergy states u0, u1.
-
-    ``accumulated_phase`` is the dynamical phase integral of delta_eps up to
-    the decomposition time; it is bookkeeping supplied by trajectory-level
-    analyses (a single-time decomposition cannot know the pulse history).
-    """
+    """Amplitudes on the instantaneous quasienergy states u0, u1."""
 
     c0: complex
     c1: complex
-    accumulated_phase: float = 0.0
 
 
 def _states_from_unitaries(u, psi0):
@@ -137,13 +132,13 @@ def _mesh_propagators(params, x_of_t, times, kinks, step, u0=IDENTITY2):
     return magnus_path(u0, x_of_t, -0.5 * params.delta, lo, h, keep)
 
 
-def _refine(run, step, psi0, final, message):
-    """``run(step)``, halving the step until the P1 from ``psi0`` of the
-    propagators ``final`` picks out moves by < 1e-8; returns the finer run.
-    Dropping below ``STEP_FLOOR`` raises AccuracyError with ``message``."""
+def _refine(run, step, final, message):
+    """``run(step)``, halving the step until the P1 of the states ``final``
+    maps a run to moves by < 1e-8; returns the finer run.  Dropping below
+    ``STEP_FLOOR`` raises AccuracyError with ``message``."""
 
-    def p1(u):
-        return np.abs(_states_from_unitaries(final(u), psi0)[..., 1]) ** 2
+    def p1(r):
+        return np.abs(final(r)[..., 1]) ** 2
 
     result = run(step)
     while True:
@@ -203,7 +198,8 @@ def propagate(
     step = target_step if target_step is not None else default_step(pulse)
     run = functools.partial(_mesh_propagators, params, _drive_fn(pulse), times, _kinks(pulse))
     u = run(step) if not refine else _refine(
-        run, step, psi0, lambda u: u[-1], "propagation did not converge above the step floor"
+        run, step, lambda u: _states_from_unitaries(u[-1], psi0),
+        "propagation did not converge above the step floor",
     )
     states = _states_from_unitaries(u, psi0)
     return Trajectory(
@@ -248,14 +244,20 @@ def continuous_drive_states(
 
 def _drive_states_and_spectra(
     params, amplitudes, omega, times, carrier_phases=(0.0,), initials=((1.0, 0.0),),
-    truncation_n=DEFAULT_TRUNCATION, specs=None,
+    truncation_n=DEFAULT_TRUNCATION, specs=None, fall=None,
 ):
     """``continuous_drive_states`` per amplitude and carrier phase, shape
     (n_amp, n_phase, n_time, 2), each phase from its state in ``initials`` (|0>),
     and the ``quasienergy_sweep`` it sums (``specs``, if already solved for
     these amplitudes).  A phase enters as e^{in phi} on the coefficients
     u_jn, so the t = 0 basis is their sum.  The sum over n is one matrix
-    product of the e^{inwt} table with the coefficients."""
+    product of the e^{inwt} table with the coefficients.
+
+    ``fall``, the harmonics F_m (m = -K..K) of ``_fall_series``, ends every
+    trace with that fall: w_j(theta) = F(theta) u_j(theta) has coefficients
+    w_jk = sum_m F_m u_j,k-m, so the same product on tables K rows wider on
+    each side gives the states after the fall.  The t = 0 basis gate and
+    the projection onto it use the undressed u."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
     if specs is None:
@@ -264,17 +266,23 @@ def _drive_states_and_spectra(
     tables = [np.stack([s.u0, s.u1], axis=1) @ ROT for s in specs]
     live = [np.flatnonzero(np.abs(u).max(axis=(1, 2)) > 1e-16)[[0, -1]] + [0, 1] for u in tables]
     lo, hi = min((r[0] for r in live), default=0), max((r[1] for r in live), default=0)
-    n = np.arange(lo - truncation_n, hi - truncation_n)
+    pad = 0 if fall is None else len(fall) // 2
+    n = np.arange(lo - truncation_n - pad, hi - truncation_n + pad)
     harmonics = 1j * n[:, None] * (omega * times)
     np.exp(harmonics, out=harmonics)  # in place: one (n, t) table, not two
     shifts = np.exp(1j * np.outer(carrier_phases, n))
     out = np.empty((len(amps), len(shifts), len(times), 2), dtype=complex)
     for i, (s, u, (a, b)) in enumerate(zip(specs, tables, live)):
-        h = harmonics[a - lo : b - lo]
+        rows = slice(a - lo, b - lo + 2 * pad)
+        h = harmonics[rows]
+        w = u[a:b]
+        if fall is not None:  # w_k = sum_m u_{k-m} F_m^T
+            w = np.zeros((b - a + 2 * pad, 2, 2), dtype=complex)
+            for m, f in enumerate(fall):
+                w[m : m + b - a] += u[a:b] @ f.T
         decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
-        for p, (shift, psi0) in enumerate(zip(shifts[:, a - lo : b - lo], initials)):
-            u_p = u[a:b] * shift[:, None, None]
-            basis0 = u_p.sum(axis=0).T
+        for p, (shift, psi0) in enumerate(zip(shifts[:, rows], initials)):
+            basis0 = (u[a:b] * shift[pad : len(shift) - pad, None, None]).sum(axis=0).T
             if (defect := unitarity_defect(basis0[None])) > 1e-10:
                 cause = f"raise truncation_n (now {truncation_n})" if a == 0 or b == len(u) else (
                     f"eps0, eps1 near-degenerate mod omega (delta_eps = {s.delta_eps:.2e} "
@@ -283,8 +291,8 @@ def _drive_states_and_spectra(
                     f"Floquet expansion at A = {s.amp:.6g} rad/ns: t = 0 basis unitarity "
                     f"defect {defect:.2e} > 1e-10; {cause}"
                 )
-            w = u_p * (basis0.conj().T @ psi0)[:, None]
-            parts = (h.T @ w.reshape(len(w), 4)).reshape(-1, 2, 2)
+            w_p = w * shift[:, None, None] * (basis0.conj().T @ psi0)[:, None]
+            parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
             out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
     return out, specs
 
@@ -304,11 +312,12 @@ def final_states_for_durations(
     quantity as one independent propagation per duration.
 
     Only the edges take time steps, so ``target_step`` and ``refine`` govern
-    them alone: one shared rise, then the plateau summed from its Floquet
-    expansion at carrier phase w t_r + phi, then falls summed from a phase
-    series (``_fall_series``).  The plateau's sector is solved once per call,
-    or passed in as ``spectrum``, which must be the solve at this call's
-    Delta, amplitude, carrier and ``truncation_n`` (else ValueError).
+    them alone: one shared rise applied to ``initial``, then one Floquet sum
+    of the plateau at carrier phase w t_r + phi, its tables dressed with the
+    fall's phase series (``_fall_series``).  The plateau's sector is solved
+    once per call, or passed in as ``spectrum``, which must be the solve at
+    this call's Delta, amplitude, carrier and ``truncation_n`` (else
+    ValueError).
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
@@ -328,12 +337,12 @@ def final_states_for_durations(
         )
 
     run = functools.partial(
-        _duration_batch_unitaries, params, pulse_template, durs, phases=None, spectrum=spectrum
+        _duration_batch_states, params, pulse_template, durs,
+        phases=None, spectrum=spectrum, psi0=psi0,
     )
-    u = run(step) if not refine else _refine(
-        run, step, psi0, lambda u: u, "duration sweep did not converge"
+    return run(step) if not refine else _refine(
+        run, step, lambda states: states, "duration sweep did not converge"
     )
-    return _states_from_unitaries(u, psi0)
 
 
 def _plateau_spectrum(params, template, truncation_n):
@@ -343,37 +352,38 @@ def _plateau_spectrum(params, template, truncation_n):
     )[0]
 
 
-def _duration_batch_unitaries(params, template, durs, step, phases, spectrum):
-    """Unitaries of ``final_states_for_durations``, the plateau summed from
-    ``spectrum`` (``_plateau_spectrum``); ``phases``, if not None, replace
-    the carrier phase as a leading batch axis: (phases, durations)."""
+def _duration_batch_states(params, template, durs, step, phases, spectrum, psi0):
+    """States of ``final_states_for_durations`` from ``psi0``: the rise
+    applied to it, then one Floquet sum of ``spectrum`` (``_plateau_spectrum``)
+    dressed with the fall; ``phases``, if not None, replace the carrier phase
+    as a leading batch axis: (phases, durations)."""
     omega, t_r = template.carrier, template.t_rise
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
     u_r = _mesh_propagators(params, _drive_fn(template, phi[:, None]), [0.0, t_r], (), step)
-    u_r = np.broadcast_to(u_r[..., -1, :, :], (len(phi), 2, 2))  # the identity for a sharp rise
-    # a Floquet sum from each rise column: (phase, col, duration, row) -> (.., row, col)
+    psi_r = np.broadcast_to(u_r[..., -1, :, :] @ psi0, (len(phi), 2))  # psi0 for a sharp rise
+    fall = _fall_series(params, template, step) if template.t_fall > 0.0 else None
     out = _drive_states_and_spectra(
-        params, [spectrum.amp], omega, durs, np.repeat(omega * t_r + phi, 2),
-        np.swapaxes(u_r, -1, -2).reshape(-1, 2), spectrum.truncation_n, [spectrum],
-    )[0][0].reshape(len(phi), 2, len(durs), 2).transpose(0, 2, 3, 1)
-    out[:, durs == 0.0] = u_r[:, None]  # a zero-length plateau passes the rise exactly
-    if template.t_fall > 0.0:
-        out = matmul2(_fall_unitaries(params, template, durs, step, phi[:, None]), out)
+        params, [spectrum.amp], omega, durs, omega * t_r + phi, psi_r,
+        spectrum.truncation_n, [spectrum], fall,
+    )[0][0]
+    if fall is None:
+        out[:, durs == 0.0] = psi_r[:, None]  # a zero-length plateau passes the rise exactly
     return out if phases is not None else out[0]
 
 
 def _fall_series(params, template, step):
-    """Fourier coefficients (numpy FFT order) of the fall propagator as a
-    function of its starting carrier phase.
+    """Harmonics F_m, m = -K..K in order, of the fall propagator as a
+    function of its starting carrier phase: F(theta) = sum_m F_m e^{im theta}.
 
     The fall's Hamiltonian is linear in e^{+-i theta}, so its coefficients
     decay like the Floquet sideband weights.  K doubles from
     ``FALL_PHASES_START`` until the K-point trigonometric interpolant
     reproduces the falls computed at the K phases midway between its nodes
     to ``FALL_SERIES_TOL`` in max entry; the series returned interpolates
-    all 2K computed falls.  K depends on the pulse and the step alone, never
-    on the durations asked for.  Failing the check at ``FALL_PHASES_CAP``
-    raises AccuracyError.
+    all 2K computed falls, its Nyquist term split evenly between m = -K and
+    m = K.  K depends on the pulse and the step alone, never on the
+    durations asked for.  Failing the check at ``FALL_PHASES_CAP`` raises
+    AccuracyError.
     """
     am, omega, t_f = template.amplitude_max, template.carrier, template.t_fall
     n_fall = int(_step_count(t_f, step))
@@ -398,35 +408,16 @@ def _fall_series(params, template, step):
         err = float(np.max(np.abs(guess - mids)))
         both = np.stack([nodes, mids], axis=1).reshape(2 * k, 2, 2)
         if err <= FALL_SERIES_TOL:
-            return np.fft.fft(both, axis=0) / (2 * k)
+            coef = np.fft.fftshift(np.fft.fft(both, axis=0) / (2 * k), axes=0)
+            coef = np.concatenate([coef, coef[:1]])  # m = -K..K
+            coef[[0, -1]] *= 0.5
+            return coef
         if k >= FALL_PHASES_CAP:
             raise AccuracyError(
                 f"fall phase series: interpolation error {err:.2e} at K = {k} phases "
                 f"exceeds {FALL_SERIES_TOL:.0e}"
             )
         nodes, k = both, 2 * k
-
-
-def _fall_unitaries(params, template, durs, step, phi):
-    """Fall propagators of one pulse per plateau duration: the phase series
-    of ``_fall_series`` summed at each fall's starting carrier phase; ``phi``
-    is the carrier phase, or a column of them for a (phases, durations) grid.
-
-    Each entry is summed on its own in a fixed order (smallest |m| last), so
-    a duration's result does not depend on the rest of the batch.
-    """
-    coef = _fall_series(params, template, step)
-    theta = np.mod(template.carrier * (template.t_rise + durs) + phi, TWO_PI)
-    n2 = len(coef)
-    m = np.fft.fftfreq(n2, 1.0 / n2)
-    # the Nyquist term c_{-K} splits evenly between e^{-iK theta} and e^{+iK theta}
-    m = np.append(m, n2 // 2)
-    coef = np.concatenate([coef, coef[n2 // 2 : n2 // 2 + 1]])
-    coef[[n2 // 2, -1]] *= 0.5
-    out = np.zeros(theta.shape + (2, 2), dtype=complex)
-    for j in np.argsort(-np.abs(m), kind="stable"):
-        out += coef[j] * np.exp(1j * m[j] * theta)[..., None, None]
-    return out
 
 
 def sweep_pulse_duration(
@@ -511,7 +502,6 @@ def floquet_frame_decompose(
     t: float,
     *,
     carrier_phase: float = 0.0,
-    accumulated_phase: float = 0.0,
 ) -> FloquetFrameCoeffs:
     """Project a state onto the instantaneous quasienergy states at time t."""
     if spectrum.delta_eps < DEGENERACY_TOL and not spectrum.limit_convention:
@@ -522,7 +512,7 @@ def floquet_frame_decompose(
     psi = state.as_array()
     c0 = np.vdot(basis[:, 0], psi)
     c1 = np.vdot(basis[:, 1], psi)
-    return FloquetFrameCoeffs(complex(c0), complex(c1), accumulated_phase)
+    return FloquetFrameCoeffs(complex(c0), complex(c1))
 
 
 def branch_interpolants(
@@ -587,10 +577,7 @@ def edge_transition_unitary(
     f0, f1, specs = branch_interpolants(
         params.delta, pulse.carrier, pulse.amplitude_max, truncation_n
     )
-    spec_zero = specs[0]
-    spec_full = quasienergy_sweep(
-        params.delta, pulse.carrier, [pulse.amplitude_max], truncation_n
-    )[0]
+    spec_zero, spec_full = specs[0], specs[-1]  # the grid ends at amplitude_max
     if pulse.amplitude_max > 0.0 and spec_full.delta_eps < DEGENERACY_TOL:
         raise BasisDegeneracyError("degenerate quasienergies at the plateau amplitude")
 
@@ -620,45 +607,41 @@ def prepare_state(
     amp: float,
     edges: float,
     *,
-    carrier: float | None = None,
-    t_max: float | None = None,
     truncation_n: int = DEFAULT_TRUNCATION,
 ) -> tuple[PulseSpec, float, StateVector]:
     """Scan plateau duration and carrier phase for the best target fidelity.
 
-    Amplitude and edge times stay fixed.  The plateau window brackets the
-    first Rabi crest for the target (the shortest preparation, which is what
-    made the sub-nanosecond pulses interesting): the crest estimate comes
-    from the accumulated quasienergy phase matching the Bloch angle between
-    |0> and the target.  A coarse scan over a full carrier-phase circle, then
-    a local one at 0.5 ps; each is one (phase, duration) batch with a single
-    fall series.  The phase is reported mod pi for a target on the z axis
-    (where phi and phi + pi give the same fidelity), else mod 2 pi.  Returns
-    the best pulse, the achieved state fidelity |<target|psi>| and psi, the
+    Amplitude and edge times stay fixed, the carrier on resonance (omega =
+    Delta).  The plateau window brackets the first Rabi crest for the target
+    (the shortest preparation, which is what made the sub-nanosecond pulses
+    interesting): the crest estimate comes from the accumulated quasienergy
+    phase matching the Bloch angle between |0> and the target.  A coarse
+    scan over a full carrier-phase circle, then a local one at 0.5 ps; each
+    is one (phase, duration) batch of states from |0> with a single fall
+    series.  The phase is reported mod pi for a target on the z axis (where
+    phi and phi + pi give the same fidelity), else mod 2 pi.  Returns the
+    best pulse, the achieved state fidelity |<target|psi>| and psi, the
     state the scan scored, with its |1> amplitude negated if the reported
     phase is an odd multiple of pi from the scanned one (sigma_z|0> = |0>).
     """
     from .floquet import analytic_delta_epsilon
 
-    omega = params.delta if carrier is None else carrier
+    omega = params.delta
     de = analytic_delta_epsilon(params.delta, amp, omega)
     tgt = target.as_array()
 
-    if t_max is not None:
-        lo, hi = 0.0, t_max
-    else:
-        # Bloch angle from +z to the target sets the needed rotation.
-        angle = float(np.arccos(np.clip(target.bloch().sz, -1.0, 1.0)))
-        t_star = max(angle / de - edges, 0.0)
-        lo, hi = 0.55 * t_star, 1.4 * t_star + 0.05
+    # Bloch angle from +z to the target sets the needed rotation.
+    angle = float(np.arccos(np.clip(target.bloch().sz, -1.0, 1.0)))
+    t_star = max(angle / de - edges, 0.0)
+    lo, hi = 0.55 * t_star, 1.4 * t_star + 0.05
 
     template = PulseSpec(amp, omega, edges, 0.0, edges)
     step = min(default_step(template), 2e-3)
     spectrum = _plateau_spectrum(params, template, truncation_n)
+    ground = StateVector.ground().as_array()
 
     def scan(durs, phases):
-        u = _duration_batch_unitaries(params, template, durs, step, phases, spectrum)
-        states = _states_from_unitaries(u, StateVector.ground().as_array())
+        states = _duration_batch_states(params, template, durs, step, phases, spectrum, ground)
         fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

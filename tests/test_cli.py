@@ -103,6 +103,7 @@ class TestConfig:
             ("edges", "amplitude_ghz", "-1.33"),
             ("edges", "omega_ghz", "0"),
             ("stateprep", "amplitude_ghz", "0"),
+            ("run", "seed", "-1"),
         ],
     )
     def test_out_of_range_value_names_key(self, tmp_path, section, key, value):
@@ -618,6 +619,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
+        assert not (tmp_path / "run_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["tomography-trace", "--shots", "-5"], "--shots"),
+            (["state-prep", "--shots", "-5"], "--shots"),
+            (["rabi-scan", "--seed", "-1"], "--seed"),
+            (["state-prep", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_negative_shots_or_seed_exit_2_names_flag(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run_report.json").exists()
 
     def test_truncation_too_small_exit_3(self, tmp_path, capsys):

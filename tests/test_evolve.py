@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from strongdrive import evolve as ev
 from strongdrive import floquet as fq
-from strongdrive._magnus import IDENTITY2, magnus_segment, matmul2
+from strongdrive._magnus import IDENTITY2, magnus_segment
 from strongdrive.errors import AccuracyError, BasisDegeneracyError
 from strongdrive.model import PulseSpec, QubitParams, StateVector, envelope
 from strongdrive.tomography import PREROTATION_AMPLITUDE, PREROTATION_EDGE
@@ -145,16 +145,16 @@ class TestDurationSweep:
         # error, not the Floquet sum's.
         step = 2.5e-4
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
-        got = ev._duration_batch_unitaries(params, template, durs, step, phases, spec)
-        for p, phi in enumerate(phases):
-            for i in sorted({0, len(durs) // 2, len(durs) - 1}):
-                pulse = dataclasses.replace(template, t_plateau=durs[i], carrier_phase=phi)
-                want = np.stack([
-                    ev.propagate(params, pulse, psi0, sample_dt=max(pulse.total, 1e-3),
-                                 target_step=step, refine=False).states[-1]
-                    for psi0 in (StateVector.ground(), StateVector.excited())
-                ], axis=-1)
-                assert np.max(np.abs(got[p, i] - want)) <= 1e-10
+        for psi0 in (StateVector.ground(), StateVector.excited()):
+            got = ev._duration_batch_states(
+                params, template, durs, step, phases, spec, psi0.as_array()
+            )
+            for p, phi in enumerate(phases):
+                for i in sorted({0, len(durs) // 2, len(durs) - 1}):
+                    pulse = dataclasses.replace(template, t_plateau=durs[i], carrier_phase=phi)
+                    want = ev.propagate(params, pulse, psi0, sample_dt=max(pulse.total, 1e-3),
+                                        target_step=step, refine=False).states[-1]
+                    assert np.max(np.abs(got[p, i] - want)) <= 1e-10
 
     def test_shot_emulation_deterministic(self, params):
         template = PulseSpec(TWO_PI * 0.3, DELTA, 0.0, 0.0, 0.0)
@@ -283,6 +283,32 @@ class TestContinuousDrive:
         )[0]
         assert np.max(np.abs(shifted - trace)) <= 1e-10
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        delta=st.floats(0.5, 20.0),
+        omega=st.floats(0.5, 20.0),
+        amp=st.floats(1e-3, 20.0),
+        # sharp or at least 0.1 ns: the default step is t_edge / 50
+        t_rise=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+        t_fall=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+        phase=st.floats(0.0, TWO_PI),
+    )
+    def test_gated_expansion_keeps_unit_norm(self, delta, omega, amp, t_rise, t_fall, phase):
+        # the t = 0 basis gate is the expansion's only accuracy check: where
+        # it passes, the continuous drive and the fall-dressed pulse sums
+        # return unit states.  Draws whose gate (or fall series) raises are
+        # rejected.
+        params = QubitParams(delta=delta)
+        times = np.linspace(0.0, 5.0, 51)
+        template = PulseSpec(amp, omega, t_rise, 0.0, t_fall, phase)
+        try:
+            drive = ev.continuous_drive_states(params, [amp], omega, times, carrier_phase=phase)
+            pulses = ev.final_states_for_durations(params, template, times[::5], refine=False)
+        except AccuracyError:
+            reject()
+        for states in (drive[0], pulses):
+            assert np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)) <= 1e-9
+
     @pytest.mark.parametrize("omega", [DELTA, TWO_PI * 1.373])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_harmonic_sum_matches_per_harmonic_loop(self, params, omega, seed):
@@ -328,20 +354,15 @@ def _direct_falls(params, template, durs, step):
     return magnus_segment(u, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall)
 
 
-def _edge_step(omega, t_r, t_f):
-    """edge-study's step policy at its default 0.01 ns sample spacing."""
-    return min([TWO_PI / omega / 200.0, 0.005] + [x / 50.0 for x in (t_r, t_f) if x > 0.0])
-
-
 EDGE_DURS = np.arange(0.0, 25.0 + 1e-9, 0.01)  # edge-study's default scan
 EDGE_PAIRS = [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (4.0, 4.0), (0.0, 4.0)]
 A_EDGE = TWO_PI * 1.33
 SP_DURS = np.arange(0.2, 1.3, 0.004)  # around prepare_state's plateau window
 SP_STEP = min(ev.default_step(PulseSpec(TWO_PI * 0.46, DELTA, 0.02, 0.0, 0.02)), 2e-3)
-FALL_CASES = [  # (id, template, step, durations)
+FALL_CASES = [  # (id, template, step (None: edge-study's default_step), durations)
     *(
-        (f"edge-study {t_r}:{t_f}", PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f),
-         _edge_step(DELTA, t_r, t_f), EDGE_DURS[::25])
+        (f"edge-study {t_r}:{t_f}", PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f), None,
+         EDGE_DURS[::25])
         for t_r, t_f in EDGE_PAIRS
     ),
     *(
@@ -351,7 +372,7 @@ FALL_CASES = [  # (id, template, step, durations)
     ),
     *(
         (f"4.78 GHz at {w / TWO_PI:.3f} GHz", PulseSpec(TWO_PI * 4.78, w, 1.0, 0.0, 1.0, 0.4),
-         _edge_step(w, 1.0, 1.0), EDGE_DURS[::25])
+         None, EDGE_DURS[::25])
         for w in (DELTA, TWO_PI * 1.0)
     ),
     *(
@@ -367,17 +388,19 @@ class TestPhaseHarmonicFalls:
         "template, step, durs", [c[1:] for c in FALL_CASES], ids=[c[0] for c in FALL_CASES]
     )
     def test_matches_direct_falls(self, params, template, step, durs):
-        # rise and plateau are shared code; the fall is the only new path
+        # the fall-dressed Floquet sum against the fall-less scan's states,
+        # each then carried through one directly integrated fall
+        step = step or ev.default_step(template)
         no_fall = dataclasses.replace(template, t_fall=0.0)
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
-        want = matmul2(
-            _direct_falls(params, template, durs, step),
-            ev._duration_batch_unitaries(params, no_fall, durs, step, None, spec),
-        )
-        got = ev._duration_batch_unitaries(params, template, durs, step, None, spec)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        falls = _direct_falls(params, template, durs, step)
+        for psi0 in (StateVector.ground().as_array(), StateVector.excited().as_array()):
+            plateau = ev._duration_batch_states(params, no_fall, durs, step, None, spec, psi0)
+            want = (falls @ plateau[..., None])[..., 0]
+            got = ev._duration_batch_states(params, template, durs, step, None, spec, psi0)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_single_duration_equals_batch_row_bitwise(self, params, monkeypatch):
+    def test_single_duration_matches_batch_row(self, params, monkeypatch):
         sizes = []
         series = ev._fall_series
 
@@ -388,11 +411,13 @@ class TestPhaseHarmonicFalls:
 
         monkeypatch.setattr(ev, "_fall_series", spy)
         template = PulseSpec(A_EDGE, DELTA, 4.0, 0.0, 4.0)
-        step = _edge_step(DELTA, 4.0, 4.0)
-        batch = ev._fall_unitaries(params, template, EDGE_DURS, step, 0.0)
+        kwargs = {"target_step": ev.default_step(template), "refine": False}
+        batch = ev.final_states_for_durations(params, template, EDGE_DURS, **kwargs)
         for i in (0, 1, 617, 1250, 2500):
-            one = ev._fall_unitaries(params, template, EDGE_DURS[i : i + 1], step, 0.0)
-            assert np.array_equal(one[0], batch[i])
+            one = ev.final_states_for_durations(params, template, EDGE_DURS[i : i + 1], **kwargs)
+            # the harmonic sum is one matrix product, whose rounding may
+            # depend on the number of durations
+            assert np.max(np.abs(one[0] - batch[i])) <= 1e-15
         # K is chosen from the pulse and the step, not from the batch
         assert len(set(sizes)) == 1 and len(sizes) == 6
 
@@ -593,19 +618,18 @@ class TestStatePrep:
     @pytest.mark.parametrize("target", [StateVector.minus_y(), StateVector.excited()])
     def test_phase_scans_match_per_phase_sweeps_bitwise(self, params, target, monkeypatch):
         scans, series = [], []
-        batch, fall_series = ev._duration_batch_unitaries, ev._fall_series
+        batch, fall_series = ev._duration_batch_states, ev._fall_series
 
-        def batch_spy(*args):
-            u = batch(*args)
-            if len(args) >= 5:  # a phase-batched scan
-                scans.append((args[1], args[2], args[3], args[4], u))
-            return u
+        def batch_spy(params, template, durs, step, phases, spectrum, psi0):
+            states = batch(params, template, durs, step, phases, spectrum, psi0)
+            scans.append((template, durs, step, phases, states))
+            return states
 
         def series_spy(*args):
             series.append(args)
             return fall_series(*args)
 
-        monkeypatch.setattr(ev, "_duration_batch_unitaries", batch_spy)
+        monkeypatch.setattr(ev, "_duration_batch_states", batch_spy)
         monkeypatch.setattr(ev, "_fall_series", series_spy)
         pulse, fid, _ = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
         assert len(scans) == 2 and len(series) == 2  # one fall series per scan
@@ -613,22 +637,19 @@ class TestStatePrep:
 
         tgt = target.as_array()
         picks = []
-        for template, durs, step, phases, u in scans:
+        for template, durs, step, phases, got in scans:
             assert step == min(ev.default_step(template), 2e-3)
             best = (-1.0, None, None)  # the per-phase loop's rule
-            for phi, u_phi in zip(phases, u):
+            for phi, got_phi in zip(phases, got):
                 one = dataclasses.replace(template, carrier_phase=phi)
-                for col, psi0 in enumerate((StateVector.ground(), StateVector.excited())):
-                    states = ev.final_states_for_durations(
-                        params, one, durs, initial=psi0, refine=False,
-                        target_step=min(ev.default_step(one), 2e-3),
-                    )
-                    assert np.array_equal(u_phi[:, :, col], states)
-                    if col == 0:
-                        f = np.abs(states @ tgt.conj())
-                        i = int(np.argmax(f))
-                        if f[i] > best[0]:
-                            best = (float(f[i]), float(durs[i]), float(phi))
+                states = ev.final_states_for_durations(
+                    params, one, durs, refine=False, target_step=min(ev.default_step(one), 2e-3)
+                )
+                assert np.array_equal(got_phi, states)
+                f = np.abs(states @ tgt.conj())
+                i = int(np.argmax(f))
+                if f[i] > best[0]:
+                    best = (float(f[i]), float(durs[i]), float(phi))
             picks.append(best)
 
         (_, d_c, p_c), (f_b, d_b, p_b) = picks
@@ -642,27 +663,27 @@ class TestStatePrep:
         # the per-phase loop kept the first strictly greater fidelity
         grids = []
 
-        def tied(params, template, durs, step, phases, spectrum):
+        def tied(params, template, durs, step, phases, spectrum, psi0):
             grids.append((durs, phases))
-            u = np.zeros((len(phases), len(durs), 2, 2), dtype=complex)
-            u[0, 5, 1, 0] = u[1, 2, 1, 0] = 1.0  # |<1|U|0>| = 1 at both
-            return u
+            states = np.zeros((len(phases), len(durs), 2), dtype=complex)
+            states[0, 5, 1] = states[1, 2, 1] = 1.0  # |1> at both
+            return states
 
-        monkeypatch.setattr(ev, "_duration_batch_unitaries", tied)
+        monkeypatch.setattr(ev, "_duration_batch_states", tied)
         pulse, fid, _ = ev.prepare_state(params, StateVector.excited(), TWO_PI * 0.46, 0.02)
         durs, phases = grids[1]
         assert (fid, pulse.t_plateau, pulse.carrier_phase) == (1.0, durs[5], phases[0] % np.pi)
 
     @staticmethod
     def _hide_phases_below_pi(monkeypatch):
-        batch = ev._duration_batch_unitaries
+        batch = ev._duration_batch_states
 
-        def upper_half(params, template, durs, step, phases, spectrum):
-            u = batch(params, template, durs, step, phases, spectrum)
-            u[np.mod(phases, TWO_PI) < np.pi] = 0.0
-            return u
+        def upper_half(params, template, durs, step, phases, spectrum, psi0):
+            states = batch(params, template, durs, step, phases, spectrum, psi0)
+            states[np.mod(phases, TWO_PI) < np.pi] = 0.0
+            return states
 
-        monkeypatch.setattr(ev, "_duration_batch_unitaries", upper_half)
+        monkeypatch.setattr(ev, "_duration_batch_states", upper_half)
 
     @pytest.mark.parametrize("target", [StateVector.excited(), StateVector.ground()])
     def test_z_axis_target_reports_the_same_phase_when_phi_plus_pi_wins(
