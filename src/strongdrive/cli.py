@@ -273,7 +273,7 @@ def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
     amp_rows = []
     for t_r, t_f in pairs:
         template = PulseSpec(amp, omega, t_r, 0.0, t_f)
-        p1 = evolve.sweep_pulse_duration(  # step 0: the pulse's default_step
+        p1 = evolve.sweep_pulse_duration(  # step 0: each edge its default step
             par, template, durations, target_step=solver["propagator_step_ns"] or None,
             refine=solver["refine"], truncation_n=solver["truncation_n"], spectrum=fspec,
         )

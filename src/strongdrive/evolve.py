@@ -31,7 +31,7 @@ from ._magnus import (
     unitarity_defect,
 )
 from .errors import AccuracyError, BasisDegeneracyError
-from .floquet import DEFAULT_TRUNCATION, ROT, FloquetSpectrum, quasienergy_sweep
+from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
 from .units import TWO_PI
 
@@ -84,14 +84,17 @@ def _bloch_components(states):
     )
 
 
+def _edge_steps(pulse: PulseSpec) -> np.ndarray:
+    """Default steps (rise, fall) of a duration scan: min(T/200, t_edge/50),
+    T/200 for a sharp edge."""
+    period_step = TWO_PI / pulse.carrier / 200.0
+    edges = np.array([pulse.t_rise, pulse.t_fall])
+    return np.where(edges > 0.0, np.minimum(period_step, edges / 50.0), period_step)
+
+
 def default_step(pulse: PulseSpec) -> float:
     """Default integrator step: min(T/200, t_r/50, t_f/50) over nonzero edges."""
-    cands = [TWO_PI / pulse.carrier / 200.0]
-    if pulse.t_rise > 0.0:
-        cands.append(pulse.t_rise / 50.0)
-    if pulse.t_fall > 0.0:
-        cands.append(pulse.t_fall / 50.0)
-    return min(cands)
+    return float(_edge_steps(pulse).min())
 
 
 def _kinks(pulse: PulseSpec):
@@ -133,9 +136,9 @@ def _mesh_propagators(params, x_of_t, times, kinks, step, u0=IDENTITY2):
 
 
 def _refine(run, step, final, message):
-    """``run(step)``, halving the step until the P1 of the states ``final``
-    maps a run to moves by < 1e-8; returns the finer run.  Dropping below
-    ``STEP_FLOOR`` raises AccuracyError with ``message``."""
+    """``run(step)``, halving the step (one, or one per edge) until the P1 of
+    the states ``final`` maps a run to moves by < 1e-8; returns the finer
+    run.  A step below ``STEP_FLOOR`` raises AccuracyError with ``message``."""
 
     def p1(r):
         return np.abs(final(r)[..., 1]) ** 2
@@ -147,8 +150,8 @@ def _refine(run, step, final, message):
         result = finer
         if converged:
             return result
-        step /= 2.0
-        if step < STEP_FLOOR:
+        step = step / 2.0
+        if np.min(step) < STEP_FLOOR:
             raise AccuracyError(message)
 
 
@@ -250,8 +253,9 @@ def _drive_states_and_spectra(
     (n_amp, n_phase, n_time, 2), each phase from its state in ``initials`` (|0>),
     and the ``quasienergy_sweep`` it sums (``specs``, if already solved for
     these amplitudes).  A phase enters as e^{in phi} on the coefficients
-    u_jn, so the t = 0 basis is their sum.  The sum over n is one matrix
-    product of the e^{inwt} table with the coefficients.
+    u_jn (``FloquetSpectrum.table``), so the t = 0 basis is ``states_at(0,
+    phi)``, which gates it.  The sum over n is one matrix product of the
+    e^{inwt} table with the coefficients.
 
     ``fall``, the harmonics F_m (m = -K..K) of ``_fall_series``, ends every
     trace with that fall: w_j(theta) = F(theta) u_j(theta) has coefficients
@@ -262,9 +266,7 @@ def _drive_states_and_spectra(
     times = np.asarray(times, dtype=float)
     if specs is None:
         specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
-    # lab-frame tables (n, branch, component) and the rows [a, b) each one needs
-    tables = [np.stack([s.u0, s.u1], axis=1) @ ROT for s in specs]
-    live = [np.flatnonzero(np.abs(u).max(axis=(1, 2)) > 1e-16)[[0, -1]] + [0, 1] for u in tables]
+    live = [s.live_rows for s in specs]
     lo, hi = min((r[0] for r in live), default=0), max((r[1] for r in live), default=0)
     pad = 0 if fall is None else len(fall) // 2
     n = np.arange(lo - truncation_n - pad, hi - truncation_n + pad)
@@ -272,25 +274,17 @@ def _drive_states_and_spectra(
     np.exp(harmonics, out=harmonics)  # in place: one (n, t) table, not two
     shifts = np.exp(1j * np.outer(carrier_phases, n))
     out = np.empty((len(amps), len(shifts), len(times), 2), dtype=complex)
-    for i, (s, u, (a, b)) in enumerate(zip(specs, tables, live)):
+    for i, (s, (a, b)) in enumerate(zip(specs, live)):
         rows = slice(a - lo, b - lo + 2 * pad)
         h = harmonics[rows]
-        w = u[a:b]
+        w = s.table[a:b]
         if fall is not None:  # w_k = sum_m u_{k-m} F_m^T
             w = np.zeros((b - a + 2 * pad, 2, 2), dtype=complex)
             for m, f in enumerate(fall):
-                w[m : m + b - a] += u[a:b] @ f.T
+                w[m : m + b - a] += s.table[a:b] @ f.T
         decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
-        for p, (shift, psi0) in enumerate(zip(shifts[:, rows], initials)):
-            basis0 = (u[a:b] * shift[pad : len(shift) - pad, None, None]).sum(axis=0).T
-            if (defect := unitarity_defect(basis0[None])) > 1e-10:
-                cause = f"raise truncation_n (now {truncation_n})" if a == 0 or b == len(u) else (
-                    f"eps0, eps1 near-degenerate mod omega (delta_eps = {s.delta_eps:.2e} "
-                    "rad/ns), which no truncation_n splits")
-                raise AccuracyError(
-                    f"Floquet expansion at A = {s.amp:.6g} rad/ns: t = 0 basis unitarity "
-                    f"defect {defect:.2e} > 1e-10; {cause}"
-                )
+        for p, (phase, shift, psi0) in enumerate(zip(carrier_phases, shifts[:, rows], initials)):
+            basis0 = s.states_at(0.0, phase)
             w_p = w * shift[:, None, None] * (basis0.conj().T @ psi0)[:, None]
             parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
             out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
@@ -312,7 +306,8 @@ def final_states_for_durations(
     quantity as one independent propagation per duration.
 
     Only the edges take time steps, so ``target_step`` and ``refine`` govern
-    them alone: one shared rise applied to ``initial``, then one Floquet sum
+    them alone; by default each edge steps at min(T/200, its length/50).
+    One shared rise is applied to ``initial``, then one Floquet sum
     of the plateau at carrier phase w t_r + phi, its tables dressed with the
     fall's phase series (``_fall_series``).  The plateau's sector is solved
     once per call, or passed in as ``spectrum``, which must be the solve at
@@ -325,7 +320,7 @@ def final_states_for_durations(
     if np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
         raise ValueError("durations must be >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
-    step = target_step if target_step is not None else default_step(pulse_template)
+    step = target_step if target_step is not None else _edge_steps(pulse_template)
     if spectrum is None:
         spectrum = _plateau_spectrum(params, pulse_template, truncation_n)
     solved = (spectrum.delta, spectrum.amp, spectrum.omega, spectrum.truncation_n)
@@ -355,13 +350,14 @@ def _plateau_spectrum(params, template, truncation_n):
 def _duration_batch_states(params, template, durs, step, phases, spectrum, psi0):
     """States of ``final_states_for_durations`` from ``psi0``: the rise
     applied to it, then one Floquet sum of ``spectrum`` (``_plateau_spectrum``)
-    dressed with the fall; ``phases``, if not None, replace the carrier phase
-    as a leading batch axis: (phases, durations)."""
+    dressed with the fall, ``step`` one or a (rise, fall) pair; ``phases``, if
+    not None, replace the carrier phase as a leading axis: (phases, durations)."""
     omega, t_r = template.carrier, template.t_rise
+    rise_step, fall_step = np.broadcast_to(step, 2)
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
-    u_r = _mesh_propagators(params, _drive_fn(template, phi[:, None]), [0.0, t_r], (), step)
+    u_r = _mesh_propagators(params, _drive_fn(template, phi[:, None]), [0.0, t_r], (), rise_step)
     psi_r = np.broadcast_to(u_r[..., -1, :, :] @ psi0, (len(phi), 2))  # psi0 for a sharp rise
-    fall = _fall_series(params, template, step) if template.t_fall > 0.0 else None
+    fall = _fall_series(params, template, fall_step) if template.t_fall > 0.0 else None
     out = _drive_states_and_spectra(
         params, [spectrum.amp], omega, durs, omega * t_r + phi, psi_r,
         spectrum.truncation_n, [spectrum], fall,
@@ -508,15 +504,13 @@ def floquet_frame_decompose(
         raise BasisDegeneracyError(
             "quasienergy branches degenerate; Floquet basis ill-defined"
         )
-    basis = spectrum.states_at(t, carrier_phase)
-    psi = state.as_array()
-    c0 = np.vdot(basis[:, 0], psi)
-    c1 = np.vdot(basis[:, 1], psi)
+    c0, c1 = spectrum.states_at(t, carrier_phase).conj().T @ state.as_array()
     return FloquetFrameCoeffs(complex(c0), complex(c1))
 
 
 def branch_interpolants(
-    delta: float, omega: float, amp_max: float, truncation_n: int = 50, n_grid: int = 101
+    delta: float, omega: float, amp_max: float, truncation_n: int = DEFAULT_TRUNCATION,
+    n_grid: int = 101,
 ):
     """(eps0(A), eps1(A)) interpolants from the sector solve on a uniform
     n_grid-point amplitude grid from 0 to amp_max."""
@@ -553,7 +547,7 @@ def edge_transition_unitary(
     pulse: PulseSpec,
     edge: str,
     *,
-    truncation_n: int = 50,
+    truncation_n: int = DEFAULT_TRUNCATION,
     target_step: float | None = None,
 ) -> np.ndarray:
     """Map between Floquet bases across a pulse edge, dynamical phase removed.

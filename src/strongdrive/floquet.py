@@ -32,16 +32,19 @@ quasienergies and the generalized Rabi frequency
 
 Branch labels are anchored at A = 0 where the quasienergies are
 -omega/2 -+ |Delta - omega|/2, so delta_eps -> |Delta - omega| in the weak
-drive limit.  Resummed quasienergy states at A -> 0+ on resonance are
-u0 = (|0> - |1>)/sqrt(2), u1 = (|0> + |1>)/sqrt(2) under this sign
-convention for the drive term; off resonance they reduce to the energy
-eigenstates.  Eigenvector global sign is fixed by making the
-largest-magnitude sector coefficient c_n positive.
+drive limit.  A branch's sector vector c is its quasienergy state: in the
+lab frame |n> (x) |x = (-1)^n> is |n>|0> for even n and -|n>|1> for odd n,
+so even harmonics lie on |0>, odd ones on |1>, the stored table is real, and
+``FloquetSpectrum.states_at`` is its one, gated, resummation.  At A -> 0+ on
+resonance that gives u0 = (|0> - |1>)/sqrt(2), u1 = (|0> + |1>)/sqrt(2) under
+this sign convention for the drive term; off resonance the energy
+eigenstates.  The sign of c makes its largest-magnitude entry positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +54,6 @@ from .units import TWO_PI
 
 #: Photon-index truncation used throughout unless overridden.
 DEFAULT_TRUNCATION = 50
-
-# pi/2 rotation about y taking the lab energy eigenbasis to the frame in
-# which the Floquet matrix is real: psi_rot = ROT @ psi_lab.
-ROT = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
 def central_block(delta: float) -> np.ndarray:
@@ -102,19 +101,20 @@ def build_floquet_matrix(
 
 @dataclass(frozen=True)
 class FloquetSpectrum:
-    """The two inequivalent quasienergies and their periodic-state tables.
+    """The two inequivalent quasienergies and their periodic states.
 
     eps0 <= eps1 are the branch values anchored at A = 0 (not reduced mod
-    omega); u0, u1 hold the Fourier coefficients, one (2N+1, 2) table per
-    branch, in the rotated frame.  ``limit_convention`` marks the A = 0
-    resonant point where the stored basis is the A -> 0+ limit rather than a
-    unique eigenbasis.
+    omega).  ``table`` holds the lab-frame Fourier coefficients u_jn of
+    u_j(theta) = sum_n u_jn e^{in theta}, n = -N..N, as a real
+    (2N+1, branch, component) array: by the generalized parity, an even row
+    is (c_n, 0) and an odd row (0, -c_n), with the other slot exactly 0.
+    ``limit_convention`` marks the A = 0 resonant point where the stored
+    basis is the A -> 0+ limit rather than a unique eigenbasis.
     """
 
     eps0: float
     eps1: float
-    u0: np.ndarray
-    u1: np.ndarray
+    table: np.ndarray
     delta: float
     amp: float
     omega: float
@@ -132,21 +132,36 @@ class FloquetSpectrum:
             reduce_to_zone(self.eps1, self.omega),
         )
 
-    def states_at(self, t: float, carrier_phase: float = 0.0) -> np.ndarray:
-        """Lab-frame instantaneous quasienergy states at time t.
+    @cached_property
+    def live_rows(self) -> tuple[int, int]:
+        """The rows [a, b) of ``table`` that hold an entry above 1e-16."""
+        live = np.flatnonzero(np.abs(self.table).max(axis=(1, 2)) > 1e-16)
+        return int(live[0]), int(live[-1]) + 1
 
-        Resums u_j(t) = sum_n exp(i n (omega t + phase)) u_{j,n} and rotates
-        back to the energy eigenbasis; returns a 2x2 matrix whose columns are
-        u0(t), u1(t), renormalized to absorb truncation residue.
+    def states_at(self, t: float, carrier_phase: float = 0.0) -> np.ndarray:
+        """Instantaneous quasienergy states at time t, in the lab frame.
+
+        Sums the live rows of ``table`` at theta = omega t + carrier_phase
+        into a 2x2 matrix whose columns are u0(t), u1(t), not renormalized.
+        A basis that is not unitary to 1e-10 raises AccuracyError, which
+        names ``truncation_n`` if the live rows reach |n| = N, else the
+        near-degenerate pair.
         """
-        n_idx = np.arange(-self.truncation_n, self.truncation_n + 1)
-        phases = np.exp(1j * n_idx * (self.omega * t + carrier_phase))
-        cols = np.empty((2, 2), dtype=complex)
-        for j, table in enumerate((self.u0, self.u1)):
-            rot_vec = phases @ table
-            lab = ROT.T @ rot_vec
-            cols[:, j] = lab / np.linalg.norm(lab)
-        return cols
+        a, b = self.live_rows
+        n = np.arange(a - self.truncation_n, b - self.truncation_n)
+        shift = np.exp(1j * n * (self.omega * t + carrier_phase))
+        basis = (self.table[a:b] * shift[:, None, None]).sum(axis=0).T
+        if (defect := unitarity_defect(basis[None])) > 1e-10:
+            if max(-n[0], n[-1]) == self.truncation_n:  # the live rows reach |n| = N
+                cause = f"raise truncation_n (now {self.truncation_n})"
+            else:
+                cause = (f"eps0, eps1 near-degenerate mod omega (delta_eps = "
+                         f"{self.delta_eps:.2e} rad/ns), which no truncation_n splits")
+            raise AccuracyError(
+                f"Floquet expansion at A = {self.amp:.6g} rad/ns: t = {t:.6g} basis unitarity "
+                f"defect {defect:.2e} > 1e-10; {cause}"
+            )
+        return basis
 
 
 def reduce_to_zone(x, omega: float):
@@ -185,14 +200,10 @@ def _check_floquet_args(omega: float, truncation_n: int) -> None:
 
 
 def _even_sector(delta, omega, truncation_n):
-    """Tridiagonal Pi = +1 block in the basis |n> (x) |x = (-1)^n>.
-
-    Returns the diagonal n*omega - (Delta/2)(-1)^n and the parities (-1)^n;
-    every off-diagonal entry is -A/2.
-    """
+    """Diagonal n*omega - (Delta/2)(-1)^n of the tridiagonal Pi = +1 block in
+    the basis |n> (x) |x = (-1)^n>; every off-diagonal entry is -A/2."""
     n = np.arange(-truncation_n, truncation_n + 1)
-    parity = 1.0 - 2.0 * (n % 2)
-    return n * omega - 0.5 * delta * parity, parity
+    return n * omega - 0.5 * delta * (1.0 - 2.0 * (n % 2))
 
 
 #: Sweep cap of :func:`_sector_eigenvalues`; the default scans need 4-6.
@@ -300,7 +311,7 @@ def _branch_ranks(delta, omega, truncation_n):
     the positions hold for every A > 0.
     """
     a_star = min(0.02 * omega, TWO_PI * 0.05)
-    diag, _ = _even_sector(delta, omega, truncation_n)
+    diag = _even_sector(delta, omega, truncation_n)
     coupling = np.full(len(diag) - 1, -0.5 * a_star)
     try:
         evals = np.linalg.eigvalsh(np.diag(diag) + np.diag(coupling, 1) + np.diag(coupling, -1))
@@ -349,7 +360,7 @@ def quasienergy_sweep(
     if not np.all(np.isfinite(amps) & (amps >= 0.0)):
         raise ValueError("amplitudes must be finite and >= 0")
 
-    diag, parity = _even_sector(delta, omega, truncation_n)
+    diag = _even_sector(delta, omega, truncation_n)
     ranks = _branch_ranks(delta, omega, truncation_n)
     driven = amps[amps != 0.0]
     off = np.repeat(-0.5 * driven, 2)  # one lane per (amplitude, branch)
@@ -365,26 +376,24 @@ def quasienergy_sweep(
             j = next(lanes)
             eps, c, limit = lam[j : j + 2], vecs[:, j : j + 2], False
         results.append(
-            _make_spectrum(delta, float(a), omega, truncation_n, eps, c, parity, limit)
+            _make_spectrum(delta, float(a), omega, truncation_n, eps, c, limit)
         )
     return results
 
 
-def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, parity, limit_convention):
-    """Map sector vectors c to rotated-frame tables c_n (1, (-1)^n)/sqrt(2),
-    signed so that the largest |c_n| is positive."""
-    spin = np.column_stack([np.ones_like(parity), parity]) / np.sqrt(2.0)
-    tables = []
-    for j in range(2):
-        c = vecs[:, j]
-        if c[np.argmax(np.abs(c))] < 0.0:
-            c = -c
-        tables.append((c[:, None] * spin).astype(complex))
+def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, limit_convention):
+    """Lab-frame table of the sector vectors c (one column per branch), each
+    signed so that its largest |c_n| is positive: row n is (c_n, 0) for even
+    n and (0, -c_n) for odd n."""
+    c = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]])
+    even = truncation_n % 2  # the first row with n even
+    table = np.zeros((len(c), 2, 2))
+    table[even::2, :, 0] = c[even::2]
+    table[1 - even::2, :, 1] = -c[1 - even::2]
     return FloquetSpectrum(
         eps0=float(eps[0]),
         eps1=float(eps[1]),
-        u0=tables[0],
-        u1=tables[1],
+        table=table,
         delta=delta,
         amp=amp,
         omega=omega,

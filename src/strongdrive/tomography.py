@@ -42,7 +42,7 @@ import numpy as np
 # tracer patches tomography.propagate; drop it with that assertion.
 from .evolve import propagate, propagate_train  # noqa: F401
 from .errors import NumericError
-from .model import PulseSpec, QubitParams, StateVector
+from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, PulseSpec, QubitParams, StateVector
 from .units import TWO_PI
 
 BASES = ("id", "rx90", "ry90")
@@ -200,12 +200,6 @@ def bloch_from_records(records) -> np.ndarray:
 # Maximum likelihood reconstruction
 # ---------------------------------------------------------------------------
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
 # Floor on 1 - s in the component solve.  A component reaches s >= 1 only
 # when no count opposes it (w = 0), where w / (1 - s) must read 0; the
 # floor keeps w / (1 - s)^2 finite there too.  It also floors the outer
@@ -223,7 +217,7 @@ def _axis_shots(records) -> np.ndarray:
 
 
 def _rho_from_bloch(s) -> np.ndarray:
-    return 0.5 * (np.eye(2) + s[0] * _PAULI[0] + s[1] * _PAULI[1] + s[2] * _PAULI[2])
+    return 0.5 * (np.eye(2) + s[0] * SIGMA_X + s[1] * SIGMA_Y + s[2] * SIGMA_Z)
 
 
 def _component_roots(m, w, c, s):

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from strongdrive import evolve as ev
@@ -16,6 +16,9 @@ from strongdrive.tomography import PREROTATION_AMPLITUDE, PREROTATION_EDGE
 from strongdrive.units import TWO_PI
 
 DELTA = TWO_PI * 2.288
+
+#: Edge lengths down to 1e-5 ns, log-uniform, or a sharp edge.
+EDGE_TIMES = st.one_of(st.just(0.0), st.floats(-5.0, np.log10(2.0)).map(lambda x: 10.0**x))
 
 
 class TestPropagate:
@@ -288,9 +291,8 @@ class TestContinuousDrive:
         delta=st.floats(0.5, 20.0),
         omega=st.floats(0.5, 20.0),
         amp=st.floats(1e-3, 20.0),
-        # sharp or at least 0.1 ns: the default step is t_edge / 50
-        t_rise=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
-        t_fall=st.one_of(st.just(0.0), st.floats(0.1, 2.0)),
+        t_rise=EDGE_TIMES,
+        t_fall=EDGE_TIMES,
         phase=st.floats(0.0, TWO_PI),
     )
     def test_gated_expansion_keeps_unit_norm(self, delta, omega, amp, t_rise, t_fall, phase):
@@ -325,8 +327,7 @@ class TestContinuousDrive:
         assert got.shape == (len(amps), len(phases), len(times), 2)
         for s, got_a in zip(specs, got):
             n_max = s.truncation_n
-            # lab-frame coefficients, (harmonic, branch, component)
-            lab = [np.stack([fq.ROT.T @ s.u0[k], fq.ROT.T @ s.u1[k]]) for k in range(2 * n_max + 1)]
+            lab = s.table  # (harmonic, branch, component)
             decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
             for phi, psi0, got_p in zip(phases, initials, got_a):
                 shift = [np.exp(1j * (phi * n)) for n in range(-n_max, n_max + 1)]
@@ -431,6 +432,44 @@ class TestPhaseHarmonicFalls:
             )
 
 
+class TestEdgeSteps:
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        amp=st.floats(TWO_PI * 0.1, TWO_PI * 4.78),
+        t_rise=EDGE_TIMES,
+        t_fall=EDGE_TIMES,
+        phase=st.floats(0.0, TWO_PI),
+    )
+    @example(amp=A_EDGE, t_rise=1e-5, t_fall=2.0, phase=0.0)  # one t_r/50 step: 1e7 per fall
+    def test_each_edge_steps_at_its_own_length(
+        self, params, step_budget, amp, t_rise, t_fall, phase
+    ):
+        # the rise steps at min(T/200, t_r/50) and every phase of the fall
+        # series at min(T/200, t_f/50), so neither edge's cost depends on the
+        # other: a 1e-5 ns rise next to a 2 ns fall stays within the budget
+        durs = np.linspace(0.0, 5.0, 11)
+        period_step = TWO_PI / DELTA / 200.0
+
+        def steps(t_r, t_f):
+            budget = step_budget(200_000)
+            states = ev.final_states_for_durations(
+                params, PulseSpec(amp, DELTA, t_r, 0.0, t_f, phase), durs, refine=False
+            )
+            assert np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)) <= 1e-9
+            return budget.steps
+
+        rise, fall = steps(t_rise, 0.0), steps(0.0, t_fall)
+        assert steps(t_rise, t_fall) == rise + fall
+        assert rise == (ev._step_count(t_rise, min(period_step, t_rise / 50.0)) if t_rise else 0)
+        if t_fall:  # the same steps for each of the series' 2K >= 32 phases
+            n_fall = ev._step_count(t_fall, min(period_step, t_fall / 50.0))
+            assert fall % n_fall == 0 and fall // n_fall >= 2 * ev.FALL_PHASES_START
+        else:
+            assert fall == 0
+
+
 def _serial_train(params, pulses, initial=None, *, target_step=None):
     """Reference train: one serial mesh over the whole train in absolute
     time, each interval between kinks driven by the pulse it lies in."""
@@ -525,10 +564,15 @@ class TestFloquetFrame:
         assert abs(c.c0) == pytest.approx(1.0, abs=1e-9)
         assert abs(c.c1) == pytest.approx(0.0, abs=1e-9)
 
+    def test_truncation_defect_raises(self, params):
+        spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
+        with pytest.raises(AccuracyError, match="truncation_n"):
+            ev.floquet_frame_decompose(StateVector.ground(), spec, 0.37)
+
     def test_degenerate_basis_raises(self, params):
         spec = fq.FloquetSpectrum(
             eps0=-1.0, eps1=-1.0 + 1e-12,
-            u0=np.zeros((3, 2), dtype=complex), u1=np.zeros((3, 2), dtype=complex),
+            table=np.zeros((3, 2, 2)),
             delta=DELTA, amp=1.0, omega=DELTA, truncation_n=1,
         )
         with pytest.raises(BasisDegeneracyError):

@@ -8,10 +8,25 @@ from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
 from strongdrive import floquet as fq
-from strongdrive.errors import NumericError
+from strongdrive.errors import AccuracyError, NumericError
 from strongdrive.units import TWO_PI
 
 DELTA = TWO_PI * 2.288
+
+# pi/2 rotation about y taking the lab energy eigenbasis to the frame in
+# which the Floquet matrix is real: psi_rot = ROT @ psi_lab.
+ROT = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+
+
+def _rotated(spec):
+    """Each branch's lab table rotated into the Floquet matrix's frame and
+    flattened to a vector over (n, spin), as ``build_floquet_matrix`` orders it."""
+    return [(spec.table[:, j] @ ROT.T).reshape(-1) for j in range(2)]
+
+
+def _sector_vectors(spec):
+    """The sector vectors c, one column per branch: row n is (c_n, 0) or (0, -c_n)."""
+    return spec.table[:, :, 0] - spec.table[:, :, 1]
 
 
 class TestMatrixConstruction:
@@ -78,8 +93,7 @@ class TestBranchTracking:
         amp = TWO_PI * 1.33
         spec = fq.quasienergy_sweep(DELTA, DELTA, [amp])[0]
         h = fq.build_floquet_matrix(DELTA, amp, DELTA, spec.truncation_n).entries
-        for eps, table in ((spec.eps0, spec.u0), (spec.eps1, spec.u1)):
-            v = table.reshape(-1).real
+        for eps, v in zip((spec.eps0, spec.eps1), _rotated(spec)):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-10
             resid = np.linalg.norm(h @ v - eps * v)
             assert resid < 1e-9 * np.linalg.norm(h, 2)
@@ -109,6 +123,39 @@ class TestBranchTracking:
         spec = fq.quasienergies(m)
         sweep = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.0])[0]
         assert spec.delta_eps == pytest.approx(sweep.delta_eps, abs=1e-12)
+
+
+def _renormalized_states(spec, t, phase):
+    """The resummation ``states_at`` replaced: per branch, the rotated-frame
+    table c_n (1, (-1)^n)/sqrt(2) summed over every n, rotated back to the
+    lab frame and renormalized."""
+    n = np.arange(-spec.truncation_n, spec.truncation_n + 1)
+    spin = np.column_stack([np.ones(len(n)), (-1.0) ** n]) / np.sqrt(2.0)
+    phases = np.exp(1j * n * (spec.omega * t + phase))
+    cols = np.empty((2, 2), dtype=complex)
+    for j, c in enumerate(_sector_vectors(spec).T):
+        lab = ROT.T @ (phases @ (c[:, None] * spin))
+        cols[:, j] = lab / np.linalg.norm(lab)
+    return cols
+
+
+class TestStatesAt:
+    @pytest.mark.parametrize("factor", [1.0, 0.6, 1.4, 1.0 / 3.0])
+    def test_matches_renormalized_loop(self, factor):
+        amps = TWO_PI * np.array([0.0, 0.05, 0.46, 1.33, 2.7, 4.78])
+        draws = np.random.default_rng(7).uniform(0.0, [20.0, TWO_PI], (5, 2))
+        for spec in fq.quasienergy_sweep(DELTA, factor * DELTA, amps):
+            for t, phase in draws:
+                got = spec.states_at(t, phase)
+                assert np.max(np.abs(got - _renormalized_states(spec, t, phase))) <= 1e-12
+
+    def test_truncation_defect_raises(self):
+        # N = 10 leaves a basis defect of about 1e-6 at 4.78 GHz, which
+        # renormalizing each column used to hide
+        spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
+        for t in (0.0, 0.37):
+            with pytest.raises(AccuracyError, match=r"raise truncation_n \(now 10\)"):
+                spec.states_at(t, 0.4)
 
 
 class TestMonodromyOracle:
@@ -217,13 +264,6 @@ class TestMonodromyOracle:
         assert fq.reduce_to_zone(-0.5 * omega, omega) == 0.5 * omega
 
 
-def _parity(table):
-    """Pi = (-1)^n sigma_x applied to a (2N+1, 2) rotated-frame table."""
-    n_max = (len(table) - 1) // 2
-    sign = (-1.0) ** np.arange(-n_max, n_max + 1)
-    return sign[:, None] * table[:, ::-1]
-
-
 class TestParitySector:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -238,11 +278,13 @@ class TestParitySector:
         evals = np.linalg.eigvalsh(h)
         h_norm = np.linalg.norm(h, 2)
         assert spec.eps0 <= spec.eps1
-        for eps, table in ((spec.eps0, spec.u0), (spec.eps1, spec.u1)):
+        for eps, v in zip((spec.eps0, spec.eps1), _rotated(spec)):
             assert np.min(np.abs(evals - eps)) < 1e-10
-            v = table.reshape(-1).real
             assert np.linalg.norm(h @ v - eps * v) <= 1e-9 * h_norm
-            assert np.max(np.abs(_parity(table) - table)) < 1e-12
+        # Pi = +1: even harmonics lie on |0>, odd ones on |1>, exactly
+        odd = np.arange(-n_trunc, n_trunc + 1) % 2 == 1
+        assert spec.table.dtype == np.float64
+        assert not spec.table[~odd, :, 1].any() and not spec.table[odd, :, 0].any()
 
     @pytest.mark.parametrize("factor", [1.0, 0.6, 1.4])
     def test_eigenvectors_continuous_in_amplitude(self, factor):
@@ -251,8 +293,8 @@ class TestParitySector:
         amps = np.linspace(1e-3, TWO_PI * 4.8048, 481)
         specs = fq.quasienergy_sweep(DELTA, omega, amps)
         for prev, cur in zip(specs, specs[1:]):
-            for a, b in ((prev.u0, cur.u0), (prev.u1, cur.u1)):
-                assert abs(np.vdot(a.reshape(-1), b.reshape(-1))) >= 0.9
+            for j in range(2):
+                assert abs(np.vdot(prev.table[:, j], cur.table[:, j])) >= 0.9
 
     # eps0, eps1 (rad/ns) recorded from an eigenvector-overlap tracker on the
     # full Floquet matrix (bisecting below overlap 0.9); omega = Delta/3 and
@@ -280,22 +322,20 @@ class TestParitySector:
         amps = TWO_PI * np.array([0.0, 0.3, 1.33, 2.7, 4.78])
         for factor in (1.0, 0.6, 1.4, 1.0 / 3.0):
             for spec in fq.quasienergy_sweep(DELTA, factor * DELTA, amps):
-                for table in (spec.u0, spec.u1):
-                    c = np.sqrt(2.0) * table[:, 0].real  # table = c_n (1, (-1)^n)/sqrt(2)
+                for c in _sector_vectors(spec).T:
                     assert c[np.argmax(np.abs(c))] > 0.0
                     assert abs(np.linalg.norm(c) - 1.0) < 1e-12
 
 
 def _assert_sector_matches_lapack(delta, omega, amps, n_trunc=fq.DEFAULT_TRUNCATION):
     """The oracle: eigh_tridiagonal at the sweep's two ranks."""
-    diag, _ = fq._even_sector(delta, omega, n_trunc)
+    diag = fq._even_sector(delta, omega, n_trunc)
     ranks = fq._branch_ranks(delta, omega, n_trunc)
     for amp, spec in zip(amps, fq.quasienergy_sweep(delta, omega, amps, n_trunc)):
         off = np.full(2 * n_trunc, -0.5 * amp)
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=ranks)
         assert np.max(np.abs([spec.eps0 - w[0], spec.eps1 - w[-1]])) <= 1e-12
-        for table, want in ((spec.u0, v[:, 0]), (spec.u1, v[:, -1])):
-            c = np.sqrt(2.0) * table[:, 0].real
+        for c, want in zip(_sector_vectors(spec).T, (v[:, 0], v[:, -1])):
             assert min(np.max(np.abs(c - want)), np.max(np.abs(c + want))) <= 1e-12
 
 
