@@ -183,13 +183,10 @@ def check_state_prep() -> CheckResult:
     )
 
 
-def _fig4_fast_amps(t_r, t_f, durations):
-    par = QubitParams()
-    amp = TWO_PI * 1.33
-    spec = floquet.quasienergy_sweep(DELTA, DELTA, [amp])[0]
-    template = PulseSpec(amp, DELTA, t_r, 0.0, t_f)
+def _fig4_fast_amps(t_r, t_f, durations, spec):
+    template = PulseSpec(spec.amp, DELTA, t_r, 0.0, t_f)
     p1 = evolve.sweep_pulse_duration(
-        par, template, durations, target_step=1.5e-3, refine=False, spectrum=spec
+        QubitParams(), template, durations, target_step=1.5e-3, refine=False, spectrum=spec
     )
     return spectral.fast_component_amplitudes(durations, p1, DELTA, spec.delta_eps)
 
@@ -198,13 +195,14 @@ def check_fig4() -> CheckResult:
     """6: fast-component suppression with edge time, and rise/fall asymmetry."""
     durations = np.arange(0.0, 25.0, 0.01)
     edge_times = (0.0, 0.5, 1.0, 2.0, 4.0)
-    amps = [ _fig4_fast_amps(e, e, durations) for e in edge_times ]
+    spec = floquet.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.33])[0]  # every pair's plateau
+    amps = [_fig4_fast_amps(e, e, durations, spec) for e in edge_times]
     lo = np.array([a[0] for a in amps])
     hi = np.array([a[1] for a in amps])
     monotone = bool(np.all(np.diff(lo) <= 0.01) and np.all(np.diff(hi) <= 0.01))
     suppressed = lo[-1] < 0.1 * lo[0] and hi[-1] < 0.1 * hi[0]
-    slow_rise = _fig4_fast_amps(4.0, 0.0, durations)
-    slow_fall = _fig4_fast_amps(0.0, 4.0, durations)
+    slow_rise = _fig4_fast_amps(4.0, 0.0, durations, spec)
+    slow_fall = _fig4_fast_amps(0.0, 4.0, durations, spec)
     num = np.hypot(*slow_rise)
     den = max(np.hypot(*slow_fall), 1e-12)
     asym = num / den

@@ -52,7 +52,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "solver": {
         "truncation_n": (int, 50),
         "monodromy_steps_per_period": (int, 2000),
-        "propagator_step_ns": (float, 0.0),  # 0 -> per-pulse default
+        "propagator_step_ns": (float, 0.0),  # 0 -> per segment: min(T/200, edge/50)
         "refine": (_parse_bool, False),
     },
     "quasienergies": {
@@ -134,8 +134,8 @@ _MINIMUMS = {
     ("run", "seed"): 0,
 }
 
-#: Time, frequency and amplitude keys that may be 0: the per-pulse default
-#: step, sharp edges, and zero drive amplitudes.
+#: Time, frequency and amplitude keys that may be 0: the default steps,
+#: sharp edges, and zero drive amplitudes.
 _ZERO_ALLOWED = {
     ("solver", "propagator_step_ns"),
     ("edges", "edge_times_ns"),

@@ -2,8 +2,11 @@
 
 Time steps run through one pipeline of exactly unitary 2x2 steps: mesh ->
 step unitaries -> blocked reduce/scan -> gather.  ``_mesh_propagators`` cuts
-the span at the sample times and envelope kinks, so no step straddles a
-kink, and ``_magnus.magnus_path`` does the rest.  A constant-amplitude drive
+a pulse's span at the sample times and envelope kinks, so no step straddles
+a kink, steps each piece at the step of its segment, and
+``_magnus.magnus_path`` does the rest.  ``_pulse_steps`` is the one step
+rule: min(T/200, t_edge/50) on each edge, T/200 on the plateau, so no
+segment's length sets another's step.  A constant-amplitude drive
 takes no step: the Floquet expansion psi(t) = sum_j c_j e^{-i eps_j t}
 u_j(t) (Shirley, Phys. Rev. 138, B979 (1965)) sums the un-enveloped drive
 and every scanned plateau, with a time-stepped pulse as its oracle.  So a
@@ -12,8 +15,9 @@ state, and one fall propagated at 2K starting carrier phases theta as a
 series F(theta) in theta.  A plateau ends at the phase its Floquet states
 u_j(theta) run on, so the fall dresses their tables, F(theta) u_j(theta),
 and one Floquet sum gives the final state at every duration.  Pulse
-trains batch the pulses of one shape over theta likewise.  ``_refine`` is
-the one step-refinement policy the drivers share.
+trains batch the pulses of one shape over theta likewise.  ``_refine``,
+which halves all three steps together, is the one step-refinement policy
+the drivers share.
 """
 
 from __future__ import annotations
@@ -84,33 +88,15 @@ def _bloch_components(states):
     )
 
 
-def _edge_steps(pulse: PulseSpec) -> np.ndarray:
-    """Default steps (rise, fall) of a duration scan: min(T/200, t_edge/50),
-    T/200 for a sharp edge."""
+def _pulse_steps(pulse: PulseSpec, target_step: float | None = None) -> np.ndarray:
+    """Steps (rise, plateau, fall) of ``pulse``: min(T/200, t_edge/50) on an
+    edge, T/200 on the plateau and a sharp edge; ``target_step`` for all
+    three if given."""
+    if target_step is not None:
+        return np.full(3, float(target_step))
     period_step = TWO_PI / pulse.carrier / 200.0
-    edges = np.array([pulse.t_rise, pulse.t_fall])
-    return np.where(edges > 0.0, np.minimum(period_step, edges / 50.0), period_step)
-
-
-def default_step(pulse: PulseSpec) -> float:
-    """Default integrator step: min(T/200, t_r/50, t_f/50) over nonzero edges."""
-    return float(_edge_steps(pulse).min())
-
-
-def _kinks(pulse: PulseSpec):
-    """Envelope kinks: pulse start, rise end, plateau end, pulse end."""
-    return np.array([0.0, pulse.t_rise, pulse.t_rise + pulse.t_plateau, pulse.total])
-
-
-def _drive_fn(pulse: PulseSpec, phase=None):
-    """sigma_x coefficient env(t) cos(omega t + phase) of ``pulse``; ``phase``
-    is its carrier phase by default, or a column of phases (a batch axis)."""
-    phase = pulse.carrier_phase if phase is None else phase
-
-    def x_of_t(t):
-        return envelope(pulse, t, allow_outside=True) * np.cos(pulse.carrier * t + phase)
-
-    return x_of_t
+    segments = np.array([pulse.t_rise, np.inf, pulse.t_fall])
+    return np.where(segments > 0.0, np.minimum(period_step, segments / 50.0), period_step)
 
 
 def _step_count(span, step):
@@ -118,40 +104,49 @@ def _step_count(span, step):
     return np.maximum(1, np.ceil(np.round(span / step, 9)).astype(int))
 
 
-def _mesh_propagators(params, x_of_t, times, kinks, step, u0=IDENTITY2):
-    """Propagators from times[0] to each of the non-decreasing ``times``: the
-    times and the drive ``kinks`` between them cut the span into intervals
-    of ``_step_count`` equal steps, so no step straddles a kink; ``step`` is
-    a scalar or one value per interval."""
-    kinks = np.asarray(kinks, dtype=float)
+def _mesh_propagators(params, pulse, times, steps, phase=None):
+    """Propagators of ``pulse`` from times[0] to each of the non-decreasing
+    ``times``: the times and the envelope kinks between them cut the span
+    into intervals of ``_step_count`` equal steps, so no step straddles a
+    kink, each at the step in ``steps`` (rise, plateau, fall) of the segment
+    it starts in.  The carrier phase is the pulse's, or ``phase``, a column
+    of phases (a batch axis)."""
+    phase = pulse.carrier_phase if phase is None else phase
+    inner = [pulse.t_rise, pulse.t_rise + pulse.t_plateau]
+    kinks = np.array([0.0, *inner, pulse.total])
     cuts = np.union1d(times, kinks[(kinks > times[0]) & (kinks < times[-1])])
     span = np.diff(cuts)
-    n = _step_count(span, step)
+    n = _step_count(span, np.asarray(steps)[np.searchsorted(inner, cuts[:-1], side="right")])
     before = np.concatenate([[0], np.cumsum(n)])
     h = np.repeat(span / n, n)
     lo = h * (np.arange(before[-1]) - np.repeat(before[:-1], n))
     lo += np.repeat(cuts[:-1], n)  # + a in place: one mesh-sized temporary fewer
     keep = before[np.searchsorted(cuts, times)]
-    return magnus_path(u0, x_of_t, -0.5 * params.delta, lo, h, keep)
+
+    def x_of_t(t):
+        return envelope(pulse, t, allow_outside=True) * np.cos(pulse.carrier * t + phase)
+
+    return magnus_path(IDENTITY2, x_of_t, -0.5 * params.delta, lo, h, keep)
 
 
-def _refine(run, step, final, message):
-    """``run(step)``, halving the step (one, or one per edge) until the P1 of
-    the states ``final`` maps a run to moves by < 1e-8; returns the finer
-    run.  A step below ``STEP_FLOOR`` raises AccuracyError with ``message``."""
+def _refine(run, steps, final, message):
+    """``run(steps)``, halving the (rise, plateau, fall) steps together until
+    the P1 of the states ``final`` maps a run to moves by < 1e-8; returns the
+    finer run.  A step below ``STEP_FLOOR`` raises AccuracyError with
+    ``message``."""
 
     def p1(r):
         return np.abs(final(r)[..., 1]) ** 2
 
-    result = run(step)
+    result = run(steps)
     while True:
-        finer = run(step / 2.0)
+        finer = run(steps / 2.0)
         converged = np.max(np.abs(p1(result) - p1(finer)), initial=0.0) < 1e-8
         result = finer
         if converged:
             return result
-        step = step / 2.0
-        if np.min(step) < STEP_FLOOR:
+        steps = steps / 2.0
+        if np.min(steps) < STEP_FLOOR:
             raise AccuracyError(message)
 
 
@@ -162,16 +157,12 @@ def evolve_interval(
     t1: float,
     *,
     target_step: float | None = None,
-    u0=None,
 ) -> np.ndarray:
     """Propagator of the pulse Hamiltonian over [t0, t1] (drive = 0 outside
     the pulse support)."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    step = target_step if target_step is not None else default_step(pulse)
-    u0 = IDENTITY2 if u0 is None else u0
-    u = _mesh_propagators(params, _drive_fn(pulse), [t0, t1], _kinks(pulse), step, u0)
-    return u[..., -1, :, :]
+    return _mesh_propagators(params, pulse, [t0, t1], _pulse_steps(pulse, target_step))[-1]
 
 
 def propagate(
@@ -198,10 +189,10 @@ def propagate(
     if pulse.total - times[-1] > 1e-12:
         times = np.append(times, pulse.total)
 
-    step = target_step if target_step is not None else default_step(pulse)
-    run = functools.partial(_mesh_propagators, params, _drive_fn(pulse), times, _kinks(pulse))
-    u = run(step) if not refine else _refine(
-        run, step, lambda u: _states_from_unitaries(u[-1], psi0),
+    steps = _pulse_steps(pulse, target_step)
+    run = functools.partial(_mesh_propagators, params, pulse, times)
+    u = run(steps) if not refine else _refine(
+        run, steps, lambda u: _states_from_unitaries(u[-1], psi0),
         "propagation did not converge above the step floor",
     )
     states = _states_from_unitaries(u, psi0)
@@ -320,7 +311,7 @@ def final_states_for_durations(
     if np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
         raise ValueError("durations must be >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
-    step = target_step if target_step is not None else _edge_steps(pulse_template)
+    steps = _pulse_steps(pulse_template, target_step)
     if spectrum is None:
         spectrum = _plateau_spectrum(params, pulse_template, truncation_n)
     solved = (spectrum.delta, spectrum.amp, spectrum.omega, spectrum.truncation_n)
@@ -335,8 +326,8 @@ def final_states_for_durations(
         _duration_batch_states, params, pulse_template, durs,
         phases=None, spectrum=spectrum, psi0=psi0,
     )
-    return run(step) if not refine else _refine(
-        run, step, lambda states: states, "duration sweep did not converge"
+    return run(steps) if not refine else _refine(
+        run, steps, lambda states: states, "duration sweep did not converge"
     )
 
 
@@ -350,14 +341,15 @@ def _plateau_spectrum(params, template, truncation_n):
 def _duration_batch_states(params, template, durs, step, phases, spectrum, psi0):
     """States of ``final_states_for_durations`` from ``psi0``: the rise
     applied to it, then one Floquet sum of ``spectrum`` (``_plateau_spectrum``)
-    dressed with the fall, ``step`` one or a (rise, fall) pair; ``phases``, if
-    not None, replace the carrier phase as a leading axis: (phases, durations)."""
+    dressed with the fall, ``step`` one or a (rise, plateau, fall) triple;
+    ``phases``, if not None, replace the carrier phase as a leading axis:
+    (phases, durations)."""
     omega, t_r = template.carrier, template.t_rise
-    rise_step, fall_step = np.broadcast_to(step, 2)
+    steps = np.broadcast_to(step, 3)
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
-    u_r = _mesh_propagators(params, _drive_fn(template, phi[:, None]), [0.0, t_r], (), rise_step)
+    u_r = _mesh_propagators(params, template, [0.0, t_r], steps, phi[:, None])
     psi_r = np.broadcast_to(u_r[..., -1, :, :] @ psi0, (len(phi), 2))  # psi0 for a sharp rise
-    fall = _fall_series(params, template, fall_step) if template.t_fall > 0.0 else None
+    fall = _fall_series(params, template, steps[2]) if template.t_fall > 0.0 else None
     out = _drive_states_and_spectra(
         params, [spectrum.amp], omega, durs, omega * t_r + phi, psi_r,
         spectrum.truncation_n, [spectrum], fall,
@@ -479,9 +471,9 @@ def propagate_train(
     units = {}
     for shape, ks in shapes.items():
         theta = np.array([[shape.carrier * starts[k] + pulses[k].carrier_phase] for k in ks])
-        step = target_step if target_step is not None else default_step(shape)
-        drive = _drive_fn(shape, theta)
-        u = _mesh_propagators(params, drive, [0.0, shape.total], _kinks(shape), step)
+        u = _mesh_propagators(
+            params, shape, [0.0, shape.total], _pulse_steps(shape, target_step), theta
+        )
         units.update(zip(ks, np.broadcast_to(u[..., -1, :, :], (len(ks), 2, 2))))
     u = functools.reduce(lambda acc, k: units[k] @ acc, range(len(pulses)), IDENTITY2)
     return StateVector.from_array(u @ psi)
@@ -630,12 +622,12 @@ def prepare_state(
     lo, hi = 0.55 * t_star, 1.4 * t_star + 0.05
 
     template = PulseSpec(amp, omega, edges, 0.0, edges)
-    step = min(default_step(template), 2e-3)
+    steps = np.minimum(_pulse_steps(template), 2e-3)
     spectrum = _plateau_spectrum(params, template, truncation_n)
     ground = StateVector.ground().as_array()
 
     def scan(durs, phases):
-        states = _duration_batch_states(params, template, durs, step, phases, spectrum, ground)
+        states = _duration_batch_states(params, template, durs, steps, phases, spectrum, ground)
         fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

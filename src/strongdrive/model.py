@@ -71,6 +71,8 @@ class PulseSpec:
     def __post_init__(self):
         if self.amplitude_max < 0.0:
             raise ValueError("amplitude_max must be >= 0")
+        if not self.carrier > 0.0:
+            raise ValueError(f"carrier must be positive, got {self.carrier}")
         for name in ("t_rise", "t_plateau", "t_fall"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")

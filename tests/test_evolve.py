@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from strongdrive import evolve as ev
 from strongdrive import floquet as fq
-from strongdrive._magnus import IDENTITY2, magnus_segment
+from strongdrive._magnus import IDENTITY2, magnus_path, magnus_segment
 from strongdrive.errors import AccuracyError, BasisDegeneracyError
 from strongdrive.model import PulseSpec, QubitParams, StateVector, envelope
 from strongdrive.tomography import PREROTATION_AMPLITUDE, PREROTATION_EDGE
@@ -359,8 +359,8 @@ EDGE_DURS = np.arange(0.0, 25.0 + 1e-9, 0.01)  # edge-study's default scan
 EDGE_PAIRS = [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (4.0, 4.0), (0.0, 4.0)]
 A_EDGE = TWO_PI * 1.33
 SP_DURS = np.arange(0.2, 1.3, 0.004)  # around prepare_state's plateau window
-SP_STEP = min(ev.default_step(PulseSpec(TWO_PI * 0.46, DELTA, 0.02, 0.0, 0.02)), 2e-3)
-FALL_CASES = [  # (id, template, step (None: edge-study's default_step), durations)
+SP_STEP = np.minimum(ev._pulse_steps(SP_TEMPLATE), 2e-3)[0]  # prepare_state's edge step
+FALL_CASES = [  # (id, template, step (None: the pulse's default steps), durations)
     *(
         (f"edge-study {t_r}:{t_f}", PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f), None,
          EDGE_DURS[::25])
@@ -391,14 +391,14 @@ class TestPhaseHarmonicFalls:
     def test_matches_direct_falls(self, params, template, step, durs):
         # the fall-dressed Floquet sum against the fall-less scan's states,
         # each then carried through one directly integrated fall
-        step = step or ev.default_step(template)
+        steps = ev._pulse_steps(template, step)
         no_fall = dataclasses.replace(template, t_fall=0.0)
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
-        falls = _direct_falls(params, template, durs, step)
+        falls = _direct_falls(params, template, durs, steps[2])
         for psi0 in (StateVector.ground().as_array(), StateVector.excited().as_array()):
-            plateau = ev._duration_batch_states(params, no_fall, durs, step, None, spec, psi0)
+            plateau = ev._duration_batch_states(params, no_fall, durs, steps, None, spec, psi0)
             want = (falls @ plateau[..., None])[..., 0]
-            got = ev._duration_batch_states(params, template, durs, step, None, spec, psi0)
+            got = ev._duration_batch_states(params, template, durs, steps, None, spec, psi0)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_single_duration_matches_batch_row(self, params, monkeypatch):
@@ -412,7 +412,7 @@ class TestPhaseHarmonicFalls:
 
         monkeypatch.setattr(ev, "_fall_series", spy)
         template = PulseSpec(A_EDGE, DELTA, 4.0, 0.0, 4.0)
-        kwargs = {"target_step": ev.default_step(template), "refine": False}
+        kwargs = {"target_step": TWO_PI / DELTA / 200.0, "refine": False}  # T/200
         batch = ev.final_states_for_durations(params, template, EDGE_DURS, **kwargs)
         for i in (0, 1, 617, 1250, 2500):
             one = ev.final_states_for_durations(params, template, EDGE_DURS[i : i + 1], **kwargs)
@@ -439,16 +439,19 @@ class TestEdgeSteps:
     @given(
         amp=st.floats(TWO_PI * 0.1, TWO_PI * 4.78),
         t_rise=EDGE_TIMES,
+        t_plateau=st.floats(0.0, 5.0),
         t_fall=EDGE_TIMES,
         phase=st.floats(0.0, TWO_PI),
     )
-    @example(amp=A_EDGE, t_rise=1e-5, t_fall=2.0, phase=0.0)  # one t_r/50 step: 1e7 per fall
+    # one t_r/50 step: 1e7 per fall, 1.5e7 for the pulse
+    @example(amp=A_EDGE, t_rise=1e-5, t_plateau=1.0, t_fall=2.0, phase=0.0)
     def test_each_edge_steps_at_its_own_length(
-        self, params, step_budget, amp, t_rise, t_fall, phase
+        self, params, step_budget, amp, t_rise, t_plateau, t_fall, phase
     ):
-        # the rise steps at min(T/200, t_r/50) and every phase of the fall
-        # series at min(T/200, t_f/50), so neither edge's cost depends on the
-        # other: a 1e-5 ns rise next to a 2 ns fall stays within the budget
+        # the rise steps at min(T/200, t_r/50), the plateau at T/200 and the
+        # fall (each phase of the fall series) at min(T/200, t_f/50), so no
+        # segment's cost depends on another's: a 1e-5 ns rise next to a 2 ns
+        # fall stays within the budget, in every time-stepped driver
         durs = np.linspace(0.0, 5.0, 11)
         period_step = TWO_PI / DELTA / 200.0
 
@@ -469,14 +472,57 @@ class TestEdgeSteps:
         else:
             assert fall == 0
 
+        def segment_steps(p):
+            """Steps of the rise, plateau and fall, as the mesh cuts them at
+            the pulse's kinks (a segment that rounds away takes none)."""
+            spans = np.diff([0.0, p.t_rise, p.t_rise + p.t_plateau, p.total])
+            own = [min(period_step, t / 50.0) if t else period_step
+                   for t in (p.t_rise, np.inf, p.t_fall)]
+            return [int(ev._step_count(d, s)) if d > 0.0 else 0 for d, s in zip(spans, own)]
+
+        pulse = PulseSpec(amp, DELTA, t_rise, t_plateau, t_fall, phase)
+        mirror = PulseSpec(amp, DELTA, t_fall, t_plateau, t_rise, phase)
+        n = segment_steps(pulse)
+        budget = step_budget(200_000)
+        ev.propagate(params, pulse, sample_dt=pulse.total or 1.0, refine=False)
+        assert budget.steps == sum(n)
+        budget = step_budget(200_000)
+        ev.evolve_interval(params, pulse, t_rise, pulse.total)
+        assert budget.steps == n[1] + n[2]
+        budget = step_budget(400_000)
+        ev.propagate_train(params, [pulse, mirror])
+        assert budget.steps == sum(n) + sum(segment_steps(mirror))
+
+    def test_short_rise_pulse_step_counts(self, params, step_budget):
+        # rise steps of 1e-5 / 50 ns: the whole pulse at that step would be
+        # 15,000,050 steps, and its 2 ns fall alone 10,000,000
+        pulse = PulseSpec(A_EDGE, DELTA, 1e-5, 1.0, 2.0)
+        budget = step_budget(200_000)
+        ev.propagate(params, pulse, sample_dt=pulse.total, refine=False)
+        assert budget.steps == 50 + 458 + 916
+        budget = step_budget(200_000)
+        ev.edge_transition_unitary(params, pulse, "fall")
+        assert budget.steps == 916
+
 
 def _serial_train(params, pulses, initial=None, *, target_step=None):
     """Reference train: one serial mesh over the whole train in absolute
-    time, each interval between kinks driven by the pulse it lies in."""
+    time, each interval between kinks driven by the pulse it lies in and
+    stepped at its segment's step: min(T/200, edge/50) on an edge, T/200 on
+    a plateau or sharp edge, or ``target_step``."""
     psi = (StateVector.ground() if initial is None else initial).as_array()
     starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
-    kinks = [s + ev._kinks(p) for p, s in zip(pulses, starts)]
-    cuts = np.unique(np.concatenate([starts[:1], *kinks]))
+    seg_starts, seg_steps = [], []
+    for p, s in zip(pulses, starts):
+        period_step = TWO_PI / p.carrier / 200.0
+        for t0, length, edge in [
+            (0.0, p.t_rise, True), (p.t_rise, p.t_plateau, False),
+            (p.t_rise + p.t_plateau, p.t_fall, True),
+        ]:
+            own = min(period_step, length / 50.0) if edge and length > 0.0 else period_step
+            seg_starts.append(s + t0)
+            seg_steps.append(own if target_step is None else target_step)
+    cuts = np.unique(np.append(seg_starts, starts[-1]))
 
     def drive(p, start):
         return lambda t: envelope(p, t - start, allow_outside=True) * np.cos(
@@ -484,7 +530,6 @@ def _serial_train(params, pulses, initial=None, *, target_step=None):
         )
 
     drives = [drive(p, s) for p, s in zip(pulses, starts)]
-    steps = [target_step if target_step is not None else ev.default_step(p) for p in pulses]
 
     def pulse_of(t):
         return np.searchsorted(starts, t, side="right") - 1
@@ -492,8 +537,14 @@ def _serial_train(params, pulses, initial=None, *, target_step=None):
     def x_of_t(t):
         return np.piecewise(t, [pulse_of(t) == k for k in range(len(drives))], drives)
 
-    step = np.asarray(steps)[pulse_of(cuts[:-1])]
-    u = ev._mesh_propagators(params, x_of_t, cuts[[0, -1]], cuts, step)[-1]
+    # a zero-length segment starts where the next one does: side="right"
+    # picks the next
+    step = np.asarray(seg_steps)[np.searchsorted(seg_starts, cuts[:-1], side="right") - 1]
+    span = np.diff(cuts)
+    n = np.maximum(1, np.ceil(np.round(span / step, 9)).astype(int))
+    lo = np.concatenate([a + d / k * np.arange(k) for a, d, k in zip(cuts[:-1], span, n)])
+    h = np.repeat(span / n, n)
+    u = magnus_path(IDENTITY2, x_of_t, -0.5 * params.delta, lo, h, [len(lo)])[0]
     return u @ psi
 
 
@@ -544,9 +595,28 @@ class TestMesh:
             return path(u, x_of_t, hz, lo, h, keep)
 
         monkeypatch.setattr(ev, "magnus_path", spy)
+        pulse = PulseSpec(TWO_PI * 0.4, DELTA, 0.0, 10.0, 0.0)  # no kink in (0, 10)
         for t0 in (0.0, 1.7, CAL_X.total):
-            ev._mesh_propagators(params, np.cos, [t0, t0 + 0.3], (), 3e-3)
+            ev._mesh_propagators(params, pulse, [t0, t0 + 0.3], np.full(3, 3e-3))
         assert counts == [100, 100, 100]
+
+    def test_each_interval_steps_at_its_segments_step(self, params, monkeypatch):
+        # sample times cut the plateau and the fall; every piece takes the
+        # step of the segment it starts in, a kink starting the next segment
+        pulse = PulseSpec(TWO_PI * 0.4, DELTA, 0.5, 1.0, 2.0)
+        steps = np.array([1e-2, 2e-2, 4e-2])
+        spans = []
+        path = ev.magnus_path
+
+        def spy(u, x_of_t, hz, lo, h, keep):
+            spans.append(np.asarray(np.broadcast_to(h, lo.shape)))
+            return path(u, x_of_t, hz, lo, h, keep)
+
+        monkeypatch.setattr(ev, "magnus_path", spy)
+        ev._mesh_propagators(params, pulse, [0.0, 1.0, 2.5, 3.5], steps)
+        (h,) = spans
+        want = np.repeat(steps[[0, 1, 1, 2, 2]], [50, 25, 25, 25, 25])
+        assert np.array_equal(h, want)  # each span / count is exactly its step here
 
 
 class TestFloquetFrame:
@@ -682,12 +752,13 @@ class TestStatePrep:
         tgt = target.as_array()
         picks = []
         for template, durs, step, phases, got in scans:
-            assert step == min(ev.default_step(template), 2e-3)
+            assert np.array_equal(step, np.minimum(ev._pulse_steps(template), 2e-3))
+            assert step[0] == step[2]  # equal edges: one target_step gives both
             best = (-1.0, None, None)  # the per-phase loop's rule
             for phi, got_phi in zip(phases, got):
                 one = dataclasses.replace(template, carrier_phase=phi)
                 states = ev.final_states_for_durations(
-                    params, one, durs, refine=False, target_step=min(ev.default_step(one), 2e-3)
+                    params, one, durs, refine=False, target_step=step[0]
                 )
                 assert np.array_equal(got_phi, states)
                 f = np.abs(states @ tgt.conj())

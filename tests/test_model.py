@@ -60,6 +60,13 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             PulseSpec(-1.0, 1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("carrier", [0.0, -TWO_PI * 2.288, np.nan])
+    def test_non_positive_carrier_rejected(self, carrier):
+        # cos(-wt) = cos(wt), but the default step T/200 = 2 pi / (200 w)
+        # would be negative (one step per interval) or a division by zero
+        with pytest.raises(ValueError, match="carrier"):
+            PulseSpec(1.0, carrier, 0.5, 3.0, 0.5)
+
 
 class TestHamiltonian:
     def test_undriven_is_diagonal(self, params):
