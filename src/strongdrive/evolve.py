@@ -109,14 +109,15 @@ def _mesh_propagators(params, pulse, times, steps, phase=None):
     ``times``: the times and the envelope kinks between them cut the span
     into intervals of ``_step_count`` equal steps, so no step straddles a
     kink, each at the step in ``steps`` (rise, plateau, fall) of the segment
-    it starts in.  The carrier phase is the pulse's, or ``phase``, a column
-    of phases (a batch axis)."""
+    it starts in.  An interval outside the support [0, total], where the
+    drive is 0 and one step is exact, takes one step.  The carrier phase is
+    the pulse's, or ``phase``, a column of phases (a batch axis)."""
     phase = pulse.carrier_phase if phase is None else phase
-    inner = [pulse.t_rise, pulse.t_rise + pulse.t_plateau]
-    kinks = np.array([0.0, *inner, pulse.total])
+    kinks = np.array([0.0, pulse.t_rise, pulse.t_rise + pulse.t_plateau, pulse.total])
     cuts = np.union1d(times, kinks[(kinks > times[0]) & (kinks < times[-1])])
     span = np.diff(cuts)
-    n = _step_count(span, np.asarray(steps)[np.searchsorted(inner, cuts[:-1], side="right")])
+    own = np.concatenate([[np.inf], steps, [np.inf]])  # before, rise, plateau, fall, after
+    n = _step_count(span, own[np.searchsorted(kinks, cuts[:-1], side="right")])
     before = np.concatenate([[0], np.cumsum(n)])
     h = np.repeat(span / n, n)
     lo = h * (np.arange(before[-1]) - np.repeat(before[:-1], n))

@@ -23,7 +23,12 @@ only: J0 and J1 come from their integral representation (DLMF 10.9.1).
 
 An independent oracle is provided by the one-period propagator (monodromy
 operator), whose eigenphases, read from its SU(2) form, divided by T give
-the quasienergies mod omega.
+the quasienergies mod omega.  It is composed from a quarter period: H is
+real and sigma_z H(t) sigma_z = H(t + T/2) = H(T/2 - t), so
+U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4) and U(T) = sigma_z U(T/2) sigma_z
+U(T/2), exactly on the Magnus mesh too.  Its accuracy gate is a measured
+step error: the quarter period is stepped once more at twice the step, and
+the eigenphase difference over 15 T (4th order) must stay below 1e-8 rad/ns.
 The approximate Bessel-function chain (rotating-frame transformation,
 truncated 4x4 matrix, decoupled 2x2 block) yields the closed-form
 quasienergies and the generalized Rabi frequency
@@ -48,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._magnus import IDENTITY2, magnus_segment, unitarity_defect
+from ._magnus import IDENTITY2, magnus_segment, matmul2, unitarity_defect
 from .errors import AccuracyError, NumericError
 from .units import TWO_PI
 
@@ -432,11 +437,29 @@ def monodromy_quasienergies_batch(
 ) -> np.ndarray:
     """Quasienergies mod omega from the one-period propagator eigenphases.
 
-    Integrates U over one period of the continuous drive A cos(omega t) for
-    each amplitude and returns -arg(eigenvalues)/T = -+theta/T from U's SU(2)
-    form (:func:`_su2_eigenphases`), each reduced to (-omega/2, omega/2], as
-    (n, 2) sorted rows.  Independent of the
-    Floquet-matrix route; serves as its oracle.
+    Returns -arg(eigenvalues)/T = -+theta/T of U(T) for each amplitude
+    (:func:`_monodromy_oracle`), each reduced to (-omega/2, omega/2], as
+    (n, 2) sorted rows.  Independent of the Floquet-matrix route; serves as
+    its oracle.
+    """
+    return _monodromy_oracle(delta, amplitudes, omega, integrator_step)[0]
+
+
+#: Largest step-doubling estimate of the oracle's eigenphase error (rad/ns):
+#: the tolerance it is an oracle to.
+MONODROMY_TOL = 1e-8
+
+
+def _monodromy_oracle(delta, amplitudes, omega, integrator_step=None):
+    """Quasienergy rows of :func:`monodromy_quasienergies_batch` and their
+    step-doubling error estimate (rad/ns).
+
+    The steps per period, ceil(T / integrator_step) (default 2000), are
+    rounded up to a multiple of 8, so the quarter period runs in an even
+    number of steps n/4 and once more in n/8.  The 4th-order method's
+    quasienergy error is then |theta_h - theta_2h| / (15 T), taken on theta
+    in [0, pi], where it cannot wrap; its largest value over the batch is
+    the estimate, and one above MONODROMY_TOL raises AccuracyError.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
@@ -445,23 +468,46 @@ def monodromy_quasienergies_batch(
     step = integrator_step if integrator_step is not None else period / 2000.0
     if step <= 0.0:
         raise ValueError("integrator_step must be positive")
-    n_steps = max(1, int(np.ceil(period / step)))
+    n_steps = 8 * max(1, int(np.ceil(period / step / 8.0)))
+    theta = _su2_eigenphases(_monodromy_propagators(delta, amps, omega, n_steps // 4))
+    coarse = _su2_eigenphases(_monodromy_propagators(delta, amps, omega, n_steps // 8))
+    error = float(np.max(np.abs(theta - coarse), initial=0.0)) / (15.0 * period)
+    if error > MONODROMY_TOL:
+        raise AccuracyError(
+            f"one-period propagator eigenphase error {error:.2e} rad/ns > {MONODROMY_TOL:g} "
+            f"at {n_steps} steps per period; use a smaller integrator_step "
+            "(CLI: [solver] monodromy_steps_per_period)"
+        )
+    eps = np.sort(reduce_to_zone(theta[:, None] * [-1.0, 1.0] / period, omega))
+    return eps, error
+
+
+#: sigma_z M sigma_z flips the signs of a 2x2 matrix M's off-diagonal entries.
+_SZ_CONJ = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _monodromy_propagators(delta, amps, omega, quarter_steps):
+    """U(T) of H = -Delta/2 sigma_z + A cos(omega t) sigma_x for each A, from
+    one ``magnus_segment`` over [0, T/4] in ``quarter_steps`` steps.
+
+    H is real and sigma_z H(t) sigma_z = H(T/2 - t) = H(t + T/2).  So
+    U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4) and
+    U(T) = sigma_z U(T/2) sigma_z U(T/2), and both hold step for step: a
+    reflected step's Gauss values (x1, x2) become (-x2, -x1), which maps its
+    (ax, ay, az) to (-ax, ay, az), the step sigma_z U^T sigma_z.
+    """
+    quarter = 0.25 * TWO_PI / omega
     u = np.broadcast_to(IDENTITY2, (len(amps), 2, 2)).copy()
     u = magnus_segment(
         u,
         lambda t: amps[:, None] * np.cos(omega * t)[None, :],
         -0.5 * delta,
         0.0,
-        period,
-        n_steps,
+        quarter,
+        quarter_steps,
     )
-    defect = unitarity_defect(u)
-    if defect > 1e-8:
-        raise AccuracyError(
-            f"one-period propagator unitarity defect {defect:.2e} > 1e-8; "
-            "use a smaller integrator_step"
-        )
-    return np.sort(reduce_to_zone(_su2_eigenphases(u)[:, None] * [-1.0, 1.0] / period, omega))
+    half = matmul2(np.swapaxes(u, -1, -2) * _SZ_CONJ, u)
+    return matmul2(half * _SZ_CONJ, half)
 
 
 def _su2_eigenphases(u):

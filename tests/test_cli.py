@@ -664,6 +664,16 @@ class TestExitCodes:
         assert "delta_eps = 6.28e-10" in err and "raise truncation_n" not in err
         assert not (tmp_path / "run_report.json").exists()
 
+    def test_coarse_monodromy_step_exit_3(self, tmp_path, capsys):
+        # at 8 steps per period the oracle columns would be off by 0.031 GHz;
+        # the step-doubling gate measures that, where unitarity could not
+        cfg = write_config(tmp_path / "c.ini", "[solver]\nmonodromy_steps_per_period = 8\n")
+        argv = ["quasienergies", "--config", cfg, "--out", str(tmp_path), "--oracle"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "[solver] monodromy_steps_per_period" in err
+        assert not (tmp_path / "run_report.json").exists()
+
     def test_sector_sweep_cap_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(floquet, "_MAX_SWEEPS", 1)
         assert cli.main(["quasienergies", "--out", str(tmp_path)]) == 3

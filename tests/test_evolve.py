@@ -504,6 +504,23 @@ class TestEdgeSteps:
         ev.edge_transition_unitary(params, pulse, "fall")
         assert budget.steps == 916
 
+    def test_interval_outside_the_pulse_takes_one_step(self, params, step_budget):
+        # the drive is 0 outside [0, total], where one Magnus step is exact:
+        # at the fall's 1e-5 / 50 ns step the 10 ns tail alone would take
+        # 50,000,000 steps
+        pulse = PulseSpec(A_EDGE, DELTA, 0.5, 1.0, 1e-5)
+        budget = step_budget(10_000)
+        inside = ev.evolve_interval(params, pulse, 0.0, pulse.total)
+        assert budget.steps == 737
+        budget = step_budget(10_000)
+        got = ev.evolve_interval(params, pulse, -3.0, pulse.total + 10.0)
+        assert budget.steps == 1 + 737 + 1
+
+        def free(t):  # exp(+i Delta t / 2 sigma_z)
+            return np.diag(np.exp(0.5j * params.delta * t * np.array([1.0, -1.0])))
+
+        assert np.max(np.abs(got - free(10.0) @ inside @ free(3.0))) <= 1e-13
+
 
 def _serial_train(params, pulses, initial=None, *, target_step=None):
     """Reference train: one serial mesh over the whole train in absolute

@@ -1,13 +1,16 @@
 """Floquet solver: matrix structure, parity-sector branches, oracle, analytic chain."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
 from strongdrive import floquet as fq
+from strongdrive._magnus import magnus_segment
 from strongdrive.errors import AccuracyError, NumericError
 from strongdrive.units import TWO_PI
 
@@ -223,24 +226,82 @@ class TestMonodromyOracle:
             getattr(fq, oracle)(DELTA, 1.0, DELTA, -1.0)
 
     @pytest.mark.parametrize("factor", [1.0, 1.0 / 3.0, 0.6, 1.4])
-    def test_su2_eigenphases_match_eigvals(self, factor, monkeypatch):
-        # the eigvals loop the SU(2) form replaced, on the same propagators;
-        # A = 0 with Delta an odd multiple of omega puts both on the zone edge
+    def test_su2_eigenphases_match_eigvals(self, factor):
+        # the eigvals loop the SU(2) form replaced, on the oracle's own
+        # propagators at its default 2000 steps per period; A = 0 with Delta
+        # an odd multiple of omega puts both on the zone edge
         omega = factor * DELTA
         amps = np.concatenate([[0.0, 1e-6], np.linspace(0.1, 3.5, 9) * omega])
-        kept, defect = [], fq.unitarity_defect
-
-        def keep(u):
-            kept.append(u.copy())
-            return defect(u)
-
-        monkeypatch.setattr(fq, "unitarity_defect", keep)
         got = fq.monodromy_quasienergies_batch(DELTA, amps, omega)
         period = TWO_PI / omega
-        for u, row in zip(kept[0], got):
+        for u, row in zip(fq._monodromy_propagators(DELTA, amps, omega, 500), got):
             lam = np.linalg.eigvals(u)
             want = sorted(fq.reduce_to_zone(-np.angle(v) / period, omega) for v in lam)
             assert np.max(np.abs(row - want)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta=st.floats(0.5, 20.0),
+        omega=st.floats(0.5, 20.0),
+        amp=st.floats(0.0, 20.0),
+        quarter_steps=st.integers(1, 600),
+    )
+    @example(delta=DELTA, omega=DELTA, amp=0.0, quarter_steps=500)
+    @example(delta=DELTA, omega=DELTA / 3.0, amp=0.0, quarter_steps=500)
+    @example(delta=20.0, omega=0.5, amp=20.0, quarter_steps=500)
+    def test_quarter_period_composition_is_full_period_stepping(
+        self, delta, omega, amp, quarter_steps
+    ):
+        # the half-period shift and time reversal hold step for step, so the
+        # composed U(T) is the full-period Magnus product up to round-off
+        amps = np.array([amp, -amp, 0.0])
+        got = fq._monodromy_propagators(delta, amps, omega, quarter_steps)
+        want = magnus_segment(
+            np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy(),
+            lambda t: amps[:, None] * np.cos(omega * t)[None, :],
+            -0.5 * delta,
+            0.0,
+            TWO_PI / omega,
+            4 * quarter_steps,
+        )
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_single_amplitude_is_its_batch_row(self):
+        omega = 0.6 * DELTA
+        amps = [0.0, 1.0, TWO_PI * 2.0, TWO_PI * 4.78]
+        batch = fq.monodromy_quasienergies_batch(DELTA, amps, omega)
+        for a, row in zip(amps, batch):
+            assert np.array_equal(fq.monodromy_quasienergies(DELTA, a, omega), row)
+
+    def test_steps_per_period_round_up_to_a_multiple_of_8(self):
+        omega, amps = DELTA, [TWO_PI * 1.33, TWO_PI * 4.78]
+        period = TWO_PI / omega
+        default = fq.monodromy_quasienergies_batch(DELTA, amps, omega)
+        for steps, same in ((1993, True), (2001, False)):
+            got = fq.monodromy_quasienergies_batch(DELTA, amps, omega, period / steps)
+            assert np.array_equal(got, default) == same
+
+    @pytest.mark.parametrize("factor", [1.0, 0.6, 1.4])
+    def test_step_doubling_estimate_is_the_step_error(self, factor):
+        # criterion 01's grid at the default step, against 16,000 steps per period
+        omega = factor * DELTA
+        amps = np.linspace(0.0, 2.1, 100) * DELTA
+        period = TWO_PI / omega
+        _, estimate = fq._monodromy_oracle(DELTA, amps, omega)
+        theta, fine = (
+            fq._su2_eigenphases(fq._monodromy_propagators(DELTA, amps, omega, q))
+            for q in (500, 4000)
+        )
+        error = np.max(np.abs(theta - fine)) / period
+        assert 1e-12 < error and abs(estimate - error) <= 0.01 * error
+
+    def test_coarse_step_raises_with_the_estimate(self):
+        period = TWO_PI / DELTA
+        with pytest.raises(AccuracyError) as exc:
+            fq.monodromy_quasienergies_batch(DELTA, [TWO_PI * 2.0], DELTA, period / 8)
+        msg = str(exc.value)
+        assert re.search(r"eigenphase error \d\.\d\de[-+]\d+ rad/ns > 1e-08 at 8 steps", msg)
+        assert "integrator_step" in msg and "[solver] monodromy_steps_per_period" in msg
 
     def test_su2_eigenphases_at_plus_and_minus_identity(self):
         rng = np.random.default_rng(5)
