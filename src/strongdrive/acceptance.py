@@ -3,6 +3,8 @@
 Each check returns a CheckResult with a pass flag and a detail line, so the
 CLI ``check`` command and the test suite share one implementation.  All
 checks are deterministic for a fixed seed and sized for a laptop run.
+Criteria 04-06 score the tables that ``rabi-scan``, ``state-prep`` and
+``edge-study`` write at the default config (``cli.cmd_*``).
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evolve, floquet, spectral, tomography
+from . import cli, evolve, floquet, spectral, tomography
+from .config import ExperimentConfig, default_config
 from .model import PulseSpec, QubitParams, StateVector
-from .units import TWO_PI, rad_per_ns_to_ghz
+from .units import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -131,82 +134,58 @@ def check_fig_s1() -> CheckResult:
     )
 
 
-def _classified_scan(omega, amps, durations, n_max=10, min_prominence=0.05):
-    states, specs = evolve._drive_states_and_spectra(QubitParams(), amps, omega, durations)
-    p1 = np.abs(states[:, 0, :, 1]) ** 2
-    results = []
-    for row, spec in zip(p1, specs):
-        sp = spectral.dft(durations, row, "hann", 4)
-        peaks = spectral.find_peaks(sp, min_prominence)
-        classified, score = spectral.classify_peaks(
-            peaks, omega, spec.delta_eps, n_max, sp.resolution
-        )
-        results.append((classified, score, sp.resolution))
-    return results
-
-
 def check_fig2() -> CheckResult:
-    """4: classified peak lines with even n, odd-n violation score < 0.02."""
-    durations = np.arange(0.0, 50.0 + 1e-9, 0.005)
+    """4: classified peak lines with even n, odd-n violation score < 0.02, from
+    ``rabi_peaks.csv`` at the default carrier and at 1.373 GHz."""
+    default = default_config()
+    off_resonant = ExperimentConfig({
+        **default.values,
+        "rabi": {**default["rabi"], "omega_ghz": 1.373, "amp_min_ghz": 0.30,
+                 "amp_max_ghz": 4.30, "amp_points": 9},
+    })
     ok = True
     msgs = []
-    for omega, amps in (
-        (DELTA, TWO_PI * np.linspace(0.20, 4.78, 12)),
-        (TWO_PI * 1.373, TWO_PI * np.linspace(0.30, 4.30, 9)),
-    ):
-        unassigned = 0
-        total = 0
-        worst_score = 0.0
-        for classified, score, _res in _classified_scan(omega, amps, durations):
-            total += len(classified)
-            unassigned += sum(1 for p in classified if p.classification == "unassigned")
-            worst_score = max(worst_score, score)
+    for config in (default, off_resonant):
+        _, peaks = cli.cmd_rabi_scan(config)["rabi_peaks.csv"]
+        unassigned = sum(1 for p in peaks if p[3] == "unassigned")
+        worst_score = max((p[5] for p in peaks), default=0.0)
         ok &= unassigned == 0 and worst_score < 0.02
         msgs.append(
-            f"w={rad_per_ns_to_ghz(omega):.3f} GHz: {total} peaks, "
+            f"w={config['rabi']['omega_ghz']:.3f} GHz: {len(peaks)} peaks, "
             f"{unassigned} unassigned, worst odd-n score {worst_score:.4f}"
         )
     return CheckResult("driven-oscillation peak classification (1 bin, even n)", bool(ok), "; ".join(msgs))
 
 
 def check_state_prep() -> CheckResult:
-    """5: fast state preparation fidelities at the quoted durations."""
-    par = QubitParams()
-    amp = TWO_PI * 0.46
-    pulse_y, fid_y, _ = evolve.prepare_state(par, StateVector.minus_y(), amp, 0.02)
-    pulse_1, fid_1, _ = evolve.prepare_state(par, StateVector.excited(), amp, 0.02)
-    ok_y = fid_y >= 0.9997 - 0.001 and abs(pulse_y.total - 0.48) <= 0.05
-    ok_1 = fid_1 >= 0.9976 - 0.001 and abs(pulse_1.total - 1.08) <= 0.05
+    """5: fast state preparation fidelities at the quoted durations, from
+    ``state_prep.json``."""
+    config = default_config()
+    report = cli.cmd_state_prep(config, 0, config["run"]["seed"])["state_prep.json"]
+    y, e = report["minus_y"], report["excited"]
+    fid_y, total_y = y["unitary_fidelity"], y["pulse"]["total_ns"]
+    fid_1, total_1 = e["unitary_fidelity"], e["pulse"]["total_ns"]
+    ok_y = fid_y >= 0.9997 - 0.001 and abs(total_y - 0.48) <= 0.05
+    ok_1 = fid_1 >= 0.9976 - 0.001 and abs(total_1 - 1.08) <= 0.05
     return CheckResult(
         "state preparation (target durations +- 0.05 ns)",
         bool(ok_y and ok_1),
-        f"-Y: F={fid_y:.5f} at {pulse_y.total:.3f} ns (want >=0.9987 at ~0.48); "
-        f"|1>: F={fid_1:.5f} at {pulse_1.total:.3f} ns (want >=0.9966 at ~1.08)",
+        f"-Y: F={fid_y:.5f} at {total_y:.3f} ns (want >=0.9987 at ~0.48); "
+        f"|1>: F={fid_1:.5f} at {total_1:.3f} ns (want >=0.9966 at ~1.08)",
     )
-
-
-def _fig4_fast_amps(t_r, t_f, durations, spec):
-    template = PulseSpec(spec.amp, DELTA, t_r, 0.0, t_f)
-    p1 = evolve.sweep_pulse_duration(
-        QubitParams(), template, durations, target_step=1.5e-3, refine=False, spectrum=spec
-    )
-    return spectral.fast_component_amplitudes(durations, p1, DELTA, spec.delta_eps)
 
 
 def check_fig4() -> CheckResult:
-    """6: fast-component suppression with edge time, and rise/fall asymmetry."""
-    durations = np.arange(0.0, 25.0, 0.01)
-    edge_times = (0.0, 0.5, 1.0, 2.0, 4.0)
-    spec = floquet.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.33])[0]  # every pair's plateau
-    amps = [_fig4_fast_amps(e, e, durations, spec) for e in edge_times]
-    lo = np.array([a[0] for a in amps])
-    hi = np.array([a[1] for a in amps])
+    """6: fast-component suppression with edge time, and rise/fall asymmetry,
+    from ``edge_fast_amplitudes.csv``."""
+    config = default_config()
+    _, rows = cli.cmd_edge_study(config)["edge_fast_amplitudes.csv"]
+    amps = {(t_r, t_f): (lo, hi) for t_r, t_f, lo, hi in rows}
+    lo, hi = np.array([amps[(e, e)] for e in config["edges"]["edge_times_ns"]]).T
     monotone = bool(np.all(np.diff(lo) <= 0.01) and np.all(np.diff(hi) <= 0.01))
     suppressed = lo[-1] < 0.1 * lo[0] and hi[-1] < 0.1 * hi[0]
-    slow_rise = _fig4_fast_amps(4.0, 0.0, durations, spec)
-    slow_fall = _fig4_fast_amps(0.0, 4.0, durations, spec)
-    num = np.hypot(*slow_rise)
-    den = max(np.hypot(*slow_fall), 1e-12)
+    num = np.hypot(*amps[(4.0, 0.0)])  # slow rise
+    den = max(np.hypot(*amps[(0.0, 4.0)]), 1e-12)  # slow fall
     asym = num / den
     ok = monotone and suppressed and asym > 5.0
     return CheckResult(

@@ -1,12 +1,14 @@
 """Experiment runner: reproducible scans with machine-readable outputs.
 
-Each subcommand reads an INI config (defaults apply when omitted), writes
-plot-ready CSV/JSON data plus a run_report.json manifest (resolved config,
-version, wall time, sha256 of every output).  Each command is one serial
-call chain: an amplitude scan is one Floquet-expansion batch, an edge study one
-duration sweep per edge pair.  Data files are byte-identical for identical
-config and seed; the manifest's wall-time field is the one value that varies
-between runs.
+Each subcommand reads an INI config (defaults apply when omitted) and
+computes plot-ready tables: its ``cmd_*`` function returns them as
+{file name: table}, a table being a CSV header plus rows or a JSON payload.
+``main`` writes them plus a run_report.json manifest (resolved config,
+version, wall time, sha256 of every output), and the acceptance criteria
+score the same tables.  Each command is one serial call chain: an amplitude
+scan is one Floquet-expansion batch, an edge study one duration sweep per
+edge pair.  Data files are byte-identical for identical config and seed; the
+manifest's wall-time field is the one value that varies between runs.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 acceptance
 threshold failure (``check``).
@@ -21,6 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -140,7 +143,11 @@ def _device(config: ExperimentConfig) -> QubitParams:
 # ---------------------------------------------------------------------------
 
 
-def cmd_quasienergies(config: ExperimentConfig, out_dir: Path, oracle: bool) -> list[Path]:
+#: {file name: (CSV header, rows) or the payload of a .json file}
+Tables = dict[str, Any]
+
+
+def cmd_quasienergies(config: ExperimentConfig, oracle: bool) -> Tables:
     par = _device(config)
     q = config["quasienergies"]
     n_trunc = config["solver"]["truncation_n"]
@@ -182,12 +189,10 @@ def cmd_quasienergies(config: ExperimentConfig, out_dir: Path, oracle: bool) -> 
             if oracle:
                 row += [rad_per_ns_to_ghz(mono[i][0]), rad_per_ns_to_ghz(mono[i][1])]
             rows.append(row)
-    path = out_dir / "quasienergies.csv"
-    _write_csv(path, header, np.array(rows, dtype=float))
-    return [path]
+    return {"quasienergies.csv": (header, np.array(rows, dtype=float))}
 
 
-def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path) -> list[Path]:
+def cmd_rabi_scan(config: ExperimentConfig) -> Tables:
     par = _device(config)
     r = config["rabi"]
     omega = ghz_to_rad_per_ns(r["omega_ghz"])
@@ -218,20 +223,17 @@ def cmd_rabi_scan(config: ExperimentConfig, out_dir: Path) -> list[Path]:
              -1 if p.n is None else p.n, score]
             for p in classified
         )
-    paths = [out_dir / "rabi_p1.csv", out_dir / "rabi_spectra.csv", out_dir / "rabi_peaks.csv"]
-    _write_csv(paths[0], ["amplitude_ghz", "t_p_ns", "p1"], p1_rows)
-    _write_csv(paths[1], ["amplitude_ghz", "freq_ghz", "magnitude"], np.vstack(spec_parts))
-    _write_csv(
-        paths[2],
-        ["amplitude_ghz", "freq_ghz", "amplitude", "classification", "n", "odd_score"],
-        peak_rows,
-    )
-    return paths
+    return {
+        "rabi_p1.csv": (["amplitude_ghz", "t_p_ns", "p1"], p1_rows),
+        "rabi_spectra.csv": (["amplitude_ghz", "freq_ghz", "magnitude"], np.vstack(spec_parts)),
+        "rabi_peaks.csv": (
+            ["amplitude_ghz", "freq_ghz", "amplitude", "classification", "n", "odd_score"],
+            peak_rows,
+        ),
+    }
 
 
-def cmd_tomography_trace(
-    config: ExperimentConfig, out_dir: Path, shots: int, seed: int
-) -> list[Path]:
+def cmd_tomography_trace(config: ExperimentConfig, shots: int, seed: int) -> Tables:
     """Bloch components and P1 of the continuous drive per amplitude and time;
     ``shots`` > 0 adds ``tomography._sample_bloch`` draws from those components,
     one generator per point from SeedSequence((seed, amplitude in kHz))."""
@@ -254,12 +256,10 @@ def cmd_tomography_trace(
             seqs = np.random.SeedSequence((seed, int(a_ghz * 1e6))).spawn(len(durations))
             cols.append(tomography._sample_bloch(bloch, shots, seqs))
         parts.append(np.column_stack(cols))
-    path = out_dir / "bloch_trace.csv"
-    _write_csv(path, header, np.array(parts, dtype=float))
-    return [path]
+    return {"bloch_trace.csv": (header, np.array(parts, dtype=float))}
 
 
-def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
+def cmd_edge_study(config: ExperimentConfig) -> Tables:
     par = _device(config)
     e = config["edges"]
     omega = ghz_to_rad_per_ns(e["omega_ghz"])
@@ -280,17 +280,17 @@ def cmd_edge_study(config: ExperimentConfig, out_dir: Path) -> list[Path]:
         lo, hi = spectral.fast_component_amplitudes(durations, p1, omega, fspec.delta_eps)
         trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))
         amp_rows.append([t_r, t_f, lo, hi])
-    paths = [out_dir / "edge_traces.csv", out_dir / "edge_fast_amplitudes.csv"]
-    _write_csv(paths[0], ["t_rise_ns", "t_fall_ns", "t_p_ns", "p1"], np.array(trace_parts, dtype=float))
-    _write_csv(
-        paths[1],
-        ["t_rise_ns", "t_fall_ns", "amp_2w_minus_de", "amp_2w_plus_de"],
-        amp_rows,
-    )
-    return paths
+    return {
+        "edge_traces.csv": (
+            ["t_rise_ns", "t_fall_ns", "t_p_ns", "p1"], np.array(trace_parts, dtype=float)
+        ),
+        "edge_fast_amplitudes.csv": (
+            ["t_rise_ns", "t_fall_ns", "amp_2w_minus_de", "amp_2w_plus_de"], amp_rows
+        ),
+    }
 
 
-def cmd_state_prep(config: ExperimentConfig, out_dir: Path, shots: int, seed: int) -> list[Path]:
+def cmd_state_prep(config: ExperimentConfig, shots: int, seed: int) -> Tables:
     par = _device(config)
     sp = config["stateprep"]
     amp = ghz_to_rad_per_ns(sp["amplitude_ghz"])
@@ -324,9 +324,7 @@ def cmd_state_prep(config: ExperimentConfig, out_dir: Path, shots: int, seed: in
             "bootstrap_b": result.bootstrap_b,
             "shots": n_shots,
         }
-    path = out_dir / "state_prep.json"
-    _write_json(path, report)
-    return [path]
+    return {"state_prep.json": report}
 
 
 def cmd_check(full: bool) -> int:
@@ -401,15 +399,15 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "quasienergies":
-            outputs = cmd_quasienergies(config, out_dir, args.oracle)
+            tables = cmd_quasienergies(config, args.oracle)
         elif args.command == "rabi-scan":
-            outputs = cmd_rabi_scan(config, out_dir)
+            tables = cmd_rabi_scan(config)
         elif args.command == "tomography-trace":
-            outputs = cmd_tomography_trace(config, out_dir, args.shots, seed)
+            tables = cmd_tomography_trace(config, args.shots, seed)
         elif args.command == "edge-study":
-            outputs = cmd_edge_study(config, out_dir)
+            tables = cmd_edge_study(config)
         elif args.command == "state-prep":
-            outputs = cmd_state_prep(config, out_dir, args.shots, seed)
+            tables = cmd_state_prep(config, args.shots, seed)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, ValueError) as exc:
@@ -420,6 +418,14 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 
+    outputs = []
+    for name in list(tables):  # in the command's order, each freed once written
+        path = out_dir / name
+        if name.endswith(".json"):
+            _write_json(path, tables.pop(name))
+        else:
+            _write_csv(path, *tables.pop(name))
+        outputs.append({"path": name, "bytes": path.stat().st_size, "sha256": _sha256(path)})
     report = {
         "command": args.command,
         "argv": list(argv) if argv is not None else sys.argv[1:],
@@ -427,10 +433,7 @@ def main(argv=None) -> int:
         "config": config.as_flat_dict(),
         "seed": seed,
         "wall_time_s": round(time.time() - t0, 3),
-        "outputs": [
-            {"path": p.name, "bytes": p.stat().st_size, "sha256": _sha256(p)}
-            for p in outputs
-        ],
+        "outputs": outputs,
     }
     _write_json(out_dir / "run_report.json", report)
     return 0

@@ -154,7 +154,8 @@ def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
 
     Times, steps, frequencies and amplitudes (keys ending in ``_ns`` or
     ``_ghz``, and ``omega_factors``) must be > 0, every entry of a list;
-    the keys in ``_ZERO_ALLOWED`` must be >= 0.
+    the keys in ``_ZERO_ALLOWED`` must be >= 0.  ``rabi.min_prominence``, a
+    fraction of the largest peak, must lie in (0, 1).
     """
 
     def bad(sec, key, why):
@@ -175,6 +176,8 @@ def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
             raise bad(sec, key, f"must be >= {lowest}")
     if values["rabi"]["window"] not in WINDOWS:
         raise bad("rabi", "window", f"expected one of {WINDOWS}")
+    if not 0.0 < values["rabi"]["min_prominence"] < 1.0:
+        raise bad("rabi", "min_prominence", "must be in (0, 1)")
 
 
 def default_config() -> ExperimentConfig:

@@ -623,7 +623,7 @@ def prepare_state(
     lo, hi = 0.55 * t_star, 1.4 * t_star + 0.05
 
     template = PulseSpec(amp, omega, edges, 0.0, edges)
-    steps = np.minimum(_pulse_steps(template), 2e-3)
+    steps = _pulse_steps(template)
     spectrum = _plateau_spectrum(params, template, truncation_n)
     ground = StateVector.ground().as_array()
 

@@ -228,10 +228,10 @@ def fast_component_amplitudes(times, values, omega: float, delta_eps: float):
     for f in freqs:
         cols.extend([np.cos(f * t), np.sin(f * t)])
     design = np.column_stack(cols)
-    cond = np.linalg.cond(design)
+    coef, _, _, sv = np.linalg.lstsq(design, v, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
     if not np.isfinite(cond) or cond > 1e8:
         raise NumericError(f"fit design matrix ill-conditioned (cond={cond:.2e})")
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
     amp_lo = float(np.hypot(coef[3], coef[4]))
     amp_hi = float(np.hypot(coef[5], coef[6]))
     return amp_lo, amp_hi

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strongdrive import acceptance, cli, evolve, floquet, tomography
+from strongdrive import cli, evolve, floquet, tomography
 from strongdrive.config import load_config
 from strongdrive.errors import ConfigError
 from strongdrive.model import QubitParams, StateVector
@@ -98,6 +98,7 @@ class TestConfig:
             ("rabi", "max_freq_ghz", "-1"),
             ("rabi", "n_max", "-1"),
             ("rabi", "zero_pad_factor", "0"),
+            ("rabi", "min_prominence", "1.5"),
             ("tomotrace", "amplitudes_ghz", "0.1, -1"),
             ("tomotrace", "omega_ghz", "-2.288"),
             ("edges", "amplitude_ghz", "-1.33"),
@@ -246,8 +247,6 @@ class TestRabiScanCommand:
         cfg = write_config(tmp_path / "c.ini", SMALL_RABI)
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(sweeps) == 1
-        acceptance._classified_scan(TWO_PI * 2.288, [TWO_PI * 0.5], np.arange(0.0, 5.0, 0.01))
-        assert len(sweeps) == 2
         # an edge study solves its plateau once, whatever the edges and the
         # step halvings; state preparation once per target
         cfg = write_config(tmp_path / "e.ini", SMALL_ALL + "[solver]\nrefine = true\n")
@@ -567,6 +566,11 @@ def _fresh_loaded(code: str, modules) -> list[str]:
 class TestStartup:
     def test_import_leaves_unused_modules_unloaded(self):
         assert _fresh_loaded("import strongdrive.cli", ("scipy", "strongdrive.acceptance")) == []
+
+    def test_acceptance_imports_cli_without_a_cycle(self):
+        assert _fresh_loaded("import strongdrive.acceptance", ("strongdrive.cli",)) == [
+            "strongdrive.cli"
+        ]
 
     def test_floquet_work_loads_no_scipy(self):
         code = (

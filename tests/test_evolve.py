@@ -359,7 +359,7 @@ EDGE_DURS = np.arange(0.0, 25.0 + 1e-9, 0.01)  # edge-study's default scan
 EDGE_PAIRS = [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (4.0, 4.0), (0.0, 4.0)]
 A_EDGE = TWO_PI * 1.33
 SP_DURS = np.arange(0.2, 1.3, 0.004)  # around prepare_state's plateau window
-SP_STEP = np.minimum(ev._pulse_steps(SP_TEMPLATE), 2e-3)[0]  # prepare_state's edge step
+SP_STEP = ev._pulse_steps(SP_TEMPLATE)[0]  # prepare_state's edge step
 FALL_CASES = [  # (id, template, step (None: the pulse's default steps), durations)
     *(
         (f"edge-study {t_r}:{t_f}", PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f), None,
@@ -769,7 +769,7 @@ class TestStatePrep:
         tgt = target.as_array()
         picks = []
         for template, durs, step, phases, got in scans:
-            assert np.array_equal(step, np.minimum(ev._pulse_steps(template), 2e-3))
+            assert np.array_equal(step, ev._pulse_steps(template))
             assert step[0] == step[2]  # equal edges: one target_step gives both
             best = (-1.0, None, None)  # the per-phase loop's rule
             for phi, got_phi in zip(phases, got):

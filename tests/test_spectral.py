@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdrive import spectral
+from strongdrive.errors import NumericError
 from strongdrive.units import TWO_PI, ghz_to_rad_per_ns
 
 
@@ -171,3 +172,10 @@ class TestFastComponentFit:
         with pytest.raises(ValueError, match="delta_eps = 0: .* coincide") as exc:
             spectral.fast_component_amplitudes(t, np.ones_like(t), ghz_to_rad_per_ns(2.288), 0.0)
         assert "too short" not in str(exc.value)
+
+    def test_coincident_columns_ill_conditioned(self):
+        # at delta_eps = w, cos(delta_eps t) and cos((2w - delta_eps) t) are one column
+        omega = ghz_to_rad_per_ns(2.288)
+        t = np.arange(0.0, 25.0, 0.01)
+        with pytest.raises(NumericError, match="ill-conditioned"):
+            spectral.fast_component_amplitudes(t, np.cos(omega * t), omega, omega)
