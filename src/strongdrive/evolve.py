@@ -30,6 +30,7 @@ import numpy as np
 from ._magnus import (
     IDENTITY2,
     STEP_FLOOR,
+    SZ_CONJ,
     magnus_path,
     magnus_segment,
     unitarity_defect,
@@ -48,6 +49,13 @@ DEGENERACY_TOL = 1e-9
 FALL_PHASES_START = 16
 FALL_PHASES_CAP = 4096
 FALL_SERIES_TOL = 1e-12
+
+#: Most durations ``prepare_state``'s coarse scan may take; the default |1>
+#: target takes 240.  The scan's peak working set is about 2 KB per
+#: duration (its 24 phases' states and the harmonic table), so the cap
+#: bounds it under 8 MB; the duration count grows as 1/A, and 1e-6 GHz
+#: would ask for 1e8 of them.
+PREP_SCAN_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -360,6 +368,25 @@ def _duration_batch_states(params, template, durs, step, phases, spectrum, psi0)
     return out if phases is not None else out[0]
 
 
+def _falls(params, template, n_fall, theta):
+    """Fall propagators under env(s) cos(omega s + theta), local time s in
+    [0, t_f], in ``n_fall`` steps, for an even number of phases ``theta``
+    whose second half is the first half plus pi.  Only the first half is
+    stepped: sigma_z H(x) sigma_z = H(-x), so F(theta + pi) = sigma_z
+    F(theta) sigma_z."""
+    assert len(theta) % 2 == 0, "fall phases come in pairs theta, theta + pi"
+    am, omega, t_f = template.amplitude_max, template.carrier, template.t_fall
+    half = theta[: len(theta) // 2]
+
+    def x_fall(s):
+        env = 0.5 * am * (1.0 + np.cos(np.pi * s / t_f))
+        return env[None, :] * np.cos(omega * s[None, :] + half[:, None])
+
+    u = np.broadcast_to(IDENTITY2, (len(half), 2, 2))
+    u = magnus_segment(u, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall)
+    return np.concatenate([u, u * SZ_CONJ])
+
+
 def _fall_series(params, template, step):
     """Harmonics F_m, m = -K..K in order, of the fall propagator as a
     function of its starting carrier phase: F(theta) = sum_m F_m e^{im theta}.
@@ -370,27 +397,16 @@ def _fall_series(params, template, step):
     reproduces the falls computed at the K phases midway between its nodes
     to ``FALL_SERIES_TOL`` in max entry; the series returned interpolates
     all 2K computed falls, its Nyquist term split evenly between m = -K and
-    m = K.  K depends on the pulse and the step alone, never on the
-    durations asked for.  Failing the check at ``FALL_PHASES_CAP`` raises
-    AccuracyError.
+    m = K.  Every K is even, so each set of phases holds theta + pi with
+    theta and ``_falls`` steps half of it.  K depends on the pulse and the
+    step alone, never on the durations asked for.  Failing the check at
+    ``FALL_PHASES_CAP`` raises AccuracyError.
     """
-    am, omega, t_f = template.amplitude_max, template.carrier, template.t_fall
-    n_fall = int(_step_count(t_f, step))
-
-    def falls(theta):
-        """Falls under env(s) cos(omega s + theta), local time s in [0, t_f]."""
-
-        def x_fall(s):
-            env = 0.5 * am * (1.0 + np.cos(np.pi * s / t_f))
-            return env[None, :] * np.cos(omega * s[None, :] + theta[:, None])
-
-        u = np.broadcast_to(IDENTITY2, (len(theta), 2, 2))
-        return magnus_segment(u, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall)
-
+    n_fall = int(_step_count(template.t_fall, step))
     k = FALL_PHASES_START
-    nodes = falls(TWO_PI * np.arange(k) / k)
+    nodes = _falls(params, template, n_fall, TWO_PI * np.arange(k) / k)
     while True:
-        mids = falls(TWO_PI * (np.arange(k) + 0.5) / k)
+        mids = _falls(params, template, n_fall, TWO_PI * (np.arange(k) + 0.5) / k)
         shift = np.exp(1j * np.pi * np.fft.fftfreq(k))
         shift[k // 2] = 0.0  # the Nyquist term goes as cos(K theta / 2): 0 at the midpoints
         guess = np.fft.ifft(np.fft.fft(nodes, axis=0) * shift[:, None, None], axis=0)
@@ -603,10 +619,12 @@ def prepare_state(
     (the shortest preparation, which is what made the sub-nanosecond pulses
     interesting): the crest estimate comes from the accumulated quasienergy
     phase matching the Bloch angle between |0> and the target.  A coarse
-    scan over a full carrier-phase circle, then a local one at 0.5 ps; each
-    is one (phase, duration) batch of states from |0> with a single fall
-    series.  The phase is reported mod pi for a target on the z axis (where
-    phi and phi + pi give the same fidelity), else mod 2 pi.  Returns the
+    scan over a full carrier-phase circle at 4 ps, then a local one at
+    0.5 ps; each is one (phase, duration) batch of states from |0> with a
+    single fall series.  A coarse scan of more than ``PREP_SCAN_CAP``
+    durations (a small ``amp``) raises ValueError before any work.  The
+    phase is reported mod pi for a target on the z axis (where phi and
+    phi + pi give the same fidelity), else mod 2 pi.  Returns the
     best pulse, the achieved state fidelity |<target|psi>| and psi, the
     state the scan scored, with its |1> amplitude negated if the reported
     phase is an odd multiple of pi from the scanned one (sigma_z|0> = |0>).
@@ -621,6 +639,13 @@ def prepare_state(
     angle = float(np.arccos(np.clip(target.bloch().sz, -1.0, 1.0)))
     t_star = max(angle / de - edges, 0.0)
     lo, hi = 0.55 * t_star, 1.4 * t_star + 0.05
+    n_coarse = np.ceil((hi - lo) / 0.004)  # the length of np.arange(lo, hi, 0.004)
+    if not n_coarse <= PREP_SCAN_CAP:  # also catches an infinite t_star's nan
+        raise ValueError(
+            f"state prep at amplitude {amp:.3g} rad/ns needs {n_coarse:.3g} coarse "
+            f"durations, more than {PREP_SCAN_CAP}; use a larger amplitude "
+            "(CLI: [stateprep] amplitude_ghz)"
+        )
 
     template = PulseSpec(amp, omega, edges, 0.0, edges)
     steps = _pulse_steps(template)

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._magnus import IDENTITY2, magnus_segment, matmul2, unitarity_defect
+from ._magnus import IDENTITY2, SZ_CONJ, magnus_segment, matmul2, unitarity_defect
 from .errors import AccuracyError, NumericError
 from .units import TWO_PI
 
@@ -482,10 +482,6 @@ def _monodromy_oracle(delta, amplitudes, omega, integrator_step=None):
     return eps, error
 
 
-#: sigma_z M sigma_z flips the signs of a 2x2 matrix M's off-diagonal entries.
-_SZ_CONJ = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
 def _monodromy_propagators(delta, amps, omega, quarter_steps):
     """U(T) of H = -Delta/2 sigma_z + A cos(omega t) sigma_x for each A, from
     one ``magnus_segment`` over [0, T/4] in ``quarter_steps`` steps.
@@ -506,8 +502,8 @@ def _monodromy_propagators(delta, amps, omega, quarter_steps):
         quarter,
         quarter_steps,
     )
-    half = matmul2(np.swapaxes(u, -1, -2) * _SZ_CONJ, u)
-    return matmul2(half * _SZ_CONJ, half)
+    half = matmul2(np.swapaxes(u, -1, -2) * SZ_CONJ, u)
+    return matmul2(half * SZ_CONJ, half)
 
 
 def _su2_eigenphases(u):

@@ -684,6 +684,13 @@ class TestExitCodes:
         assert "101 photon indices" in capsys.readouterr().err
         assert not (tmp_path / "run_report.json").exists()
 
+    def test_state_prep_scan_over_the_cap_exit_2_names_key(self, tmp_path, capsys):
+        # 1e-6 GHz would scan ~1e8 coarse durations, tens of GB
+        cfg = write_config(tmp_path / "c.ini", "[stateprep]\namplitude_ghz = 1e-6\n")
+        assert cli.main(["state-prep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[stateprep] amplitude_ghz" in capsys.readouterr().err
+        assert not (tmp_path / "state_prep.json").exists()
+
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[rabi]\nbogus = 1\n")
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -401,6 +401,27 @@ class TestPhaseHarmonicFalls:
             got = ev._duration_batch_states(params, template, durs, steps, None, spec, psi0)
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_half_phase_falls_match_direct_stepping(self, params, step_budget, k):
+        # F(theta + pi) = sigma_z F(theta) sigma_z, so only the first half of
+        # the phases is stepped
+        template = PulseSpec(A_EDGE, DELTA, 1.0, 0.0, 4.0)
+        am, omega, t_f = template.amplitude_max, template.carrier, template.t_fall
+        theta = TWO_PI * (np.arange(k) + 0.5) / k
+        n_fall = int(ev._step_count(t_f, 2e-3))
+
+        def x_fall(s):
+            env = 0.5 * am * (1.0 + np.cos(np.pi * s / t_f))
+            return env[None, :] * np.cos(omega * s[None, :] + theta[:, None])
+
+        u = np.broadcast_to(IDENTITY2, (k, 2, 2))
+        want = magnus_segment(u, x_fall, -0.5 * params.delta, 0.0, t_f, n_fall)
+        budget = step_budget(np.inf)
+        got = ev._falls(params, template, n_fall, theta)
+        assert budget.steps == k // 2 * n_fall
+        assert np.array_equal(got[: k // 2], want[: k // 2])
+        assert np.max(np.abs(got - want)) <= 1e-13
+
     def test_single_duration_matches_batch_row(self, params, monkeypatch):
         sizes = []
         series = ev._fall_series
@@ -466,9 +487,9 @@ class TestEdgeSteps:
         rise, fall = steps(t_rise, 0.0), steps(0.0, t_fall)
         assert steps(t_rise, t_fall) == rise + fall
         assert rise == (ev._step_count(t_rise, min(period_step, t_rise / 50.0)) if t_rise else 0)
-        if t_fall:  # the same steps for each of the series' 2K >= 32 phases
+        if t_fall:  # the same steps for each stepped phase: half the series' 2K >= 32
             n_fall = ev._step_count(t_fall, min(period_step, t_fall / 50.0))
-            assert fall % n_fall == 0 and fall // n_fall >= 2 * ev.FALL_PHASES_START
+            assert fall % n_fall == 0 and fall // n_fall >= ev.FALL_PHASES_START
         else:
             assert fall == 0
 
@@ -741,6 +762,11 @@ class TestAsymmetry:
 
 
 class TestStatePrep:
+    def test_coarse_scan_over_the_cap_raises_before_any_work(self, params, monkeypatch):
+        monkeypatch.setattr(ev, "_plateau_spectrum", None)  # a solve would fail
+        with pytest.raises(ValueError, match=r"more than 4096; .*\[stateprep\] amplitude_ghz"):
+            ev.prepare_state(params, StateVector.excited(), TWO_PI * 1e-6, 0.02)
+
     def test_ground_target_zero_pulse(self, params):
         pulse, fid, _ = ev.prepare_state(params, StateVector.ground(), TWO_PI * 0.46, 0.0)
         assert fid == pytest.approx(1.0, abs=1e-6)

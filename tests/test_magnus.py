@@ -1,4 +1,5 @@
-"""Blocked Magnus pipeline against the one-step-at-a-time loop it replaced."""
+"""Blocked Magnus pipeline against the one-step-at-a-time loop and against
+the same blocked pipeline composing 2x2 matrices."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from strongdrive._magnus import (
     magnus_path,
     magnus_segment,
     matmul2,
-    su2_exp,
     unitarity_defect,
 )
 from strongdrive.units import TWO_PI
@@ -21,6 +21,66 @@ from strongdrive.units import TWO_PI
 DELTA = TWO_PI * 2.288
 HZ = -0.5 * DELTA
 TOL = 1e-12
+
+
+def su2_exp(ax, ay, az):
+    """exp(-i (ax sx + ay sy + az sz)) for broadcastable coefficient arrays.
+
+    Returns an array of shape broadcast(ax, ay, az).shape + (2, 2).
+    """
+    ax, ay, az = np.broadcast_arrays(ax, ay, az)
+    r = np.sqrt(ax * ax + ay * ay + az * az)
+    f = np.sinc(r / np.pi)  # sin(r)/r with the correct r -> 0 limit
+    u = np.empty(r.shape + (2, 2), dtype=complex)
+    re, im = u.real, u.imag
+    re[..., 0, 0] = re[..., 1, 1] = np.cos(r)
+    im[..., 1, 1] = az * f
+    im[..., 0, 0] = -im[..., 1, 1]
+    re[..., 1, 0] = ay * f
+    re[..., 0, 1] = -re[..., 1, 0]
+    im[..., 0, 1] = im[..., 1, 0] = -ax * f
+    return u
+
+
+def blocked_path_2x2(u, x_of_t, hz, lo, h, keep):
+    """Reference for magnus_path, bit for bit: the same blocks, reductions,
+    scans and gather, composing full 2x2 matrices with ``matmul2``."""
+
+    def ordered_product(us):
+        while us.shape[-3] > 1:
+            odd = us[..., us.shape[-3] // 2 * 2 :, :, :]
+            us = np.concatenate([matmul2(us[..., 1::2, :, :], us[..., :-1:2, :, :]), odd], axis=-3)
+        return us[..., 0, :, :]
+
+    def prefix_products(us):
+        d = 1
+        while d < us.shape[-3]:
+            us[..., d:, :, :] = matmul2(us[..., d:, :, :], us[..., :-d, :, :])
+            d *= 2
+        return us
+
+    h = np.broadcast_to(h, lo.shape)
+    keep = np.asarray(keep, dtype=int)
+    done = int(np.searchsorted(keep, 0, side="right"))
+    pieces = [np.repeat(u[..., None, :, :], done, axis=-3)]
+    for s in range(0, lo.size, BLOCK):
+        e = min(s + BLOCK, lo.size)
+        x1 = np.asarray(x_of_t(lo[s:e] + _GL_LO * h[s:e]))
+        x2 = np.asarray(x_of_t(lo[s:e] + _GL_HI * h[s:e]))
+        ax = 0.5 * h[s:e] * (x1 + x2)
+        ay = -(np.sqrt(3.0) * h[s:e] * h[s:e] / 6.0) * hz * (x2 - x1)
+        us = su2_exp(ax, ay, h[s:e] * hz)
+        upto = int(np.searchsorted(keep, e, side="right"))
+        if done < upto and keep[done] < e:
+            us = prefix_products(us)
+            pieces.append(matmul2(us[..., keep[done:upto] - s - 1, :, :], u[..., None, :, :]))
+            u = matmul2(us[..., -1, :, :], u)
+        else:
+            u = matmul2(ordered_product(us), u)
+            pieces.append(np.repeat(u[..., None, :, :], upto - done, axis=-3))
+        done = upto
+    batch = np.broadcast_shapes(*(p.shape[:-3] for p in pieces))
+    return np.concatenate([np.broadcast_to(p, batch + p.shape[-3:]) for p in pieces], axis=-3)
 
 
 def loop_segment(u, x_of_t, hz, t0, t1, n_steps):
@@ -93,6 +153,23 @@ class TestAgainstLoop:
         want = loop_path(u0, x_of_t, HZ, lo, h, keep)
         assert got.shape == batch + (len(keep), 2, 2)
         assert np.max(np.abs(got - want)) < TOL
+
+    def test_path_matches_2x2_pipeline_bit_for_bit(self, batch, n):
+        x_of_t = drive(batch)
+        lo, h = mesh(n)
+        u0 = su2_exp(0.3, -0.2, 0.5)
+        # keeps(n) samples inside blocks (scan); [n] alone reduces every block
+        for keep in (keeps(n), [n]):
+            got = magnus_path(u0, x_of_t, HZ, lo, h, keep)
+            assert np.array_equal(got, blocked_path_2x2(u0, x_of_t, HZ, lo, h, keep))
+
+
+@pytest.mark.parametrize(
+    "u0", [np.diag([1.0, 1j]), 2.0 * IDENTITY2, np.array([[0.6, 0.8], [0.8, 0.6]])]
+)
+def test_start_outside_su2_is_rejected(u0):
+    with pytest.raises(ValueError, match="u must be"):
+        magnus_path(u0, np.cos, HZ, 0.1 + 1e-3 * np.arange(4), 1e-3, [4])
 
 
 def test_no_steps_returns_start():
