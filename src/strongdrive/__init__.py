@@ -1,55 +1,34 @@
 """Floquet analysis and pulse-level simulation of a strongly driven qubit.
 
-Quasienergy spectra of the harmonically driven two-level system (truncated
-Floquet matrix, monodromy oracle, closed-form Bessel chain), time-domain
-propagation of shaped pulses, spectral classification of population
-oscillations, Floquet-frame adiabaticity analysis, and a simulated
-tomography pipeline (shots, MLE, parametric bootstrap, pulse calibration).
+Quasienergy spectra of the harmonically driven two-level system (parity
+sector of the truncated Floquet matrix, monodromy oracle, closed-form Bessel
+formula), time-domain propagation of shaped pulses and fast state
+preparation, spectral classification of population oscillations, and a
+simulated tomography pipeline (shots, MLE, parametric bootstrap, pulse
+calibration).
 """
 
-from .errors import (
-    AccuracyError,
-    BasisDegeneracyError,
-    ConfigError,
-    NumericError,
-    SimulationError,
-)
+from .errors import AccuracyError, ConfigError, NumericError, SimulationError
 from .evolve import (
-    FloquetFrameCoeffs,
     Trajectory,
     continuous_drive_states,
-    edge_transition_unitary,
     evolve_interval,
     final_states_for_durations,
-    floquet_frame_decompose,
     prepare_state,
     propagate,
     propagate_train,
     sweep_pulse_duration,
 )
 from .floquet import (
-    FloquetMatrix,
     FloquetSpectrum,
     analytic_delta_epsilon,
     analytic_quasienergies,
     build_floquet_matrix,
-    frequency_components,
     monodromy_quasienergies,
     monodromy_quasienergies_batch,
-    quasienergies,
     quasienergy_sweep,
-    truncated_2x2_block,
-    truncated_4x4_hamiltonian,
 )
-from .model import (
-    BlochVector,
-    PulseSpec,
-    QubitParams,
-    StateVector,
-    envelope,
-    hamiltonian_at,
-    transition_frequency,
-)
+from .model import BlochVector, PulseSpec, QubitParams, StateVector, envelope
 from .spectral import (
     Peak,
     PeakSet,

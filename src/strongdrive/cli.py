@@ -131,11 +131,7 @@ def _pin_mmap_threshold() -> None:
 
 
 def _device(config: ExperimentConfig) -> QubitParams:
-    d = config["device"]
-    return QubitParams(
-        delta=ghz_to_rad_per_ns(d["delta_ghz"]),
-        persistent_current=d["persistent_current_na"],
-    )
+    return QubitParams(delta=ghz_to_rad_per_ns(config["device"]["delta_ghz"]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tomography-trace", parents=[common, shots])
     sub.add_parser("edge-study", parents=[common])
     sub.add_parser("state-prep", parents=[common, shots])
-    check = sub.add_parser("check", parents=[common])
+    check = sub.add_parser("check")
     check.add_argument("--full", action="store_true", help="run every acceptance criterion")
     return parser
 

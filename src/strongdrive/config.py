@@ -47,7 +47,6 @@ def _parse_pair_list(s: str) -> tuple[tuple[float, float], ...]:
 SCHEMA: dict[str, dict[str, tuple]] = {
     "device": {
         "delta_ghz": (float, 2.288),
-        "persistent_current_na": (float, 690.0),
     },
     "solver": {
         "truncation_n": (int, 50),
@@ -153,9 +152,10 @@ def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
     """Reject parsed values out of range, naming the key.
 
     Times, steps, frequencies and amplitudes (keys ending in ``_ns`` or
-    ``_ghz``, and ``omega_factors``) must be > 0, every entry of a list;
-    the keys in ``_ZERO_ALLOWED`` must be >= 0.  ``rabi.min_prominence``, a
-    fraction of the largest peak, must lie in (0, 1).
+    ``_ghz``, and ``omega_factors``) must be finite and > 0, every entry of
+    a list; the keys in ``_ZERO_ALLOWED`` must be finite and >= 0.
+    ``rabi.min_prominence``, a fraction of the largest peak, must lie in
+    (0, 1).
     """
 
     def bad(sec, key, why):
@@ -167,10 +167,10 @@ def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
                 continue
             flat = np.ravel(v)
             if (sec, key) in _ZERO_ALLOWED:
-                if not np.all(flat >= 0.0):
-                    raise bad(sec, key, "must be >= 0")
-            elif not np.all(flat > 0.0):
-                raise bad(sec, key, "must be > 0")
+                if not np.all(np.isfinite(flat) & (flat >= 0.0)):
+                    raise bad(sec, key, "must be finite and >= 0")
+            elif not np.all(np.isfinite(flat) & (flat > 0.0)):
+                raise bad(sec, key, "must be finite and > 0")
     for (sec, key), lowest in _MINIMUMS.items():
         if values[sec][key] < lowest:
             raise bad(sec, key, f"must be >= {lowest}")

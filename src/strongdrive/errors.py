@@ -13,9 +13,5 @@ class NumericError(SimulationError):
     """A numerical routine failed to converge or produced invalid output."""
 
 
-class BasisDegeneracyError(SimulationError):
-    """Quasienergy basis is ill-defined (degenerate branches at finite drive)."""
-
-
 class ConfigError(Exception):
     """Invalid or unknown experiment configuration entry."""

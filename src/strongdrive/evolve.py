@@ -1,4 +1,4 @@
-"""Pulse-level Schroedinger propagation and Floquet-frame analysis.
+"""Pulse-level propagation: Magnus-stepped pulses and Floquet sums.
 
 Time steps run through one pipeline of exactly unitary 2x2 steps: mesh ->
 step unitaries -> blocked reduce/scan -> gather.  ``_mesh_propagators`` cuts
@@ -27,22 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._magnus import (
-    IDENTITY2,
-    STEP_FLOOR,
-    SZ_CONJ,
-    magnus_path,
-    magnus_segment,
-    unitarity_defect,
-)
-from .errors import AccuracyError, BasisDegeneracyError
+from ._magnus import IDENTITY2, STEP_FLOOR, SZ_CONJ, magnus_path, magnus_segment
+from .errors import AccuracyError
 from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
 from .units import TWO_PI
-
-#: Quasienergy splitting below which the Floquet basis is treated as
-#: degenerate (rad/ns).
-DEGENERACY_TOL = 1e-9
 
 #: Carrier phases the fall series starts from, the most it may use, and the
 #: max-entry error its interpolant must meet between its nodes.
@@ -72,14 +61,6 @@ class Trajectory:
 
     def state_at(self, i: int) -> StateVector:
         return StateVector.from_array(self.states[i])
-
-
-@dataclass(frozen=True)
-class FloquetFrameCoeffs:
-    """Amplitudes on the instantaneous quasienergy states u0, u1."""
-
-    c0: complex
-    c1: complex
 
 
 def _states_from_unitaries(u, psi0):
@@ -494,109 +475,6 @@ def propagate_train(
         units.update(zip(ks, np.broadcast_to(u[..., -1, :, :], (len(ks), 2, 2))))
     u = functools.reduce(lambda acc, k: units[k] @ acc, range(len(pulses)), IDENTITY2)
     return StateVector.from_array(u @ psi)
-
-
-# ---------------------------------------------------------------------------
-# Floquet-frame analysis
-# ---------------------------------------------------------------------------
-
-
-def floquet_frame_decompose(
-    state: StateVector,
-    spectrum: FloquetSpectrum,
-    t: float,
-    *,
-    carrier_phase: float = 0.0,
-) -> FloquetFrameCoeffs:
-    """Project a state onto the instantaneous quasienergy states at time t."""
-    if spectrum.delta_eps < DEGENERACY_TOL and not spectrum.limit_convention:
-        raise BasisDegeneracyError(
-            "quasienergy branches degenerate; Floquet basis ill-defined"
-        )
-    c0, c1 = spectrum.states_at(t, carrier_phase).conj().T @ state.as_array()
-    return FloquetFrameCoeffs(complex(c0), complex(c1))
-
-
-def branch_interpolants(
-    delta: float, omega: float, amp_max: float, truncation_n: int = DEFAULT_TRUNCATION,
-    n_grid: int = 101,
-):
-    """(eps0(A), eps1(A)) interpolants from the sector solve on a uniform
-    n_grid-point amplitude grid from 0 to amp_max."""
-    amps = np.linspace(0.0, max(amp_max, 1e-12), n_grid)
-    specs = quasienergy_sweep(delta, omega, amps, truncation_n)
-    e0 = np.array([s.eps0 for s in specs])
-    e1 = np.array([s.eps1 for s in specs])
-    return (
-        lambda a: np.interp(a, amps, e0),
-        lambda a: np.interp(a, amps, e1),
-        specs,
-    )
-
-
-def delta_eps_integral(
-    pulse: PulseSpec, eps_fn, t0: float, t1: float, n: int = 2001
-) -> float:
-    """Simpson quadrature of eps_fn(A(t)) over [t0, t1]."""
-    if t1 <= t0:
-        return 0.0
-    if n % 2 == 0:
-        n += 1
-    t = np.linspace(t0, t1, n)
-    y = eps_fn(envelope(pulse, t, allow_outside=True))
-    h = (t1 - t0) / (n - 1)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.sum(w * y))
-
-
-def edge_transition_unitary(
-    params: QubitParams,
-    pulse: PulseSpec,
-    edge: str,
-    *,
-    truncation_n: int = DEFAULT_TRUNCATION,
-    target_step: float | None = None,
-) -> np.ndarray:
-    """Map between Floquet bases across a pulse edge, dynamical phase removed.
-
-    For the rise: from the A = 0 basis at the pulse start to the basis at
-    A_m when the plateau begins.  For the fall: from the A_m basis at the
-    plateau end back to the A = 0 basis.  The branch dynamical phases
-    exp(-i Int eps_j(A(t)) dt) across the edge are divided out, so an
-    adiabatic edge yields a diagonal (phase-only) matrix.
-    """
-    if edge not in ("rise", "fall"):
-        raise ValueError("edge must be 'rise' or 'fall'")
-    if edge == "rise":
-        t0, t1 = 0.0, pulse.t_rise
-        a_from, a_to = 0.0, pulse.amplitude_max
-    else:
-        t0 = pulse.t_rise + pulse.t_plateau
-        t1 = pulse.total
-        a_from, a_to = pulse.amplitude_max, 0.0
-
-    f0, f1, specs = branch_interpolants(
-        params.delta, pulse.carrier, pulse.amplitude_max, truncation_n
-    )
-    spec_zero, spec_full = specs[0], specs[-1]  # the grid ends at amplitude_max
-    if pulse.amplitude_max > 0.0 and spec_full.delta_eps < DEGENERACY_TOL:
-        raise BasisDegeneracyError("degenerate quasienergies at the plateau amplitude")
-
-    p_from = (spec_zero if a_from == 0.0 else spec_full).states_at(t0, pulse.carrier_phase)
-    p_to = (spec_zero if a_to == 0.0 else spec_full).states_at(t1, pulse.carrier_phase)
-
-    u_lab = evolve_interval(params, pulse, t0, t1, target_step=target_step)
-    phi0 = delta_eps_integral(pulse, f0, t0, t1)
-    phi1 = delta_eps_integral(pulse, f1, t0, t1)
-
-    w = p_to.conj().T @ u_lab @ p_from
-    w = np.diag(np.exp(1j * np.array([phi0, phi1]))) @ w
-    defect = unitarity_defect(w[None, ...])
-    if defect > 1e-8:
-        raise AccuracyError(f"edge transition unitarity defect {defect:.2e}")
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ U(T/2), exactly on the Magnus mesh too.  Its accuracy gate is a measured
 step error: the quarter period is stepped once more at twice the step, and
 the eigenphase difference over 15 T (4th order) must stay below 1e-8 rad/ns.
 The approximate Bessel-function chain (rotating-frame transformation,
-truncated 4x4 matrix, decoupled 2x2 block) yields the closed-form
-quasienergies and the generalized Rabi frequency
+truncated 4x4 matrix, decoupled 2x2 block; the tests keep its matrices)
+yields the closed-form quasienergies and the generalized Rabi frequency
 
     Omega_R = sqrt((omega - Delta J0(2A/omega))^2 + Delta^2 J1^2(2A/omega)).
 
@@ -61,30 +61,11 @@ from .units import TWO_PI
 DEFAULT_TRUNCATION = 50
 
 
-def central_block(delta: float) -> np.ndarray:
-    """The n = 0 diagonal block [[0, -Delta/2], [-Delta/2, 0]]."""
-    return np.array([[0.0, -0.5 * delta], [-0.5 * delta, 0.0]])
-
-
-@dataclass(frozen=True)
-class FloquetMatrix:
-    """Truncated Floquet Hamiltonian and the parameters that generated it."""
-
-    entries: np.ndarray
-    truncation_n: int
-    delta: float
-    amp: float
-    omega: float
-
-    @property
-    def dim(self) -> int:
-        return 2 * (2 * self.truncation_n + 1)
-
-
 def build_floquet_matrix(
     delta: float, amp: float, omega: float, truncation_n: int = DEFAULT_TRUNCATION
-) -> FloquetMatrix:
-    """Assemble the real symmetric Floquet matrix with n in [-N, N]."""
+) -> np.ndarray:
+    """The real symmetric Floquet matrix with n in [-N, N]: the dense oracle
+    of the parity-sector solve, which needs only its even sector."""
     _check_floquet_args(omega, truncation_n)
     n_blocks = 2 * truncation_n + 1
     dim = 2 * n_blocks
@@ -101,7 +82,7 @@ def build_floquet_matrix(
             h[i + 2, i] = -0.5 * amp
             h[i + 1, i + 3] = 0.5 * amp
             h[i + 3, i + 1] = 0.5 * amp
-    return FloquetMatrix(h, truncation_n, delta, amp, omega)
+    return h
 
 
 @dataclass(frozen=True)
@@ -407,14 +388,6 @@ def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, limit_convention)
     )
 
 
-def quasienergies(matrix: FloquetMatrix) -> FloquetSpectrum:
-    """Quasienergies and quasienergy states for the matrix parameters,
-    from the even-sector solve of :func:`quasienergy_sweep`."""
-    return quasienergy_sweep(
-        matrix.delta, matrix.omega, [matrix.amp], matrix.truncation_n
-    )[0]
-
-
 # ---------------------------------------------------------------------------
 # Monodromy oracle
 # ---------------------------------------------------------------------------
@@ -569,60 +542,3 @@ def analytic_quasienergies(delta: float, amp, omega: float):
     array of amplitudes."""
     half = 0.5 * analytic_delta_epsilon(delta, amp, omega)
     return (-0.5 * omega - half, -0.5 * omega + half)
-
-
-def truncated_4x4_hamiltonian(delta: float, amp: float, omega: float) -> np.ndarray:
-    """The 4x4 rotating-frame matrix kept by the near-degenerate truncation."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    b0 = 0.5 * delta * j0(2.0 * amp / omega)
-    b1 = 0.5 * delta * j1(2.0 * amp / omega)
-    return np.array(
-        [
-            [-omega, -b0, 0.0, -b1],
-            [-b0, -omega, b1, 0.0],
-            [0.0, b1, 0.0, -b0],
-            [-b1, 0.0, -b0, 0.0],
-        ]
-    )
-
-
-def block_basis_transform() -> np.ndarray:
-    """Orthogonal pairwise Hadamard transform decoupling the 4x4 matrix."""
-    s = np.zeros((4, 4))
-    s[0, 0] = s[1, 0] = s[0, 1] = 1.0
-    s[1, 1] = -1.0
-    s[2, 2] = s[3, 2] = s[2, 3] = 1.0
-    s[3, 3] = -1.0
-    return s / np.sqrt(2.0)
-
-
-def truncated_2x2_block(delta: float, amp: float, omega: float) -> np.ndarray:
-    """Relevant decoupled 2x2 block; its eigenvalues are the closed-form
-    quasienergies."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    b0 = delta * j0(2.0 * amp / omega)
-    b1 = delta * j1(2.0 * amp / omega)
-    return 0.5 * np.array([[-2.0 * omega + b0, -b1], [-b1, -b0]])
-
-
-def frequency_components(delta_eps: float, omega: float, n_max: int) -> np.ndarray:
-    """Predicted oscillation frequencies {n w, n w +- delta_eps}, even n only.
-
-    Returns the non-negative members, sorted and deduplicated within 1e-9.
-    Units follow the inputs (rad/ns in, rad/ns out).
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals = []
-    for n in range(0, n_max + 1, 2):
-        vals.extend([n * omega, n * omega - delta_eps, n * omega + delta_eps])
-    vals = np.array([v for v in vals if v > -1e-12])
-    vals[vals < 0.0] = 0.0
-    vals = np.sort(vals)
-    keep = [vals[0]]
-    for v in vals[1:]:
-        if v - keep[-1] > 1e-9:
-            keep.append(v)
-    return np.array(keep)

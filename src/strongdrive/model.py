@@ -1,4 +1,4 @@
-"""Driven two-level system: device parameters, pulse shapes, Hamiltonian.
+"""Driven two-level system: device parameters, pulse shapes, qubit states.
 
 The qubit is biased at its symmetry point, where the lab-frame Hamiltonian in
 the energy eigenbasis {|0>, |1>} is (hbar = 1)
@@ -19,32 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import HBAR, PHI0, TWO_PI
+from .units import TWO_PI
 
-# Pauli matrices (sigma_x and sigma_z real so the Hamiltonian below is a
-# bitwise-Hermitian complex array).
+# Pauli matrices.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: Default minimum level splitting, rad/ns.
 DELTA_DEFAULT = TWO_PI * 2.288
-#: Default persistent current, nA.
-PERSISTENT_CURRENT_DEFAULT = 690.0
 
 
 @dataclass(frozen=True)
 class QubitParams:
     """Static device parameters.
 
-    delta: minimum level splitting, rad/ns (angular).
-    persistent_current: loop persistent current I_p, nA.
+    delta: minimum level splitting, rad/ns (angular), the only parameter of
+    H at the symmetry point.
 
     The dynamics is closed (unitary): no relaxation or dephasing constants.
     """
 
     delta: float = DELTA_DEFAULT
-    persistent_current: float = PERSISTENT_CURRENT_DEFAULT
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -113,41 +109,6 @@ def envelope(pulse: PulseSpec, t, *, allow_outside: bool = False):
             1.0 + np.cos(np.pi * (t_arr[falling] - t_p - t_r) / t_f)
         )
     return out if out.ndim else float(out)
-
-
-def drive_coefficient(pulse: PulseSpec, t):
-    """Instantaneous sigma_x coefficient A(t)*cos(omega*t + phi), rad/ns.
-
-    Zero outside the pulse support.
-    """
-    a = envelope(pulse, t, allow_outside=True)
-    return a * np.cos(pulse.carrier * np.asarray(t, dtype=float) + pulse.carrier_phase)
-
-
-def hamiltonian_at(params: QubitParams, pulse: PulseSpec, t: float) -> np.ndarray:
-    """2x2 Hamiltonian -Delta/2 sigma_z + A(t) cos(omega t + phi) sigma_x at time t.
-
-    The drive term vanishes outside the pulse support.  hbar = 1; entries in
-    rad/ns.
-    """
-    x = drive_coefficient(pulse, float(t))
-    h = np.zeros((2, 2), dtype=complex)
-    h[0, 0] = -0.5 * params.delta
-    h[1, 1] = 0.5 * params.delta
-    h[0, 1] = x
-    h[1, 0] = x
-    return h
-
-
-def transition_frequency(params: QubitParams, flux_offset: float) -> float:
-    """Qubit transition frequency sqrt(Delta^2 + eps^2) in rad/ns.
-
-    ``flux_offset`` is (Phi_s - Phi_0/2) in units of the flux quantum; the
-    energy bias is eps = 2 I_p (Phi_s - Phi_0/2) / hbar converted to rad/ns.
-    """
-    eps_rad_per_s = 2.0 * (params.persistent_current * 1e-9) * (flux_offset * PHI0) / HBAR
-    eps = eps_rad_per_s * 1e-9
-    return float(np.hypot(params.delta, eps))
 
 
 @dataclass(frozen=True)

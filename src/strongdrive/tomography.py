@@ -183,11 +183,6 @@ def simulate_shots(state, basis: str, shots: int, seed=None) -> ShotRecord:
     return ShotRecord(basis, shots, counts, seed if isinstance(seed, int) else None)
 
 
-def exact_records(state, shots: int) -> list[ShotRecord]:
-    """Infinite-shot-limit records: exact probabilities as fractional counts."""
-    return [ShotRecord(b, shots, measured_p1(state, b) * shots) for b in BASES]
-
-
 def bloch_from_records(records) -> np.ndarray:
     """Linear-inversion Bloch vector (may leave the unit ball with noise)."""
     by_basis = {r.basis: r for r in records}
@@ -438,9 +433,7 @@ def _brentq(f, a, b, xtol):
     )
 
 
-def angle_calibration_sequence(
-    params: QubitParams, pulse: PulseSpec, n: int, *, target_step: float | None = None
-) -> float:
+def angle_calibration_sequence(params: QubitParams, pulse: PulseSpec, n: int) -> float:
     """Rotation-angle error estimate from the [R(theta)]^(2n+1) train.
 
     Propagates 2n+1 identical pulses from |0> with a phase-coherent carrier
@@ -448,18 +441,13 @@ def angle_calibration_sequence(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    final = propagate_train(params, [pulse] * (2 * n + 1), target_step=target_step)
+    final = propagate_train(params, [pulse] * (2 * n + 1))
     resp = np.clip(1.0 - 2.0 * final.p1, -1.0, 1.0)
     return float(np.arcsin(resp) / (2 * n + 1))
 
 
 def axis_calibration_sequence(
-    params: QubitParams,
-    pulse_x: PulseSpec,
-    pulse_y: PulseSpec,
-    n: int,
-    *,
-    target_step: float | None = None,
+    params: QubitParams, pulse_x: PulseSpec, pulse_y: PulseSpec, n: int
 ) -> float:
     """Axis-misalignment estimate from Ry'{[Rx]^2 [Ry']^2}^n Rx.
 
@@ -473,7 +461,7 @@ def axis_calibration_sequence(
     for _ in range(n):
         pulses.extend([pulse_y, pulse_y, pulse_x, pulse_x])
     pulses.append(pulse_y)
-    final = propagate_train(params, pulses, target_step=target_step)
+    final = propagate_train(params, pulses)
     resp = np.clip(1.0 - 2.0 * final.p1, -1.0, 1.0)
     return float(-np.arcsin(resp) / (2 * n + 1))
 

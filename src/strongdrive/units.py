@@ -10,16 +10,6 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-#: Planck constant in J*s and elementary charge in C: exact in the 2019 SI.
-_H = 6.62607015e-34
-_E = 1.602176634e-19
-
-#: Magnetic flux quantum h/(2e) in Wb.
-PHI0 = _H / (2.0 * _E)
-
-#: Reduced Planck constant in J*s.
-HBAR = _H / TWO_PI
-
 
 def ghz_to_rad_per_ns(f_ghz):
     """Plain frequency in GHz -> angular frequency in rad/ns."""

@@ -16,7 +16,7 @@ from strongdrive import cli, evolve, floquet, tomography
 from strongdrive.config import load_config
 from strongdrive.errors import ConfigError
 from strongdrive.model import QubitParams, StateVector
-from strongdrive.units import HBAR, PHI0, TWO_PI, ghz_to_rad_per_ns
+from strongdrive.units import TWO_PI, ghz_to_rad_per_ns
 
 
 def write_config(path: Path, text: str) -> str:
@@ -54,7 +54,13 @@ class TestConfig:
             load_config(p)
 
     @pytest.mark.parametrize(
-        "section, key", [("device", "t1_ns"), ("device", "t_ramsey_ns"), ("run", "threads")]
+        "section, key",
+        [
+            ("device", "t1_ns"),
+            ("device", "t_ramsey_ns"),
+            ("device", "persistent_current_na"),
+            ("run", "threads"),
+        ],
     )
     def test_removed_keys_rejected(self, tmp_path, section, key):
         p = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = 1\n")
@@ -105,6 +111,12 @@ class TestConfig:
             ("edges", "omega_ghz", "0"),
             ("stateprep", "amplitude_ghz", "0"),
             ("run", "seed", "-1"),
+            # inf passes "> 0"; the solvers then failed without naming the key
+            ("stateprep", "min_edge_ns", "inf"),
+            ("device", "delta_ghz", "inf"),
+            ("rabi", "duration_ns", "inf"),
+            ("quasienergies", "omega_factors", "1, inf"),
+            ("edges", "edge_times_ns", "0, inf"),
         ],
     )
     def test_out_of_range_value_names_key(self, tmp_path, section, key, value):
@@ -608,16 +620,11 @@ class TestStartup:
         ).stdout
         assert out.split() == ["True"]
 
-    def test_constants_match_scipy(self):
-        from scipy import constants
-
-        assert PHI0 == constants.physical_constants["mag. flux quantum"][0]
-        assert HBAR == constants.hbar
-
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "argv", [["rabi-scan", "--oracle"], ["edge-study", "--shots", "5"]]
+        "argv",
+        [["rabi-scan", "--oracle"], ["edge-study", "--shots", "5"], ["check", "--seed", "1"]],
     )
     def test_flag_on_command_that_ignores_it_exit_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from strongdrive import evolve as ev
 from strongdrive import floquet as fq
-from strongdrive._magnus import IDENTITY2, magnus_path, magnus_segment
-from strongdrive.errors import AccuracyError, BasisDegeneracyError
+from strongdrive._magnus import IDENTITY2, magnus_path, magnus_segment, unitarity_defect
+from strongdrive.errors import AccuracyError, SimulationError
 from strongdrive.model import PulseSpec, QubitParams, StateVector, envelope
 from strongdrive.tomography import PREROTATION_AMPLITUDE, PREROTATION_EDGE
 from strongdrive.units import TWO_PI
@@ -522,7 +522,7 @@ class TestEdgeSteps:
         ev.propagate(params, pulse, sample_dt=pulse.total, refine=False)
         assert budget.steps == 50 + 458 + 916
         budget = step_budget(200_000)
-        ev.edge_transition_unitary(params, pulse, "fall")
+        edge_transition_unitary(params, pulse, "fall")
         assert budget.steps == 916
 
     def test_interval_outside_the_pulse_takes_one_step(self, params, step_budget):
@@ -657,25 +657,96 @@ class TestMesh:
         assert np.array_equal(h, want)  # each span / count is exactly its step here
 
 
+# ---------------------------------------------------------------------------
+# Floquet-frame analysis: oracles of the adiabatic and sudden edge limits
+# ---------------------------------------------------------------------------
+
+#: Quasienergy splitting below which the Floquet basis is treated as
+#: degenerate (rad/ns).
+DEGENERACY_TOL = 1e-9
+
+
+class BasisDegeneracyError(SimulationError):
+    """Quasienergy basis is ill-defined (degenerate branches at finite drive)."""
+
+
+def floquet_frame_decompose(state, spectrum, t):
+    """Amplitudes (c0, c1) of ``state`` on the instantaneous quasienergy
+    states at time t."""
+    if spectrum.delta_eps < DEGENERACY_TOL and not spectrum.limit_convention:
+        raise BasisDegeneracyError("quasienergy branches degenerate; Floquet basis ill-defined")
+    return spectrum.states_at(t).conj().T @ state.as_array()
+
+
+def branch_interpolants(delta, omega, amp_max, n_grid=101):
+    """(eps0(A), eps1(A)) interpolants from the sector solve on a uniform
+    n_grid-point amplitude grid from 0 to amp_max, and the solves."""
+    amps = np.linspace(0.0, max(amp_max, 1e-12), n_grid)
+    specs = fq.quasienergy_sweep(delta, omega, amps)
+    e0 = np.array([s.eps0 for s in specs])
+    e1 = np.array([s.eps1 for s in specs])
+    return (lambda a: np.interp(a, amps, e0), lambda a: np.interp(a, amps, e1), specs)
+
+
+def delta_eps_integral(pulse, eps_fn, t0, t1, n=2001):
+    """Simpson quadrature of eps_fn(A(t)) over [t0, t1], n odd."""
+    t = np.linspace(t0, t1, n)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return float((t1 - t0) / (n - 1) / 3.0 * np.sum(w * eps_fn(envelope(pulse, t))))
+
+
+def edge_transition_unitary(params, pulse, edge):
+    """Map between Floquet bases across a pulse edge, dynamical phase removed.
+
+    For the rise: from the A = 0 basis at the pulse start to the basis at
+    A_m when the plateau begins.  For the fall: from the A_m basis at the
+    plateau end back to the A = 0 basis.  The branch dynamical phases
+    exp(-i Int eps_j(A(t)) dt) across the edge are divided out, so an
+    adiabatic edge yields a diagonal (phase-only) matrix.
+    """
+    if edge not in ("rise", "fall"):
+        raise ValueError("edge must be 'rise' or 'fall'")
+    am = pulse.amplitude_max
+    if edge == "rise":
+        t0, t1, a_from, a_to = 0.0, pulse.t_rise, 0.0, am
+    else:
+        t0, t1, a_from, a_to = pulse.t_rise + pulse.t_plateau, pulse.total, am, 0.0
+    f0, f1, specs = branch_interpolants(params.delta, pulse.carrier, am)
+    spec_zero, spec_full = specs[0], specs[-1]  # the grid ends at amplitude_max
+    if am > 0.0 and spec_full.delta_eps < DEGENERACY_TOL:
+        raise BasisDegeneracyError("degenerate quasienergies at the plateau amplitude")
+    p_from = (spec_zero if a_from == 0.0 else spec_full).states_at(t0, pulse.carrier_phase)
+    p_to = (spec_zero if a_to == 0.0 else spec_full).states_at(t1, pulse.carrier_phase)
+    u_lab = ev.evolve_interval(params, pulse, t0, t1)
+    phases = [delta_eps_integral(pulse, f, t0, t1) for f in (f0, f1)]
+    w = np.exp(1j * np.array(phases))[:, None] * (p_to.conj().T @ u_lab @ p_from)
+    defect = unitarity_defect(w[None, ...])
+    if defect > 1e-8:
+        raise AccuracyError(f"edge transition unitarity defect {defect:.2e}")
+    return w
+
+
 class TestFloquetFrame:
     def test_ground_state_equal_weights(self, params):
         spec = fq.quasienergy_sweep(DELTA, DELTA, [0.0])[0]
-        c = ev.floquet_frame_decompose(StateVector.ground(), spec, 0.0)
-        assert abs(c.c0) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
-        assert abs(c.c1) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
-        assert abs(c.c0) ** 2 + abs(c.c1) ** 2 == pytest.approx(1.0, abs=1e-8)
+        c0, c1 = floquet_frame_decompose(StateVector.ground(), spec, 0.0)
+        assert abs(c0) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+        assert abs(c1) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+        assert abs(c0) ** 2 + abs(c1) ** 2 == pytest.approx(1.0, abs=1e-8)
 
     def test_basis_vector_projects_to_unity(self, params):
         spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.33])[0]
         u0 = spec.states_at(0.37)[:, 0]
-        c = ev.floquet_frame_decompose(StateVector.from_array(u0), spec, 0.37)
-        assert abs(c.c0) == pytest.approx(1.0, abs=1e-9)
-        assert abs(c.c1) == pytest.approx(0.0, abs=1e-9)
+        c0, c1 = floquet_frame_decompose(StateVector.from_array(u0), spec, 0.37)
+        assert abs(c0) == pytest.approx(1.0, abs=1e-9)
+        assert abs(c1) == pytest.approx(0.0, abs=1e-9)
 
     def test_truncation_defect_raises(self, params):
         spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
         with pytest.raises(AccuracyError, match="truncation_n"):
-            ev.floquet_frame_decompose(StateVector.ground(), spec, 0.37)
+            floquet_frame_decompose(StateVector.ground(), spec, 0.37)
 
     def test_degenerate_basis_raises(self, params):
         spec = fq.FloquetSpectrum(
@@ -684,7 +755,7 @@ class TestFloquetFrame:
             delta=DELTA, amp=1.0, omega=DELTA, truncation_n=1,
         )
         with pytest.raises(BasisDegeneracyError):
-            ev.floquet_frame_decompose(StateVector.ground(), spec, 0.0)
+            floquet_frame_decompose(StateVector.ground(), spec, 0.0)
 
     def test_adiabatic_plateau_preserves_weights(self, params):
         amp = TWO_PI * 1.33
@@ -696,16 +767,16 @@ class TestFloquetFrame:
             traj.times <= pulse.t_rise + pulse.t_plateau
         )
         for t, psi in zip(traj.times[on_plateau], traj.states[on_plateau]):
-            c = ev.floquet_frame_decompose(StateVector.from_array(psi), spec, t)
-            assert abs(abs(c.c0) - 1 / np.sqrt(2)) < 0.02
-            assert abs(abs(c.c1) - 1 / np.sqrt(2)) < 0.02
+            c0, c1 = floquet_frame_decompose(StateVector.from_array(psi), spec, t)
+            assert abs(abs(c0) - 1 / np.sqrt(2)) < 0.02
+            assert abs(abs(c1) - 1 / np.sqrt(2)) < 0.02
 
     def test_adiabatic_rotation_angle_law(self, params):
         # P1_final = sin^2(alpha) with alpha = (1/2) Int delta_eps dt
         amp = TWO_PI * 1.0
         pulse = PulseSpec(amp, DELTA, 8.0, 0.35, 8.0)
-        f0, f1, _ = ev.branch_interpolants(DELTA, DELTA, amp)
-        alpha = 0.5 * ev.delta_eps_integral(
+        f0, f1, _ = branch_interpolants(DELTA, DELTA, amp)
+        alpha = 0.5 * delta_eps_integral(
             pulse, lambda a: f1(a) - f0(a), 0.0, pulse.total
         )
         traj = ev.propagate(params, pulse, sample_dt=pulse.total)
@@ -716,29 +787,29 @@ class TestFloquetFrame:
 class TestEdgeTransition:
     def test_adiabatic_rise_nearly_diagonal(self, params):
         pulse = PulseSpec(TWO_PI * 1.33, DELTA, 20.0, 1.0, 0.0)
-        w = ev.edge_transition_unitary(params, pulse, "rise")
+        w = edge_transition_unitary(params, pulse, "rise")
         assert abs(w[0, 1]) < 0.05 and abs(w[1, 0]) < 0.05
 
     def test_sudden_rise_mixes(self, params):
         pulse = PulseSpec(TWO_PI * 1.33, DELTA, 0.0, 1.0, 0.0)
-        w = ev.edge_transition_unitary(params, pulse, "rise")
+        w = edge_transition_unitary(params, pulse, "rise")
         assert abs(w[0, 1]) > 0.02
 
     def test_zero_amplitude_identity(self, params):
         pulse = PulseSpec(0.0, DELTA, 5.0, 1.0, 0.0)
-        w = ev.edge_transition_unitary(params, pulse, "rise")
+        w = edge_transition_unitary(params, pulse, "rise")
         assert np.max(np.abs(w - np.eye(2))) < 1e-9
 
     def test_fall_edge_unitary(self, params):
         pulse = PulseSpec(TWO_PI * 1.33, DELTA, 0.0, 1.0, 12.0)
-        w = ev.edge_transition_unitary(params, pulse, "fall")
+        w = edge_transition_unitary(params, pulse, "fall")
         assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-8
         assert abs(w[0, 1]) < 0.08
 
     def test_bad_edge_name(self, params):
         pulse = PulseSpec(TWO_PI * 1.0, DELTA, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            ev.edge_transition_unitary(params, pulse, "middle")
+            edge_transition_unitary(params, pulse, "middle")
 
 
 class TestAsymmetry:

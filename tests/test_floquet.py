@@ -32,15 +32,19 @@ def _sector_vectors(spec):
     return spec.table[:, :, 0] - spec.table[:, :, 1]
 
 
+def central_block(delta):
+    """The n = 0 diagonal block [[0, -Delta/2], [-Delta/2, 0]] of the Floquet matrix."""
+    return np.array([[0.0, -0.5 * delta], [-0.5 * delta, 0.0]])
+
+
 class TestMatrixConstruction:
     def test_dimensions_and_hermiticity(self):
         m = fq.build_floquet_matrix(DELTA, TWO_PI * 1.0, DELTA, 50)
-        assert m.entries.shape == (202, 202)
-        assert m.dim == 202
-        assert np.array_equal(m.entries, m.entries.T)
+        assert m.shape == (202, 202)
+        assert np.array_equal(m, m.T)
 
     def test_block_structure(self):
-        m = fq.build_floquet_matrix(3.0, 0.8, 2.0, 2).entries
+        m = fq.build_floquet_matrix(3.0, 0.8, 2.0, 2)
         # central block at photon index 0 (blocks of 2, index 2 -> rows 4:6)
         assert m[4, 4] == 0.0
         assert m[4, 5] == -1.5
@@ -50,7 +54,7 @@ class TestMatrixConstruction:
         assert m[4, 7] == 0.0
 
     def test_central_block_eigenvalues(self):
-        blk = fq.central_block(DELTA)
+        blk = central_block(DELTA)
         assert np.allclose(blk, [[0.0, -DELTA / 2], [-DELTA / 2, 0.0]])
         assert np.allclose(np.linalg.eigvalsh(blk), [-DELTA / 2, DELTA / 2])
 
@@ -58,7 +62,7 @@ class TestMatrixConstruction:
         omega = 0.6 * DELTA
         n = 8
         m = fq.build_floquet_matrix(DELTA, 0.0, omega, n)
-        got = np.sort(np.linalg.eigvalsh(m.entries))
+        got = np.sort(np.linalg.eigvalsh(m))
         want = np.sort(
             np.concatenate(
                 [[k * omega - DELTA / 2, k * omega + DELTA / 2] for k in range(-n, n + 1)]
@@ -75,7 +79,7 @@ class TestMatrixConstruction:
     def test_ladder_property(self):
         omega = DELTA
         m = fq.build_floquet_matrix(DELTA, TWO_PI * 1.5, omega, 50)
-        evals = np.sort(np.linalg.eigvalsh(m.entries))
+        evals = np.sort(np.linalg.eigvalsh(m))
         interior = evals[np.abs(evals) < (50 - 10) * omega]
         for e in interior[:: len(interior) // 17 + 1]:
             assert np.min(np.abs(evals - (e + omega))) < 1e-6 * omega
@@ -95,7 +99,7 @@ class TestBranchTracking:
     def test_eigenvector_normalization_and_residual(self):
         amp = TWO_PI * 1.33
         spec = fq.quasienergy_sweep(DELTA, DELTA, [amp])[0]
-        h = fq.build_floquet_matrix(DELTA, amp, DELTA, spec.truncation_n).entries
+        h = fq.build_floquet_matrix(DELTA, amp, DELTA, spec.truncation_n)
         for eps, v in zip((spec.eps0, spec.eps1), _rotated(spec)):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-10
             resid = np.linalg.norm(h @ v - eps * v)
@@ -120,12 +124,6 @@ class TestBranchTracking:
         de50 = fq.quasienergy_sweep(DELTA, DELTA, [amp], 50)[0].delta_eps
         de30 = fq.quasienergy_sweep(DELTA, DELTA, [amp], 30)[0].delta_eps
         assert abs(de50 - de30) < 1e-10
-
-    def test_quasienergies_entry_point(self):
-        m = fq.build_floquet_matrix(DELTA, TWO_PI * 1.0, DELTA)
-        spec = fq.quasienergies(m)
-        sweep = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.0])[0]
-        assert spec.delta_eps == pytest.approx(sweep.delta_eps, abs=1e-12)
 
 
 def _renormalized_states(spec, t, phase):
@@ -335,7 +333,7 @@ class TestParitySector:
     )
     def test_branches_are_even_eigenpairs_of_full_matrix(self, delta, amp, omega, n_trunc):
         spec = fq.quasienergy_sweep(delta, omega, [amp], n_trunc)[0]
-        h = fq.build_floquet_matrix(delta, amp, omega, n_trunc).entries
+        h = fq.build_floquet_matrix(delta, amp, omega, n_trunc)
         evals = np.linalg.eigvalsh(h)
         h_norm = np.linalg.norm(h, 2)
         assert spec.eps0 <= spec.eps1
@@ -480,6 +478,40 @@ class TestBessel:
         assert type(fq.analytic_delta_epsilon(DELTA, 1.0, DELTA)) is float
 
 
+# The paper's derivation of the closed form: the rotating-frame 4x4 matrix
+# kept by the near-degenerate truncation, the pairwise Hadamard transform
+# that decouples it, and the 2x2 block whose eigenvalues are the closed-form
+# quasienergies.
+
+
+def truncated_4x4_hamiltonian(delta, amp, omega):
+    b0 = 0.5 * delta * fq.j0(2.0 * amp / omega)
+    b1 = 0.5 * delta * fq.j1(2.0 * amp / omega)
+    return np.array(
+        [
+            [-omega, -b0, 0.0, -b1],
+            [-b0, -omega, b1, 0.0],
+            [0.0, b1, 0.0, -b0],
+            [-b1, 0.0, -b0, 0.0],
+        ]
+    )
+
+
+def block_basis_transform():
+    s = np.zeros((4, 4))
+    s[0, 0] = s[1, 0] = s[0, 1] = 1.0
+    s[1, 1] = -1.0
+    s[2, 2] = s[3, 2] = s[2, 3] = 1.0
+    s[3, 3] = -1.0
+    return s / np.sqrt(2.0)
+
+
+def truncated_2x2_block(delta, amp, omega):
+    b0 = delta * fq.j0(2.0 * amp / omega)
+    b1 = delta * fq.j1(2.0 * amp / omega)
+    return 0.5 * np.array([[-2.0 * omega + b0, -b1], [-b1, -b0]])
+
+
 class TestAnalyticChain:
     def test_zero_drive_exact(self):
         for factor in (1.0, 0.6, 1.4):
@@ -509,45 +541,22 @@ class TestAnalyticChain:
     def test_block_eigenvalues_match_closed_form(self, rng):
         for _ in range(100):
             d, a, w = rng.uniform(0.5, 30.0, 3)
-            evals = np.sort(np.linalg.eigvalsh(fq.truncated_2x2_block(d, a, w)))
+            evals = np.sort(np.linalg.eigvalsh(truncated_2x2_block(d, a, w)))
             want = np.array(fq.analytic_quasienergies(d, a, w))
             assert np.max(np.abs(evals - want)) < 1e-12 * max(1.0, w)
 
     def test_4x4_contains_block_after_transform(self, rng):
-        s = fq.block_basis_transform()
+        s = block_basis_transform()
         assert np.allclose(s.T @ s, np.eye(4), atol=1e-15)
         d, a, w = 14.4, 6.0, 13.0
-        h4 = fq.truncated_4x4_hamiltonian(d, a, w)
+        h4 = truncated_4x4_hamiltonian(d, a, w)
         tilde = s.T @ h4 @ s
         block = tilde[1:3, 1:3]
-        assert np.allclose(block, fq.truncated_2x2_block(d, a, w), atol=1e-14)
+        assert np.allclose(block, truncated_2x2_block(d, a, w), atol=1e-14)
 
     def test_4x4_zero_drive_degenerates(self):
-        h4 = fq.truncated_4x4_hamiltonian(DELTA, 0.0, DELTA)
+        h4 = truncated_4x4_hamiltonian(DELTA, 0.0, DELTA)
         evals = np.sort(np.linalg.eigvalsh(h4))
         want = np.sort([-DELTA - DELTA / 2, -DELTA + DELTA / 2, -DELTA / 2, DELTA / 2])
         assert np.allclose(evals, want, atol=1e-12)
 
-
-class TestFrequencyComponents:
-    def test_degenerate_delta_eps(self):
-        got = fq.frequency_components(0.0, TWO_PI * 2.288, 2)
-        assert np.allclose(got, [0.0, 2 * TWO_PI * 2.288], atol=1e-9)
-
-    def test_weak_drive_set(self):
-        omega = TWO_PI * 2.288
-        de = TWO_PI * 0.1
-        got = fq.frequency_components(de, omega, 2)
-        # the spec's quoted members, in GHz
-        for val in (0.1, 2 * 2.288 - 0.1, 2 * 2.288, 2 * 2.288 + 0.1):
-            assert np.min(np.abs(got / TWO_PI - val)) < 1e-9
-        assert got[0] == 0.0  # n = 0 carrier line is part of the set
-
-    def test_sorted_dedup_nonnegative(self):
-        got = fq.frequency_components(TWO_PI * 1.373, TWO_PI * 1.373, 4)
-        assert np.all(np.diff(got) > 0.0)
-        assert got[0] >= 0.0
-
-    def test_negative_n_max_rejected(self):
-        with pytest.raises(ValueError):
-            fq.frequency_components(1.0, 1.0, -1)

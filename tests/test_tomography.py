@@ -18,6 +18,11 @@ MINUS_Y = tg.DensityMatrix.from_state(StateVector.minus_y())
 EXCITED = tg.DensityMatrix.from_state(StateVector.excited())
 
 
+def exact_records(state, shots):
+    """Infinite-shot-limit records: exact probabilities as fractional counts."""
+    return [tg.ShotRecord(b, shots, tg.measured_p1(state, b) * shots) for b in tg.BASES]
+
+
 class TestDensityMatrix:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -94,7 +99,7 @@ class TestShots:
 
 class TestMle:
     def test_exact_excited(self):
-        rho = tg.mle_reconstruct(tg.exact_records(StateVector.excited(), 16384))
+        rho = tg.mle_reconstruct(exact_records(StateVector.excited(), 16384))
         assert abs(rho.matrix[1, 1].real - 1.0) < 1e-6
 
     def test_bloch_outside_ball_projected(self):
@@ -476,7 +481,7 @@ class TestBootstrap:
         assert 1e-4 < res.fidelity_stderr < 2e-3  # comparable to the quoted 6e-4
 
     def test_small_b_rejected(self):
-        recs = tg.exact_records(StateVector.minus_y(), 100)
+        recs = exact_records(StateVector.minus_y(), 100)
         with pytest.raises(ValueError):
             tg.bootstrap_errors(recs, MINUS_Y, b=50, seed=0)
 
