@@ -14,8 +14,13 @@ duration scan steps only its edges: a shared rise applied to the initial
 state, and one fall propagated at 2K starting carrier phases theta as a
 series F(theta) in theta.  A plateau ends at the phase its Floquet states
 u_j(theta) run on, so the fall dresses their tables, F(theta) u_j(theta),
-and one Floquet sum gives the final state at every duration.  Pulse
-trains batch the pulses of one shape over theta likewise.  ``_refine``,
+and one Floquet sum gives the final state at every duration.  A pulse
+train steps no plateau either: each pulse is U = F(theta + w(t_r + t_p))
+P(t_p; theta + w t_r) R(theta), its rise the transposed fall series
+R(theta) = F_{t_r}(-w t_r - theta)^T (a real H run backwards) and its
+plateau P the exact Floquet sum, so ``target_step`` governs the edge
+series alone; the pulses of one amplitude, carrier and pair of edges share
+their series and plateau solve and are evaluated as one batch.  ``_refine``,
 which halves all three steps together, is the one step-refinement policy
 the drivers share.
 """
@@ -28,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._magnus import IDENTITY2, STEP_FLOOR, SZ_CONJ, magnus_path, magnus_segment
-from .errors import AccuracyError
+from .errors import AccuracyError, SimulationError
 from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
 from .units import TWO_PI
@@ -312,10 +317,12 @@ def final_states_for_durations(
             f"not at the pulse's {want}"
         )
 
-    run = functools.partial(
-        _duration_batch_states, params, pulse_template, durs,
-        phases=None, spectrum=spectrum, psi0=psi0,
-    )
+    def run(steps):
+        fall = _fall_series(params, pulse_template, steps[2])
+        return _duration_batch_states(
+            params, pulse_template, durs, steps, None, spectrum, psi0, fall
+        )
+
     return run(steps) if not refine else _refine(
         run, steps, lambda states: states, "duration sweep did not converge"
     )
@@ -328,18 +335,17 @@ def _plateau_spectrum(params, template, truncation_n):
     )[0]
 
 
-def _duration_batch_states(params, template, durs, step, phases, spectrum, psi0):
+def _duration_batch_states(params, template, durs, step, phases, spectrum, psi0, fall):
     """States of ``final_states_for_durations`` from ``psi0``: the rise
     applied to it, then one Floquet sum of ``spectrum`` (``_plateau_spectrum``)
-    dressed with the fall, ``step`` one or a (rise, plateau, fall) triple;
-    ``phases``, if not None, replace the carrier phase as a leading axis:
-    (phases, durations)."""
+    dressed with ``fall`` (``_fall_series`` at the fall's step), ``step`` one
+    or a (rise, plateau, fall) triple; ``phases``, if not None, replace the
+    carrier phase as a leading axis: (phases, durations)."""
     omega, t_r = template.carrier, template.t_rise
     steps = np.broadcast_to(step, 3)
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
     u_r = _mesh_propagators(params, template, [0.0, t_r], steps, phi[:, None])
     psi_r = np.broadcast_to(u_r[..., -1, :, :] @ psi0, (len(phi), 2))  # psi0 for a sharp rise
-    fall = _fall_series(params, template, steps[2]) if template.t_fall > 0.0 else None
     out = _drive_states_and_spectra(
         params, [spectrum.amp], omega, durs, omega * t_r + phi, psi_r,
         spectrum.truncation_n, [spectrum], fall,
@@ -381,8 +387,11 @@ def _fall_series(params, template, step):
     m = K.  Every K is even, so each set of phases holds theta + pi with
     theta and ``_falls`` steps half of it.  K depends on the pulse and the
     step alone, never on the durations asked for.  Failing the check at
-    ``FALL_PHASES_CAP`` raises AccuracyError.
+    ``FALL_PHASES_CAP`` raises AccuracyError.  A sharp fall has no series:
+    None.
     """
+    if template.t_fall == 0.0:
+        return None
     n_fall = int(_step_count(template.t_fall, step))
     k = FALL_PHASES_START
     nodes = _falls(params, template, n_fall, TWO_PI * np.arange(k) / k)
@@ -444,12 +453,79 @@ def sweep_pulse_duration(
 # ---------------------------------------------------------------------------
 
 
+def _series_at(coef, theta):
+    """F(theta) = sum_m F_m e^{im theta} of a ``_fall_series`` at each of
+    the phases ``theta``: shape (len(theta), 2, 2)."""
+    k = len(coef) // 2
+    waves = np.exp(1j * np.outer(np.mod(theta, TWO_PI), np.arange(-k, k + 1)))
+    return (waves @ coef.reshape(len(coef), 4)).reshape(-1, 2, 2)
+
+
+class _PulseFamily:
+    """Pulses of one amplitude, carrier and pair of edges, stepped at the
+    same edge steps, with any plateau length t_p and carrier phase.
+
+    In local time the pulse starting at carrier phase theta is
+
+        U = F(theta + w(t_r + t_p)) P(t_p; theta + w t_r) R(theta):
+
+    the fall F is its ``_fall_series``; the rise envelope is the fall's run
+    backwards, and a real H run backwards gives the transposed propagator,
+    so the rise is a transposed fall of length t_r, R(theta) =
+    F_{t_r}(-w t_r - theta)^T; and the plateau is the Floquet sum
+    P(t_p; phi) = B(phi + w t_p) e^{-i eps t_p} B(phi)^dag, exact, with B
+    the basis ``states_at`` (Shirley 1965).  The series, one per distinct
+    edge length and step, and the plateau solve are built once, here.  An
+    edge series that fails at ``FALL_PHASES_CAP``, or a plateau basis that
+    fails its unitarity gate (a near-degenerate plateau), leaves the pulses
+    to ``_mesh_propagators``, stepped as ``propagate`` steps them.
+    """
+
+    def __init__(self, params, shape, steps):
+        self.params, self.shape, self.steps = params, shape, steps
+        self.spectrum = None  # None: step every pulse
+        try:
+            fall = _fall_series(params, shape, steps[2])
+            rise = fall if (shape.t_rise, steps[0]) == (shape.t_fall, steps[2]) else (
+                _fall_series(params, replace(shape, t_fall=shape.t_rise), steps[0])
+            )
+            spectrum = _plateau_spectrum(params, shape, DEFAULT_TRUNCATION)
+        except SimulationError:
+            return
+        self.rise, self.fall, self.spectrum = rise, fall, spectrum
+
+    def unitaries(self, t_p, theta):
+        """Propagators, shape (len(t_p), 2, 2), of the pulses with plateaus
+        ``t_p`` starting at carrier phases ``theta``."""
+        w, t_r, s = self.shape.carrier, self.shape.t_rise, self.spectrum
+        phi = theta + w * t_r
+        try:
+            basis = None if s is None else s.states_at(0.0, np.concatenate([phi, phi + w * t_p]))
+        except AccuracyError:  # a near-degenerate plateau
+            basis = None
+        if basis is None:
+            pulses = [replace(self.shape, t_plateau=t) for t in t_p]
+            return np.stack([
+                _mesh_propagators(self.params, p, [0.0, p.total], self.steps, th)[-1]
+                for p, th in zip(pulses, theta)
+            ])
+        b0, b1 = np.split(basis, 2)
+        decay = np.exp(-1j * np.multiply.outer(t_p, [s.eps0, s.eps1]))
+        u = b1 @ (decay[..., None] * b0.conj().swapaxes(-1, -2))
+        if self.rise is not None:
+            u = u @ _series_at(self.rise, -w * t_r - theta).swapaxes(-1, -2)
+        if self.fall is not None:
+            u = _series_at(self.fall, phi + w * t_p) @ u
+        return u
+
+
 def propagate_train(
     params: QubitParams,
     pulses,
     initial: StateVector | None = None,
     *,
     target_step: float | None = None,
+    families: dict | None = None,
 ) -> StateVector:
     """Apply back-to-back pulses with a phase-coherent carrier.
 
@@ -457,22 +533,33 @@ def propagate_train(
     env_k(t - t_k) * cos(omega t + phi_k): envelopes shift, the carrier runs
     in absolute time, so equal-phase pulses share a rotation axis regardless
     of their start times.  In local time s that is env_k(s) cos(omega s +
-    theta_k), theta_k = omega t_k + phi_k: the pulses of one shape are
-    propagated in one call batched over theta_k, on that shape's kinks and
-    step, and the 2x2 propagators are composed in time order.
+    theta_k), theta_k = omega t_k + phi_k.  The pulses of one amplitude,
+    carrier and pair of edges form a family, evaluated as one batch over
+    (t_p, theta_k) from its edge series and its Floquet plateau
+    (``_PulseFamily``), and the 2x2 propagators are composed in time order.
+    ``target_step`` (default: each edge at min(T/200, its length/50)) steps
+    the edge series alone; the plateau takes no step.  A family whose edge
+    series or plateau basis fails its gate is Magnus-stepped instead.
+    ``families``, a dict the caller passes to several calls (a calibration's
+    root search), keeps the families built, so each is built once for all
+    of them.
     """
     psi = (StateVector.ground() if initial is None else initial).as_array()
     starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
-    shapes = {}  # pulse shape (carrier phase 0) -> indices of its pulses
+    families = {} if families is None else families
+    members = {}  # family key -> indices of its pulses
     for k, p in enumerate(pulses):
-        shapes.setdefault(replace(p, carrier_phase=0.0), []).append(k)
+        edges = (p.amplitude_max, p.carrier, p.t_rise, p.t_fall)
+        members.setdefault((params, target_step, edges), []).append(k)
     units = {}
-    for shape, ks in shapes.items():
-        theta = np.array([[shape.carrier * starts[k] + pulses[k].carrier_phase] for k in ks])
-        u = _mesh_propagators(
-            params, shape, [0.0, shape.total], _pulse_steps(shape, target_step), theta
-        )
-        units.update(zip(ks, np.broadcast_to(u[..., -1, :, :], (len(ks), 2, 2))))
+    for key, ks in members.items():
+        if key not in families:
+            amp, carrier, t_r, t_f = key[2]
+            shape = PulseSpec(amp, carrier, t_r, 0.0, t_f)
+            families[key] = _PulseFamily(params, shape, _pulse_steps(shape, target_step))
+        t_p = np.array([pulses[k].t_plateau for k in ks])
+        theta = np.array([pulses[k].carrier * starts[k] + pulses[k].carrier_phase for k in ks])
+        units.update(zip(ks, families[key].unitaries(t_p, theta)))
     u = functools.reduce(lambda acc, k: units[k] @ acc, range(len(pulses)), IDENTITY2)
     return StateVector.from_array(u @ psi)
 
@@ -498,9 +585,10 @@ def prepare_state(
     interesting): the crest estimate comes from the accumulated quasienergy
     phase matching the Bloch angle between |0> and the target.  A coarse
     scan over a full carrier-phase circle at 4 ps, then a local one at
-    0.5 ps; each is one (phase, duration) batch of states from |0> with a
-    single fall series.  A coarse scan of more than ``PREP_SCAN_CAP``
-    durations (a small ``amp``) raises ValueError before any work.  The
+    0.5 ps; each is one (phase, duration) batch of states from |0>, and the
+    two share one plateau solve and one fall series.  A coarse scan of more
+    than ``PREP_SCAN_CAP`` durations (a small ``amp``) raises ValueError
+    before any work.  The
     phase is reported mod pi for a target on the z axis (where phi and
     phi + pi give the same fidelity), else mod 2 pi.  Returns the
     best pulse, the achieved state fidelity |<target|psi>| and psi, the
@@ -528,10 +616,13 @@ def prepare_state(
     template = PulseSpec(amp, omega, edges, 0.0, edges)
     steps = _pulse_steps(template)
     spectrum = _plateau_spectrum(params, template, truncation_n)
+    fall = _fall_series(params, template, steps[2])
     ground = StateVector.ground().as_array()
 
     def scan(durs, phases):
-        states = _duration_batch_states(params, template, durs, steps, phases, spectrum, ground)
+        states = _duration_batch_states(
+            params, template, durs, steps, phases, spectrum, ground, fall
+        )
         fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

@@ -124,20 +124,21 @@ class FloquetSpectrum:
         live = np.flatnonzero(np.abs(self.table).max(axis=(1, 2)) > 1e-16)
         return int(live[0]), int(live[-1]) + 1
 
-    def states_at(self, t: float, carrier_phase: float = 0.0) -> np.ndarray:
+    def states_at(self, t: float, carrier_phase=0.0) -> np.ndarray:
         """Instantaneous quasienergy states at time t, in the lab frame.
 
         Sums the live rows of ``table`` at theta = omega t + carrier_phase
-        into a 2x2 matrix whose columns are u0(t), u1(t), not renormalized.
-        A basis that is not unitary to 1e-10 raises AccuracyError, which
-        names ``truncation_n`` if the live rows reach |n| = N, else the
+        into a 2x2 matrix whose columns are u0(t), u1(t), not renormalized;
+        an array of carrier phases gives one such matrix per phase.  A basis
+        that is not unitary to 1e-10 raises AccuracyError, which names
+        ``truncation_n`` if the live rows reach |n| = N, else the
         near-degenerate pair.
         """
         a, b = self.live_rows
         n = np.arange(a - self.truncation_n, b - self.truncation_n)
-        shift = np.exp(1j * n * (self.omega * t + carrier_phase))
-        basis = (self.table[a:b] * shift[:, None, None]).sum(axis=0).T
-        if (defect := unitarity_defect(basis[None])) > 1e-10:
+        shift = np.exp(1j * np.multiply.outer(self.omega * t + carrier_phase, n))
+        basis = (self.table[a:b] * shift[..., None, None]).sum(axis=-3).swapaxes(-1, -2)
+        if (defect := unitarity_defect(basis)) > 1e-10:
             if max(-n[0], n[-1]) == self.truncation_n:  # the live rows reach |n| = N
                 cause = f"raise truncation_n (now {self.truncation_n})"
             else:

@@ -43,8 +43,8 @@ class QubitParams:
     delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class PulseSpec:
     carrier: carrier angular frequency omega, rad/ns.
     t_rise, t_plateau, t_fall: segment durations, ns.
     carrier_phase: phase of the cos carrier at t = 0, rad.
+
+    Every field must be finite.
     """
 
     amplitude_max: float
@@ -65,6 +67,9 @@ class PulseSpec:
     carrier_phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("amplitude_max", "carrier", "t_rise", "t_plateau", "t_fall", "carrier_phase"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude_max < 0.0:
             raise ValueError("amplitude_max must be >= 0")
         if not self.carrier > 0.0:

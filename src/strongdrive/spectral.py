@@ -164,8 +164,11 @@ def classify_peaks(
     resolution bin is the assignment window.  Returns the classified peak
     set and the even-n selection-rule violation score: amplitude found at
     odd-n predictions (excluding those masked by an even-n line within one
-    bin) over the total classified amplitude.
+    bin) over the total classified amplitude.  ``n_max`` < 0 raises
+    ValueError.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     w_ghz = rad_per_ns_to_ghz(omega)
     de_ghz = rad_per_ns_to_ghz(delta_eps)
 

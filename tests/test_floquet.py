@@ -150,6 +150,14 @@ class TestStatesAt:
                 got = spec.states_at(t, phase)
                 assert np.max(np.abs(got - _renormalized_states(spec, t, phase))) <= 1e-12
 
+    def test_phase_batch_matches_single_phases(self):
+        spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.33])[0]
+        phases = np.random.default_rng(3).uniform(-50.0, 50.0, (4, 3))
+        batch = spec.states_at(0.37, phases)
+        assert batch.shape == (4, 3, 2, 2)
+        for got, phase in zip(batch.reshape(-1, 2, 2), phases.ravel()):
+            assert np.array_equal(got, spec.states_at(0.37, phase))
+
     def test_truncation_defect_raises(self):
         # N = 10 leaves a basis defect of about 1e-6 at 4.78 GHz, which
         # renormalizing each column used to hide

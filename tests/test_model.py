@@ -54,6 +54,11 @@ class TestQubitParams:
         with pytest.raises(ValueError):
             QubitParams(delta=0.0)
 
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_delta_must_be_finite(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            QubitParams(delta=delta)
+
 
 class TestEnvelope:
     def setup_method(self):
@@ -88,6 +93,17 @@ class TestEnvelope:
             PulseSpec(1.0, 1.0, -0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
             PulseSpec(-1.0, 1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field", ["amplitude_max", "carrier", "t_rise", "t_plateau", "t_fall", "carrier_phase"]
+    )
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_field_rejected(self, field, value):
+        # an infinite plateau would turn the Floquet sum into NaN unnoticed
+        fields = {"amplitude_max": 1.0, "carrier": 1.0, "t_rise": 0.5, "t_plateau": 3.0,
+                  "t_fall": 0.5, "carrier_phase": 0.0}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PulseSpec(**{**fields, field: value})
 
     @pytest.mark.parametrize("carrier", [0.0, -TWO_PI * 2.288, np.nan])
     def test_non_positive_carrier_rejected(self, carrier):

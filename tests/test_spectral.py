@@ -173,6 +173,11 @@ class TestClassifyPeaks:
         )
         assert score == 0.0
 
+    def test_negative_n_max_rejected(self):
+        peaks = spectral.PeakSet((spectral.Peak(1.234, 0.1),))
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            spectral.classify_peaks(peaks, ghz_to_rad_per_ns(2.288), 1.0, -1, 0.025)
+
 
 class TestFastComponentFit:
     def test_synthetic_recovery(self):

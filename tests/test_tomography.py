@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 from scipy.special import xlogy
 
+from strongdrive import evolve
 from strongdrive import tomography as tg
 from strongdrive.errors import NumericError
 from strongdrive.evolve import propagate_train
@@ -573,6 +574,21 @@ class TestCalibration:
         )
         est = tg.axis_calibration_sequence(params, cal_pulses["rx90"], tilted, 5)
         assert est == pytest.approx(phi, rel=0.10)
+
+    def test_one_family_build_per_calibration(self, params, monkeypatch):
+        # every train of both root searches shares one edge series (rise and
+        # fall are equal) and one plateau solve, and no call reuses another's
+        builds = []
+        for name in ("_fall_series", "_plateau_spectrum"):
+            def spy(*args, _name=name, _build=getattr(evolve, name)):
+                builds.append(_name)
+                return _build(*args)
+
+            monkeypatch.setattr(evolve, name, spy)
+        tg.prerotation_pulses.__wrapped__(params)
+        assert sorted(builds) == ["_fall_series", "_plateau_spectrum"]
+        tg.prerotation_pulses.__wrapped__(params)
+        assert sorted(builds) == ["_fall_series"] * 2 + ["_plateau_spectrum"] * 2
 
     def test_sequence_validation(self, params, cal_pulses):
         with pytest.raises(ValueError):
