@@ -6,23 +6,27 @@ a pulse's span at the sample times and envelope kinks, so no step straddles
 a kink, steps each piece at the step of its segment, and
 ``_magnus.magnus_path`` does the rest.  ``_pulse_steps`` is the one step
 rule: min(T/200, t_edge/50) on each edge, T/200 on the plateau, so no
-segment's length sets another's step.  A constant-amplitude drive
-takes no step: the Floquet expansion psi(t) = sum_j c_j e^{-i eps_j t}
-u_j(t) (Shirley, Phys. Rev. 138, B979 (1965)) sums the un-enveloped drive
-and every scanned plateau, with a time-stepped pulse as its oracle.  So a
-duration scan steps only its edges: a shared rise applied to the initial
-state, and one fall propagated at 2K starting carrier phases theta as a
-series F(theta) in theta.  A plateau ends at the phase its Floquet states
-u_j(theta) run on, so the fall dresses their tables, F(theta) u_j(theta),
-and one Floquet sum gives the final state at every duration.  A pulse
-train steps no plateau either: each pulse is U = F(theta + w(t_r + t_p))
-P(t_p; theta + w t_r) R(theta), its rise the transposed fall series
-R(theta) = F_{t_r}(-w t_r - theta)^T (a real H run backwards) and its
-plateau P the exact Floquet sum, so ``target_step`` governs the edge
-series alone; the pulses of one amplitude, carrier and pair of edges share
-their series and plateau solve and are evaluated as one batch.  ``_refine``,
-which halves all three steps together, is the one step-refinement policy
-the drivers share.
+segment's length sets another's step.
+
+A constant-amplitude drive takes no step: the Floquet expansion psi(t) =
+sum_j c_j e^{-i eps_j t} u_j(t) (Shirley, Phys. Rev. 138, B979 (1965)) sums
+it, and every pulse is that sum dressed by its edges.  An edge depends on
+the plateau only through the carrier phase theta it starts at, so it is one
+series E(theta) = sum_m E_m e^{im theta} (``_fall_series``), and the basis
+dressed by it, W_e(theta) = E(theta) B(theta), is one table
+(``FloquetSpectrum.edge_rows``).  The rise is a transposed fall (a real H
+run backwards), R(theta) = F_{t_r}(-phi)^T with phi = theta + w t_r, and the
+table is real, so a pulse of plateau t_p is
+
+    U(t_p, theta) = W_f(phi + w t_p) e^{-i eps t_p} W_r(-phi)^T,
+
+with W = B for a sharp edge: the un-enveloped drive is the pulse with both
+edges sharp.  A duration scan starts the sum from W_r(-phi)^T psi0 and sums
+W_f at every duration at once; a pulse train evaluates the pulses of one
+amplitude, carrier and pair of edges as one batch of the product.  So
+``target_step`` steps the edge series alone, with a time-stepped pulse as
+the oracle.  ``_refine``, which halves all three steps together, is the one
+step-refinement policy the drivers share.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
 from .units import TWO_PI
 
-#: Carrier phases the fall series starts from, the most it may use, and the
+#: Carrier phases an edge series starts from, the most it may use, and the
 #: max-entry error its interpolant must meet between its nodes.
 FALL_PHASES_START = 16
 FALL_PHASES_CAP = 4096
@@ -63,9 +67,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state_at(self, i: int) -> StateVector:
-        return StateVector.from_array(self.states[i])
 
 
 def _states_from_unitaries(u, psi0):
@@ -98,15 +99,13 @@ def _step_count(span, step):
     return np.maximum(1, np.ceil(np.round(span / step, 9)).astype(int))
 
 
-def _mesh_propagators(params, pulse, times, steps, phase=None):
+def _mesh_propagators(params, pulse, times, steps):
     """Propagators of ``pulse`` from times[0] to each of the non-decreasing
     ``times``: the times and the envelope kinks between them cut the span
     into intervals of ``_step_count`` equal steps, so no step straddles a
     kink, each at the step in ``steps`` (rise, plateau, fall) of the segment
     it starts in.  An interval outside the support [0, total], where the
-    drive is 0 and one step is exact, takes one step.  The carrier phase is
-    the pulse's, or ``phase``, a column of phases (a batch axis)."""
-    phase = pulse.carrier_phase if phase is None else phase
+    drive is 0 and one step is exact, takes one step."""
     kinks = np.array([0.0, pulse.t_rise, pulse.t_rise + pulse.t_plateau, pulse.total])
     cuts = np.union1d(times, kinks[(kinks > times[0]) & (kinks < times[-1])])
     span = np.diff(cuts)
@@ -119,7 +118,8 @@ def _mesh_propagators(params, pulse, times, steps, phase=None):
     keep = before[np.searchsorted(cuts, times)]
 
     def x_of_t(t):
-        return envelope(pulse, t, allow_outside=True) * np.cos(pulse.carrier * t + phase)
+        wave = np.cos(pulse.carrier * t + pulse.carrier_phase)
+        return envelope(pulse, t, allow_outside=True) * wave
 
     return magnus_path(IDENTITY2, x_of_t, -0.5 * params.delta, lo, h, keep)
 
@@ -233,21 +233,22 @@ def continuous_drive_states(
 
 def _drive_states_and_spectra(
     params, amplitudes, omega, times, carrier_phases=(0.0,), initials=((1.0, 0.0),),
-    truncation_n=DEFAULT_TRUNCATION, specs=None, fall=None,
+    truncation_n=DEFAULT_TRUNCATION, specs=None, rise=None, fall=None,
 ):
     """``continuous_drive_states`` per amplitude and carrier phase, shape
     (n_amp, n_phase, n_time, 2), each phase from its state in ``initials`` (|0>),
     and the ``quasienergy_sweep`` it sums (``specs``, if already solved for
     these amplitudes).  A phase enters as e^{in phi} on the coefficients
-    u_jn (``FloquetSpectrum.table``), so the t = 0 basis is ``states_at(0,
-    phi)``, which gates it.  The sum over n is one matrix product of the
-    e^{inwt} table with the coefficients.
+    u_jn (``FloquetSpectrum.table``).  The sum over n is one matrix product
+    of the e^{inwt} table with the coefficients.
 
-    ``fall``, the harmonics F_m (m = -K..K) of ``_fall_series``, ends every
-    trace with that fall: w_j(theta) = F(theta) u_j(theta) has coefficients
-    w_jk = sum_m F_m u_j,k-m, so the same product on tables K rows wider on
-    each side gives the states after the fall.  The t = 0 basis gate and
-    the projection onto it use the undressed u."""
+    ``rise`` and ``fall``, edge series (``_fall_series``; None: sharp),
+    make each trace the pulse of that rise, a plateau of each duration in
+    ``times`` and that fall, the plateau starting at phase phi: its
+    coefficients c = W_r(-phi)^T psi0 (B(phi)^dag psi0 for a sharp rise) come
+    from one gated ``states_at(0, -phi)`` of the rise-dressed basis for all
+    phases, and the sum runs over the fall-dressed table, K rows wider on
+    each side (``edge_rows``)."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
     if specs is None:
@@ -263,15 +264,12 @@ def _drive_states_and_spectra(
     for i, (s, (a, b)) in enumerate(zip(specs, live)):
         rows = slice(a - lo, b - lo + 2 * pad)
         h = harmonics[rows]
-        w = s.table[a:b]
-        if fall is not None:  # w_k = sum_m u_{k-m} F_m^T
-            w = np.zeros((b - a + 2 * pad, 2, 2), dtype=complex)
-            for m, f in enumerate(fall):
-                w[m : m + b - a] += s.table[a:b] @ f.T
+        w_f = s.edge_rows(fall)
+        w_r = w_f if rise is fall else s.edge_rows(rise)
         decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
-        for p, (phase, shift, psi0) in enumerate(zip(carrier_phases, shifts[:, rows], initials)):
-            basis0 = s.states_at(0.0, phase)
-            w_p = w * shift[:, None, None] * (basis0.conj().T @ psi0)[:, None]
+        starts = s.states_at(0.0, -np.asarray(carrier_phases), w_r)
+        for p, (start, shift, psi0) in enumerate(zip(starts, shifts[:, rows], initials)):
+            w_p = w_f * shift[:, None, None] * (start.T @ psi0)[:, None]
             parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
             out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
     return out, specs
@@ -291,14 +289,15 @@ def final_states_for_durations(
     """Final state of one pulse per plateau duration, batched: the same
     quantity as one independent propagation per duration.
 
-    Only the edges take time steps, so ``target_step`` and ``refine`` govern
-    them alone; by default each edge steps at min(T/200, its length/50).
-    One shared rise is applied to ``initial``, then one Floquet sum
-    of the plateau at carrier phase w t_r + phi, its tables dressed with the
-    fall's phase series (``_fall_series``).  The plateau's sector is solved
-    once per call, or passed in as ``spectrum``, which must be the solve at
-    this call's Delta, amplitude, carrier and ``truncation_n`` (else
-    ValueError).
+    Only the edge series take time steps, so ``target_step`` and ``refine``
+    govern them alone; by default each edge steps at min(T/200, its
+    length/50).  The states are one Floquet sum of the plateau at carrier
+    phase w t_r + phi, started from ``initial`` through the rise-dressed
+    basis and summed over the fall-dressed one (``_edge_series``); a sharp
+    pulse of zero length returns ``initial`` exactly.  The plateau's sector
+    is solved once per call, or passed in as ``spectrum``, which must be the
+    solve at this call's Delta, amplitude, carrier and ``truncation_n``
+    (else ValueError).
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
@@ -318,9 +317,9 @@ def final_states_for_durations(
         )
 
     def run(steps):
-        fall = _fall_series(params, pulse_template, steps[2])
         return _duration_batch_states(
-            params, pulse_template, durs, steps, None, spectrum, psi0, fall
+            params, pulse_template, durs, None, spectrum, psi0,
+            *_edge_series(params, pulse_template, steps),
         )
 
     return run(steps) if not refine else _refine(
@@ -335,23 +334,19 @@ def _plateau_spectrum(params, template, truncation_n):
     )[0]
 
 
-def _duration_batch_states(params, template, durs, step, phases, spectrum, psi0, fall):
-    """States of ``final_states_for_durations`` from ``psi0``: the rise
-    applied to it, then one Floquet sum of ``spectrum`` (``_plateau_spectrum``)
-    dressed with ``fall`` (``_fall_series`` at the fall's step), ``step`` one
-    or a (rise, plateau, fall) triple; ``phases``, if not None, replace the
+def _duration_batch_states(params, template, durs, phases, spectrum, psi0, rise, fall):
+    """States of ``final_states_for_durations`` from ``psi0``: one Floquet
+    sum of ``spectrum`` (``_plateau_spectrum``) dressed by the ``rise`` and
+    ``fall`` of ``_edge_series``; ``phases``, if not None, replace the
     carrier phase as a leading axis: (phases, durations)."""
     omega, t_r = template.carrier, template.t_rise
-    steps = np.broadcast_to(step, 3)
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
-    u_r = _mesh_propagators(params, template, [0.0, t_r], steps, phi[:, None])
-    psi_r = np.broadcast_to(u_r[..., -1, :, :] @ psi0, (len(phi), 2))  # psi0 for a sharp rise
     out = _drive_states_and_spectra(
-        params, [spectrum.amp], omega, durs, omega * t_r + phi, psi_r,
-        spectrum.truncation_n, [spectrum], fall,
+        params, [spectrum.amp], omega, durs, omega * t_r + phi, [psi0] * len(phi),
+        spectrum.truncation_n, [spectrum], rise, fall,
     )[0][0]
-    if fall is None:
-        out[:, durs == 0.0] = psi_r[:, None]  # a zero-length plateau passes the rise exactly
+    if rise is None and fall is None:
+        out[:, durs == 0.0] = psi0  # a sharp pulse of zero length is the identity
     return out if phases is not None else out[0]
 
 
@@ -415,6 +410,16 @@ def _fall_series(params, template, step):
         nodes, k = both, 2 * k
 
 
+def _edge_series(params, shape, steps):
+    """(rise, fall) series of ``shape`` at its (rise, plateau, fall)
+    ``steps``.  The rise is a transposed fall of length t_r, so its series
+    is a ``_fall_series``: the fall's own when (t_r, step) match."""
+    fall = _fall_series(params, shape, steps[2])
+    if (shape.t_rise, steps[0]) == (shape.t_fall, steps[2]):
+        return fall, fall
+    return _fall_series(params, replace(shape, t_fall=shape.t_rise), steps[0]), fall
+
+
 def sweep_pulse_duration(
     params: QubitParams,
     pulse_template: PulseSpec,
@@ -453,70 +458,52 @@ def sweep_pulse_duration(
 # ---------------------------------------------------------------------------
 
 
-def _series_at(coef, theta):
-    """F(theta) = sum_m F_m e^{im theta} of a ``_fall_series`` at each of
-    the phases ``theta``: shape (len(theta), 2, 2)."""
-    k = len(coef) // 2
-    waves = np.exp(1j * np.outer(np.mod(theta, TWO_PI), np.arange(-k, k + 1)))
-    return (waves @ coef.reshape(len(coef), 4)).reshape(-1, 2, 2)
-
-
 class _PulseFamily:
     """Pulses of one amplitude, carrier and pair of edges, stepped at the
-    same edge steps, with any plateau length t_p and carrier phase.
+    same edge steps, with any plateau length t_p and carrier phase theta:
 
-    In local time the pulse starting at carrier phase theta is
+        U = W_f(phi + w t_p) e^{-i eps t_p} W_r(-phi)^T,  phi = theta + w t_r,
 
-        U = F(theta + w(t_r + t_p)) P(t_p; theta + w t_r) R(theta):
-
-    the fall F is its ``_fall_series``; the rise envelope is the fall's run
-    backwards, and a real H run backwards gives the transposed propagator,
-    so the rise is a transposed fall of length t_r, R(theta) =
-    F_{t_r}(-w t_r - theta)^T; and the plateau is the Floquet sum
-    P(t_p; phi) = B(phi + w t_p) e^{-i eps t_p} B(phi)^dag, exact, with B
-    the basis ``states_at`` (Shirley 1965).  The series, one per distinct
-    edge length and step, and the plateau solve are built once, here.  An
-    edge series that fails at ``FALL_PHASES_CAP``, or a plateau basis that
-    fails its unitarity gate (a near-degenerate plateau), leaves the pulses
-    to ``_mesh_propagators``, stepped as ``propagate`` steps them.
+    from the plateau's Floquet solve (Shirley 1965) and its bases dressed
+    by the ``_edge_series``, built once, here.  An edge series that fails at
+    ``FALL_PHASES_CAP``, or a dressed basis that fails its unitarity gate (a
+    near-degenerate plateau), leaves the pulses to ``_mesh_propagators``,
+    stepped as ``propagate`` steps them.
     """
 
     def __init__(self, params, shape, steps):
         self.params, self.shape, self.steps = params, shape, steps
         self.spectrum = None  # None: step every pulse
         try:
-            fall = _fall_series(params, shape, steps[2])
-            rise = fall if (shape.t_rise, steps[0]) == (shape.t_fall, steps[2]) else (
-                _fall_series(params, replace(shape, t_fall=shape.t_rise), steps[0])
-            )
+            rise, fall = _edge_series(params, shape, steps)
             spectrum = _plateau_spectrum(params, shape, DEFAULT_TRUNCATION)
         except SimulationError:
             return
-        self.rise, self.fall, self.spectrum = rise, fall, spectrum
+        self.fall = spectrum.edge_rows(fall)
+        self.rise = self.fall if rise is fall else spectrum.edge_rows(rise)
+        self.spectrum = spectrum
 
     def unitaries(self, t_p, theta):
         """Propagators, shape (len(t_p), 2, 2), of the pulses with plateaus
         ``t_p`` starting at carrier phases ``theta``."""
-        w, t_r, s = self.shape.carrier, self.shape.t_rise, self.spectrum
-        phi = theta + w * t_r
+        s, w = self.spectrum, self.shape.carrier
+        phi = theta + w * self.shape.t_rise
         try:
-            basis = None if s is None else s.states_at(0.0, np.concatenate([phi, phi + w * t_p]))
+            bases = None if s is None else (
+                s.states_at(0.0, phi + w * t_p, self.fall), s.states_at(0.0, -phi, self.rise)
+            )
         except AccuracyError:  # a near-degenerate plateau
-            basis = None
-        if basis is None:
-            pulses = [replace(self.shape, t_plateau=t) for t in t_p]
+            bases = None
+        if bases is None:
+            pulses = [
+                replace(self.shape, t_plateau=t, carrier_phase=th) for t, th in zip(t_p, theta)
+            ]
             return np.stack([
-                _mesh_propagators(self.params, p, [0.0, p.total], self.steps, th)[-1]
-                for p, th in zip(pulses, theta)
+                _mesh_propagators(self.params, p, [0.0, p.total], self.steps)[-1] for p in pulses
             ])
-        b0, b1 = np.split(basis, 2)
+        end, start = bases
         decay = np.exp(-1j * np.multiply.outer(t_p, [s.eps0, s.eps1]))
-        u = b1 @ (decay[..., None] * b0.conj().swapaxes(-1, -2))
-        if self.rise is not None:
-            u = u @ _series_at(self.rise, -w * t_r - theta).swapaxes(-1, -2)
-        if self.fall is not None:
-            u = _series_at(self.fall, phi + w * t_p) @ u
-        return u
+        return end @ (decay[..., None] * start.swapaxes(-1, -2))
 
 
 def propagate_train(
@@ -586,7 +573,7 @@ def prepare_state(
     phase matching the Bloch angle between |0> and the target.  A coarse
     scan over a full carrier-phase circle at 4 ps, then a local one at
     0.5 ps; each is one (phase, duration) batch of states from |0>, and the
-    two share one plateau solve and one fall series.  A coarse scan of more
+    two share one plateau solve and one edge series.  A coarse scan of more
     than ``PREP_SCAN_CAP`` durations (a small ``amp``) raises ValueError
     before any work.  The
     phase is reported mod pi for a target on the z axis (where phi and
@@ -616,12 +603,12 @@ def prepare_state(
     template = PulseSpec(amp, omega, edges, 0.0, edges)
     steps = _pulse_steps(template)
     spectrum = _plateau_spectrum(params, template, truncation_n)
-    fall = _fall_series(params, template, steps[2])
+    rise, fall = _edge_series(params, template, steps)  # equal edges: one series
     ground = StateVector.ground().as_array()
 
     def scan(durs, phases):
         states = _duration_batch_states(
-            params, template, durs, steps, phases, spectrum, ground, fall
+            params, template, durs, phases, spectrum, ground, rise, fall
         )
         fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins

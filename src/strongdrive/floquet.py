@@ -124,22 +124,42 @@ class FloquetSpectrum:
         live = np.flatnonzero(np.abs(self.table).max(axis=(1, 2)) > 1e-16)
         return int(live[0]), int(live[-1]) + 1
 
-    def states_at(self, t: float, carrier_phase=0.0) -> np.ndarray:
-        """Instantaneous quasienergy states at time t, in the lab frame.
+    def edge_rows(self, edge=None) -> np.ndarray:
+        """The live rows of ``table`` dressed by a pulse edge.
 
-        Sums the live rows of ``table`` at theta = omega t + carrier_phase
-        into a 2x2 matrix whose columns are u0(t), u1(t), not renormalized;
-        an array of carrier phases gives one such matrix per phase.  A basis
-        that is not unitary to 1e-10 raises AccuracyError, which names
-        ``truncation_n`` if the live rows reach |n| = N, else the
-        near-degenerate pair.
+        ``edge`` holds the harmonics E_m, m = -K..K, of the edge's propagator
+        as a function of the carrier phase it starts at, E(theta) = sum_m E_m
+        e^{im theta}.  The dressed basis E(theta) B(theta) has the
+        coefficients w_k = sum_m u_{k-m} E_m^T, K rows wider on each side.  A
+        sharp edge (None) leaves the rows as they are.
         """
         a, b = self.live_rows
-        n = np.arange(a - self.truncation_n, b - self.truncation_n)
+        if edge is None:
+            return self.table[a:b]
+        rows = np.zeros((b - a + len(edge) - 1, 2, 2), dtype=complex)
+        for m, e in enumerate(edge):
+            rows[m : m + b - a] += np.dot(self.table[a:b], e.T)  # one BLAS call; @ makes b - a
+        return rows
+
+    def states_at(self, t: float, carrier_phase=0.0, rows=None) -> np.ndarray:
+        """Instantaneous quasienergy states at time t, in the lab frame.
+
+        Sums the live rows of ``table``, or the dressed ``rows`` of
+        ``edge_rows``, at theta = omega t + carrier_phase into a 2x2 matrix
+        whose columns are u0(t), u1(t) (dressed: E(theta) u_j(t)), not
+        renormalized; an array of carrier phases gives one such matrix per
+        phase.  A basis that is not unitary to 1e-10 raises AccuracyError,
+        which names ``truncation_n`` if the live rows of ``table`` reach
+        |n| = N, else the near-degenerate pair.
+        """
+        a, b = self.live_rows
+        rows = self.table[a:b] if rows is None else rows
+        pad = (len(rows) - (b - a)) // 2
+        n = np.arange(a - pad - self.truncation_n, b + pad - self.truncation_n)
         shift = np.exp(1j * np.multiply.outer(self.omega * t + carrier_phase, n))
-        basis = (self.table[a:b] * shift[..., None, None]).sum(axis=-3).swapaxes(-1, -2)
+        basis = (rows * shift[..., None, None]).sum(axis=-3).swapaxes(-1, -2)
         if (defect := unitarity_defect(basis)) > 1e-10:
-            if max(-n[0], n[-1]) == self.truncation_n:  # the live rows reach |n| = N
+            if max(-n[0], n[-1]) - pad == self.truncation_n:  # the live rows reach |n| = N
                 cause = f"raise truncation_n (now {self.truncation_n})"
             else:
                 cause = (f"eps0, eps1 near-degenerate mod omega (delta_eps = "

@@ -163,10 +163,6 @@ class StateVector:
             sz=abs(self.c_g) ** 2 - abs(self.c_e) ** 2,
         )
 
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.as_array(), other.as_array()))
-
 
 @dataclass(frozen=True)
 class BlochVector:

@@ -115,9 +115,6 @@ class PeakSet:
     def __len__(self):
         return len(self.peaks)
 
-    def frequencies(self) -> np.ndarray:
-        return np.array([p.frequency for p in self.peaks])
-
     def amplitudes(self) -> np.ndarray:
         return np.array([p.amplitude for p in self.peaks])
 

@@ -1,11 +1,12 @@
-"""Every public module-level definition in ``src/strongdrive`` has a caller.
+"""Every definition in ``src/strongdrive`` has a caller there.
 
-A function or class that only tests call belongs in the test file that uses
-it, as an oracle, so the package holds what its commands run.  A definition
-counts as called when its name appears in some module of the package (a
-name, an attribute or an imported name; ``__init__.py``, which re-exports
-everything, does not count), or when the benchmark tracer
+A function, class or method that only tests call belongs in the test file
+that uses it, as an oracle, so the package holds what its commands run.  A
+definition counts as called when its name appears in some module of the
+package (a name, an attribute or an imported name; ``__init__.py``, which
+re-exports everything, does not count), or when the benchmark tracer
 (``benchmarks/tracing.py``) names it as an entry point in ``LAYERS``.
+Dunder methods are called by the language, so they are exempt.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "strongdrive"
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _layers():
@@ -35,7 +37,7 @@ def _used_names(tree):
             yield node.name
 
 
-def test_every_public_definition_has_a_caller_in_src():
+def _trees_and_called():
     trees = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
@@ -43,12 +45,40 @@ def test_every_public_definition_has_a_caller_in_src():
     }
     called = {name for tree in trees.values() for name in _used_names(tree)}
     called |= {name for names in _layers().values() for name in names}
+    return trees, called
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    trees, called = _trees_and_called()
     orphans = [
         f"{module}.{node.name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        if isinstance(node, DEFINITIONS)
         and not node.name.startswith("_")
         and node.name not in called
+    ]
+    assert not orphans, f"no caller in src/strongdrive: {', '.join(orphans)}"
+
+
+def test_every_private_definition_and_method_has_a_caller_in_src():
+    trees, called = _trees_and_called()
+    definitions = [
+        (f"{module}.{node.name}", node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and node.name.startswith("_")
+    ] + [
+        (f"{module}.{cls.name}.{node.name}", node.name)
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, DEFINITIONS)
+    ]
+    orphans = [
+        qualname
+        for qualname, name in definitions
+        if not (name.startswith("__") and name.endswith("__")) and name not in called
     ]
     assert not orphans, f"no caller in src/strongdrive: {', '.join(orphans)}"

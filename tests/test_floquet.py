@@ -160,11 +160,16 @@ class TestStatesAt:
 
     def test_truncation_defect_raises(self):
         # N = 10 leaves a basis defect of about 1e-6 at 4.78 GHz, which
-        # renormalizing each column used to hide
+        # renormalizing each column used to hide.  Dressed by an edge, here
+        # E(theta) = e^{i theta} on rows one wider, the basis keeps the
+        # defect and its cause.
         spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
-        for t in (0.0, 0.37):
-            with pytest.raises(AccuracyError, match=r"raise truncation_n \(now 10\)"):
-                spec.states_at(t, 0.4)
+        kick = np.zeros((3, 2, 2))
+        kick[2] = np.eye(2)
+        for rows in (None, spec.edge_rows(kick)):
+            for t in (0.0, 0.37):
+                with pytest.raises(AccuracyError, match=r"raise truncation_n \(now 10\)"):
+                    spec.states_at(t, 0.4, rows)
 
 
 class TestMonodromyOracle:

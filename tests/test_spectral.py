@@ -87,7 +87,7 @@ class TestFindPeaks:
         sp = spectral.dft(t, v)
         peaks = spectral.find_peaks(sp, 0.1)
         assert len(peaks) == 2
-        got = np.sort(peaks.frequencies())
+        got = np.sort([p.frequency for p in peaks])
         assert abs(got[0] - 0.50) < 0.5 * sp.resolution
         assert abs(got[1] - 0.65) < 0.5 * sp.resolution
 
@@ -97,7 +97,7 @@ class TestFindPeaks:
             t, v = make_trace([f0], [1.0], phases=[rng.uniform(0, TWO_PI)])
             sp = spectral.dft(t, v)
             peaks = spectral.find_peaks(sp, 0.3)
-            assert abs(peaks.frequencies()[0] - f0) < 0.1 * sp.resolution
+            assert abs(peaks.peaks[0].frequency - f0) < 0.1 * sp.resolution
 
     def test_sorted_by_amplitude(self):
         t, v = make_trace([0.3, 1.1, 2.2], [0.2, 0.9, 0.5])
