@@ -13,10 +13,10 @@ sum_j c_j e^{-i eps_j t} u_j(t) (Shirley, Phys. Rev. 138, B979 (1965)) sums
 it, and every pulse is that sum dressed by its edges.  An edge depends on
 the plateau only through the carrier phase theta it starts at, so it is one
 series E(theta) = sum_m E_m e^{im theta} (``_fall_series``), and the basis
-dressed by it, W_e(theta) = E(theta) B(theta), is one table
-(``FloquetSpectrum.edge_rows``).  The rise is a transposed fall (a real H
-run backwards), R(theta) = F_{t_r}(-phi)^T with phi = theta + w t_r, and the
-table is real, so a pulse of plateau t_p is
+dressed by it, W_e(theta) = E(theta) B(theta), is one table, which a solve
+builds once per distinct edge and keeps (``_edge_rows``).  The rise is a
+transposed fall (a real H run backwards), R(theta) = F_{t_r}(-phi)^T with
+phi = theta + w t_r, and the table is real, so a pulse of plateau t_p is
 
     U(t_p, theta) = W_f(phi + w t_p) e^{-i eps t_p} W_r(-phi)^T,
 
@@ -86,8 +86,10 @@ def _bloch_components(states):
 def _pulse_steps(pulse: PulseSpec, target_step: float | None = None) -> np.ndarray:
     """Steps (rise, plateau, fall) of ``pulse``: min(T/200, t_edge/50) on an
     edge, T/200 on the plateau and a sharp edge; ``target_step`` for all
-    three if given."""
+    three if given, which must be finite and > 0 (else ValueError)."""
     if target_step is not None:
+        if not 0.0 < target_step < np.inf:
+            raise ValueError(f"target_step must be finite and > 0, got {target_step}")
         return np.full(3, float(target_step))
     period_step = TWO_PI / pulse.carrier / 200.0
     segments = np.array([pulse.t_rise, np.inf, pulse.t_fall])
@@ -242,20 +244,20 @@ def _drive_states_and_spectra(
     u_jn (``FloquetSpectrum.table``).  The sum over n is one matrix product
     of the e^{inwt} table with the coefficients.
 
-    ``rise`` and ``fall``, edge series (``_fall_series``; None: sharp),
-    make each trace the pulse of that rise, a plateau of each duration in
-    ``times`` and that fall, the plateau starting at phase phi: its
-    coefficients c = W_r(-phi)^T psi0 (B(phi)^dag psi0 for a sharp rise) come
-    from one gated ``states_at(0, -phi)`` of the rise-dressed basis for all
-    phases, and the sum runs over the fall-dressed table, K rows wider on
-    each side (``edge_rows``)."""
+    ``rise`` and ``fall``, the dressed tables of a one-amplitude call
+    (``_edge_rows``; None: sharp), make each trace the pulse of that rise, a
+    plateau of each duration in ``times`` and that fall, the plateau starting
+    at phase phi: its coefficients c = W_r(-phi)^T psi0 (B(phi)^dag psi0 for
+    a sharp rise) come from one gated ``states_at(0, -phi)`` of the
+    rise-dressed basis for all phases, and the sum runs over the
+    fall-dressed table, K rows wider on each side of the live rows."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
     if specs is None:
         specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
     live = [s.live_rows for s in specs]
     lo, hi = min((r[0] for r in live), default=0), max((r[1] for r in live), default=0)
-    pad = 0 if fall is None else len(fall) // 2
+    pad = 0 if fall is None else (len(fall) - (live[0][1] - live[0][0])) // 2
     n = np.arange(lo - truncation_n - pad, hi - truncation_n + pad)
     harmonics = 1j * n[:, None] * (omega * times)
     np.exp(harmonics, out=harmonics)  # in place: one (n, t) table, not two
@@ -264,8 +266,7 @@ def _drive_states_and_spectra(
     for i, (s, (a, b)) in enumerate(zip(specs, live)):
         rows = slice(a - lo, b - lo + 2 * pad)
         h = harmonics[rows]
-        w_f = s.edge_rows(fall)
-        w_r = w_f if rise is fall else s.edge_rows(rise)
+        w_r, w_f = (s.edge_rows() if e is None else e for e in (rise, fall))
         decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
         starts = s.states_at(0.0, -np.asarray(carrier_phases), w_r)
         for p, (start, shift, psi0) in enumerate(zip(starts, shifts[:, rows], initials)):
@@ -293,11 +294,11 @@ def final_states_for_durations(
     govern them alone; by default each edge steps at min(T/200, its
     length/50).  The states are one Floquet sum of the plateau at carrier
     phase w t_r + phi, started from ``initial`` through the rise-dressed
-    basis and summed over the fall-dressed one (``_edge_series``); a sharp
+    basis and summed over the fall-dressed one (``_edge_rows``); a sharp
     pulse of zero length returns ``initial`` exactly.  The plateau's sector
-    is solved once per call, or passed in as ``spectrum``, which must be the
-    solve at this call's Delta, amplitude, carrier and ``truncation_n``
-    (else ValueError).
+    is solved once per call, or passed in as ``spectrum``, the solve at this
+    call's Delta, amplitude, carrier and ``truncation_n`` (else ValueError),
+    which keeps each distinct edge it dressed for the calls that share it.
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
@@ -316,12 +317,9 @@ def final_states_for_durations(
             f"not at the pulse's {want}"
         )
 
-    def run(steps):
-        return _duration_batch_states(
-            params, pulse_template, durs, None, spectrum, psi0,
-            *_edge_series(params, pulse_template, steps),
-        )
-
+    run = functools.partial(
+        _duration_batch_states, params, pulse_template, durs, None, spectrum, psi0
+    )
     return run(steps) if not refine else _refine(
         run, steps, lambda states: states, "duration sweep did not converge"
     )
@@ -334,18 +332,19 @@ def _plateau_spectrum(params, template, truncation_n):
     )[0]
 
 
-def _duration_batch_states(params, template, durs, phases, spectrum, psi0, rise, fall):
+def _duration_batch_states(params, template, durs, phases, spectrum, psi0, steps):
     """States of ``final_states_for_durations`` from ``psi0``: one Floquet
-    sum of ``spectrum`` (``_plateau_spectrum``) dressed by the ``rise`` and
-    ``fall`` of ``_edge_series``; ``phases``, if not None, replace the
+    sum of ``spectrum`` dressed by the ``_edge_rows`` of ``template`` at its
+    (rise, plateau, fall) ``steps``; ``phases``, if not None, replace the
     carrier phase as a leading axis: (phases, durations)."""
-    omega, t_r = template.carrier, template.t_rise
+    omega, t_r, t_f = template.carrier, template.t_rise, template.t_fall
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
     out = _drive_states_and_spectra(
         params, [spectrum.amp], omega, durs, omega * t_r + phi, [psi0] * len(phi),
-        spectrum.truncation_n, [spectrum], rise, fall,
+        spectrum.truncation_n, [spectrum],
+        _edge_rows(spectrum, t_r, steps[0]), _edge_rows(spectrum, t_f, steps[2]),
     )[0][0]
-    if rise is None and fall is None:
+    if t_r == t_f == 0.0:
         out[:, durs == 0.0] = psi0  # a sharp pulse of zero length is the identity
     return out if phases is not None else out[0]
 
@@ -410,14 +409,18 @@ def _fall_series(params, template, step):
         nodes, k = both, 2 * k
 
 
-def _edge_series(params, shape, steps):
-    """(rise, fall) series of ``shape`` at its (rise, plateau, fall)
-    ``steps``.  The rise is a transposed fall of length t_r, so its series
-    is a ``_fall_series``: the fall's own when (t_r, step) match."""
-    fall = _fall_series(params, shape, steps[2])
-    if (shape.t_rise, steps[0]) == (shape.t_fall, steps[2]):
-        return fall, fall
-    return _fall_series(params, replace(shape, t_fall=shape.t_rise), steps[0]), fall
+def _edge_rows(spectrum, t_edge, step):
+    """``spectrum.edge_rows`` of the ``_fall_series`` of an edge of length
+    ``t_edge`` at ``step`` (the plain rows if sharp), built once per solve
+    into its ``edge_tables``: the series is a fall at the solve's own (Delta,
+    A, omega), so (t_edge, step) fixes it, and a rise, a transposed fall,
+    shares it.  A series that raises is not kept."""
+    tables = spectrum.edge_tables
+    if (t_edge, step) not in tables:
+        fall = PulseSpec(spectrum.amp, spectrum.omega, t_fall=t_edge)
+        series = _fall_series(QubitParams(spectrum.delta), fall, step)
+        tables[t_edge, step] = spectrum.edge_rows(series)
+    return tables[t_edge, step]
 
 
 def sweep_pulse_duration(
@@ -465,23 +468,20 @@ class _PulseFamily:
         U = W_f(phi + w t_p) e^{-i eps t_p} W_r(-phi)^T,  phi = theta + w t_r,
 
     from the plateau's Floquet solve (Shirley 1965) and its bases dressed
-    by the ``_edge_series``, built once, here.  An edge series that fails at
-    ``FALL_PHASES_CAP``, or a dressed basis that fails its unitarity gate (a
-    near-degenerate plateau), leaves the pulses to ``_mesh_propagators``,
-    stepped as ``propagate`` steps them.
+    by the edges (``_edge_rows``), built once, here.  An edge series that
+    fails at ``FALL_PHASES_CAP``, or a dressed basis that fails its
+    unitarity gate (a near-degenerate plateau), leaves the pulses to
+    ``_mesh_propagators``, stepped as ``propagate`` steps them.
     """
 
     def __init__(self, params, shape, steps):
         self.params, self.shape, self.steps = params, shape, steps
-        self.spectrum = None  # None: step every pulse
         try:
-            rise, fall = _edge_series(params, shape, steps)
-            spectrum = _plateau_spectrum(params, shape, DEFAULT_TRUNCATION)
+            self.spectrum = _plateau_spectrum(params, shape, DEFAULT_TRUNCATION)
+            self.rise = _edge_rows(self.spectrum, shape.t_rise, steps[0])
+            self.fall = _edge_rows(self.spectrum, shape.t_fall, steps[2])
         except SimulationError:
-            return
-        self.fall = spectrum.edge_rows(fall)
-        self.rise = self.fall if rise is fall else spectrum.edge_rows(rise)
-        self.spectrum = spectrum
+            self.spectrum = None  # step every pulse
 
     def unitaries(self, t_p, theta):
         """Propagators, shape (len(t_p), 2, 2), of the pulses with plateaus
@@ -573,9 +573,9 @@ def prepare_state(
     phase matching the Bloch angle between |0> and the target.  A coarse
     scan over a full carrier-phase circle at 4 ps, then a local one at
     0.5 ps; each is one (phase, duration) batch of states from |0>, and the
-    two share one plateau solve and one edge series.  A coarse scan of more
-    than ``PREP_SCAN_CAP`` durations (a small ``amp``) raises ValueError
-    before any work.  The
+    two share one plateau solve and the one series of its equal edges that
+    it keeps (``_edge_rows``).  A coarse scan of more than ``PREP_SCAN_CAP``
+    durations (a small ``amp``) raises ValueError before any work.  The
     phase is reported mod pi for a target on the z axis (where phi and
     phi + pi give the same fidelity), else mod 2 pi.  Returns the
     best pulse, the achieved state fidelity |<target|psi>| and psi, the
@@ -603,13 +603,10 @@ def prepare_state(
     template = PulseSpec(amp, omega, edges, 0.0, edges)
     steps = _pulse_steps(template)
     spectrum = _plateau_spectrum(params, template, truncation_n)
-    rise, fall = _edge_series(params, template, steps)  # equal edges: one series
     ground = StateVector.ground().as_array()
 
     def scan(durs, phases):
-        states = _duration_batch_states(
-            params, template, durs, phases, spectrum, ground, rise, fall
-        )
+        states = _duration_batch_states(params, template, durs, phases, spectrum, ground, steps)
         fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

@@ -124,6 +124,11 @@ class FloquetSpectrum:
         live = np.flatnonzero(np.abs(self.table).max(axis=(1, 2)) > 1e-16)
         return int(live[0]), int(live[-1]) + 1
 
+    @cached_property
+    def edge_tables(self) -> dict:
+        """``edge_rows`` by (edge length, step), as ``evolve._edge_rows`` builds them."""
+        return {}
+
     def edge_rows(self, edge=None) -> np.ndarray:
         """The live rows of ``table`` dressed by a pulse edge.
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from strongdrive import cli, evolve, floquet, tomography
-from strongdrive.config import load_config
+from strongdrive.config import default_config, load_config
 from strongdrive.errors import ConfigError
 from strongdrive.model import QubitParams, StateVector
 from strongdrive.units import TWO_PI, ghz_to_rad_per_ns
@@ -379,6 +379,21 @@ class TestEdgeStudyCommand:
         header, rows = read_csv(tmp_path / "edge_fast_amplitudes.csv")
         assert header == ["t_rise_ns", "t_fall_ns", "amp_2w_minus_de", "amp_2w_plus_de"]
         assert len(rows) == 3
+
+    def test_each_distinct_edge_is_built_once(self, monkeypatch):
+        # the pairs share the plateau solve, which keeps every edge it
+        # dressed: (0, 0) .. (4, 4), (4, 0), (0, 4) need the sharp edge and
+        # the 0.5, 1, 2 and 4 ns series, each once
+        built, fall_series = [], evolve._fall_series
+
+        def spy(params, template, step):
+            built.append((template.t_fall, step))
+            return fall_series(params, template, step)
+
+        monkeypatch.setattr(evolve, "_fall_series", spy)
+        cli.cmd_edge_study(default_config())
+        assert len(built) == len(set(built)) == 5
+        assert sorted(t for t, _ in built) == [0.0, 0.5, 1.0, 2.0, 4.0]
 
 
 def _row_writer(path, header, rows):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from strongdrive import evolve as ev
 from strongdrive import floquet as fq
 from strongdrive._magnus import IDENTITY2, magnus_path, magnus_segment, unitarity_defect
+from strongdrive.config import default_config
 from strongdrive.errors import AccuracyError, SimulationError
 from strongdrive.model import PulseSpec, QubitParams, StateVector, envelope
 from strongdrive.tomography import PREROTATION_AMPLITUDE, PREROTATION_EDGE
@@ -66,6 +67,22 @@ class TestPropagate:
         u_a = ev.evolve_interval(params, pulse, 0.0, 1.3)
         u_b = ev.evolve_interval(params, pulse, 1.3, pulse.total)
         assert np.max(np.abs(u_b @ u_a - u_full)) < 1e-9
+
+    @pytest.mark.parametrize("target_step", [0.0, -1e-3, np.nan, np.inf])
+    def test_target_step_must_be_finite_and_positive(self, params, target_step):
+        # one step per interval (0, nan) or a negative step would run without
+        # an error; the one step rule rejects them for every driver
+        pulse = PulseSpec(TWO_PI * 1.33, DELTA, 1.0, 0.5, 1.0)
+        kw = {"target_step": target_step}
+        for call in (
+            lambda: ev.propagate(params, pulse, **kw),
+            lambda: ev.evolve_interval(params, pulse, 0.0, 1.0, **kw),
+            lambda: ev.final_states_for_durations(params, pulse, [0.0, 1.0], **kw),
+            lambda: ev.sweep_pulse_duration(params, pulse, [0.0, 1.0], **kw),
+            lambda: ev.propagate_train(params, [pulse], **kw),
+        ):
+            with pytest.raises(ValueError, match="target_step must be finite and > 0"):
+                call()
 
     def test_refinement_converges(self, params):
         pulse = PulseSpec(TWO_PI * 1.0, DELTA, 0.0, 5.0, 0.0)
@@ -149,10 +166,9 @@ class TestDurationSweep:
         # error, not the Floquet sum's.
         step = 2.5e-4
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
-        edges = ev._edge_series(params, template, np.full(3, step))
         for psi0 in (StateVector.ground(), StateVector.excited()):
             got = ev._duration_batch_states(
-                params, template, durs, phases, spec, psi0.as_array(), *edges
+                params, template, durs, phases, spec, psi0.as_array(), np.full(3, step)
             )
             for p, phi in enumerate(phases):
                 for i in sorted({0, len(durs) // 2, len(durs) - 1}):
@@ -205,16 +221,30 @@ class TestDurationSweep:
         with pytest.raises(ValueError, match="non-empty"):
             ev.final_states_for_durations(params, template, [])
 
-    @pytest.mark.parametrize("field", ["delta", "amp", "omega", "truncation_n"])
+    @pytest.mark.parametrize("field", [None, "delta", "amp", "omega", "truncation_n"])
     def test_spectrum_passed_in_must_match_the_pulse(self, params, field):
-        # a matching solve is the one the sweep makes itself, to the bit
+        # a matching solve (None) is the one the sweep makes itself, to the
+        # bit, also with the edges it kept from the scans before: the default
+        # edge-study pairs in order, unrefined and refined (whose halved
+        # steps are kept too)
         template = PulseSpec(TWO_PI * 1.33, DELTA, 0.5, 0.0, 0.5)
         durs = np.arange(0.0, 3.0, 0.05)
         spec = ev._plateau_spectrum(params, template, 30)
+        if field is None:
+            edges = default_config()["edges"]
+            pairs = [(e, e) for e in edges["edge_times_ns"]] + list(edges["asymmetric_pairs_ns"])
+            for refine in (False, True):
+                kwargs = {"truncation_n": 30, "refine": refine}
+                shared = dataclasses.replace(spec)  # the same solve, no edges kept yet
+                for t_r, t_f in pairs:
+                    pulse = PulseSpec(TWO_PI * 1.33, DELTA, t_r, 0.0, t_f)
+                    own = ev.sweep_pulse_duration(params, pulse, durs, **kwargs)
+                    given = ev.sweep_pulse_duration(params, pulse, durs, spectrum=shared, **kwargs)
+                    assert np.array_equal(own, given)
+                # one table per distinct (edge, step), the sharp edge's too
+                assert len(shared.edge_tables) == (5 if not refine else 13)
+            return
         kwargs = {"truncation_n": 30, "refine": False}
-        own = ev.sweep_pulse_duration(params, template, durs, **kwargs)
-        given = ev.sweep_pulse_duration(params, template, durs, spectrum=spec, **kwargs)
-        assert np.array_equal(own, given)
         other = dataclasses.replace(spec, **{field: getattr(spec, field) + 1})
         with pytest.raises(ValueError, match="spectrum solved at"):
             ev.final_states_for_durations(params, template, durs, spectrum=other, **kwargs)
@@ -397,11 +427,10 @@ class TestPhaseHarmonicFalls:
         no_fall = dataclasses.replace(template, t_fall=0.0)
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
         falls = _direct_falls(params, template, durs, steps[2])
-        rise, fall = ev._edge_series(params, template, steps)
         for psi0 in (StateVector.ground().as_array(), StateVector.excited().as_array()):
-            plateau = ev._duration_batch_states(params, no_fall, durs, None, spec, psi0, rise, None)
+            plateau = ev._duration_batch_states(params, no_fall, durs, None, spec, psi0, steps)
             want = (falls @ plateau[..., None])[..., 0]
-            got = ev._duration_batch_states(params, template, durs, None, spec, psi0, rise, fall)
+            got = ev._duration_batch_states(params, template, durs, None, spec, psi0, steps)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("k", [16, 64])
@@ -450,10 +479,15 @@ class TestPhaseHarmonicFalls:
         # 1.33 GHz needs more than 16 phases (interpolation error ~2e-8 there)
         monkeypatch.setattr(ev, "FALL_PHASES_CAP", 16)
         template = PulseSpec(A_EDGE, DELTA, 1.0, 0.0, 4.0)
+        spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
+        kwargs = {"target_step": 2e-3, "refine": False, "spectrum": spec}
         with pytest.raises(AccuracyError, match="interpolation error .* at K = 16"):
-            ev.final_states_for_durations(
-                params, template, [0.0, 1.0], target_step=2e-3, refine=False
-            )
+            ev.final_states_for_durations(params, template, [0.0, 1.0], **kwargs)
+        # the solve keeps no table of a failed series, so a retry builds it
+        assert spec.edge_tables == {}
+        monkeypatch.undo()
+        ev.final_states_for_durations(params, template, [0.0, 1.0], **kwargs)
+        assert len(spec.edge_tables) == 2
 
 
 class TestEdgeSteps:
@@ -663,8 +697,7 @@ class TestPulseTrain:
         ])
         spec = ev._plateau_spectrum(params, pulse, fq.DEFAULT_TRUNCATION)
         want = spec.states_at(0.0, phi).conj().swapaxes(-1, -2) @ rise
-        series, _ = ev._edge_series(params, pulse, steps)
-        got = spec.states_at(0.0, -phi, spec.edge_rows(series)).swapaxes(-1, -2)
+        got = spec.states_at(0.0, -phi, ev._edge_rows(spec, t_r, steps[0])).swapaxes(-1, -2)
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_near_degenerate_plateau_steps_its_pulses(self, params):
@@ -927,8 +960,8 @@ class TestStatePrep:
         scans, series = [], []
         batch, fall_series = ev._duration_batch_states, ev._fall_series
 
-        def batch_spy(params, template, durs, phases, spectrum, psi0, rise, fall):
-            states = batch(params, template, durs, phases, spectrum, psi0, rise, fall)
+        def batch_spy(params, template, durs, phases, spectrum, psi0, steps):
+            states = batch(params, template, durs, phases, spectrum, psi0, steps)
             scans.append((template, durs, phases, states))
             return states
 
@@ -972,7 +1005,7 @@ class TestStatePrep:
         # the per-phase loop kept the first strictly greater fidelity
         grids = []
 
-        def tied(params, template, durs, phases, spectrum, psi0, rise, fall):
+        def tied(params, template, durs, phases, spectrum, psi0, steps):
             grids.append((durs, phases))
             states = np.zeros((len(phases), len(durs), 2), dtype=complex)
             states[0, 5, 1] = states[1, 2, 1] = 1.0  # |1> at both
@@ -987,8 +1020,8 @@ class TestStatePrep:
     def _hide_phases_below_pi(monkeypatch):
         batch = ev._duration_batch_states
 
-        def upper_half(params, template, durs, phases, spectrum, psi0, rise, fall):
-            states = batch(params, template, durs, phases, spectrum, psi0, rise, fall)
+        def upper_half(params, template, durs, phases, spectrum, psi0, steps):
+            states = batch(params, template, durs, phases, spectrum, psi0, steps)
             states[np.mod(phases, TWO_PI) < np.pi] = 0.0
             return states
 
