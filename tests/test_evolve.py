@@ -70,7 +70,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("target_step", [0.0, -1e-3, np.nan, np.inf])
     def test_target_step_must_be_finite_and_positive(self, params, target_step):
-        # one step per interval (0, nan) or a negative step would run without
+        # the step count would turn each into one step per interval without
         # an error; the one step rule rejects them for every driver
         pulse = PulseSpec(TWO_PI * 1.33, DELTA, 1.0, 0.5, 1.0)
         kw = {"target_step": target_step}
