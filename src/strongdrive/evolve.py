@@ -22,11 +22,12 @@ phi = theta + w t_r, and the table is real, so a pulse of plateau t_p is
 
 with W = B for a sharp edge: the un-enveloped drive is the pulse with both
 edges sharp.  A duration scan starts the sum from W_r(-phi)^T psi0 and sums
-W_f at every duration at once; a pulse train evaluates the pulses of one
-amplitude, carrier and pair of edges as one batch of the product.  So
-``target_step`` steps the edge series alone, with a time-stepped pulse as
-the oracle.  ``_refine``, which halves all three steps together, is the one
-step-refinement policy the drivers share.
+W_f at every duration at once; a pulse train solves each amplitude and
+carrier once and evaluates the pulses of each pair of edges on that solve
+as one batch of the product.  So ``target_step`` steps the edge series
+alone, with a time-stepped pulse as the oracle.  ``_refine``, which halves
+all three steps together, is the one step-refinement policy the drivers
+share.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ def propagate(
     less than 1e-8 between refinements; hitting the step floor raises
     AccuracyError.
     """
-    if sample_dt <= 0.0:
-        raise ValueError("sample_dt must be positive")
+    if not 0.0 < sample_dt < np.inf:
+        raise ValueError(f"sample_dt must be finite and > 0, got {sample_dt}")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
 
     n_samp = int(np.floor(pulse.total / sample_dt + 1e-9))
@@ -225,22 +226,25 @@ def continuous_drive_states(
     u_j(t) = sum_n u_jn e^{in(wt+phi)}, of one ``quasienergy_sweep``: one
     e^{inwt} table, trimmed to the n with a coefficient above 1e-16, serves
     the batch.  A resummed t = 0 basis that is not unitary to 1e-10 raises
-    AccuracyError, which names ``truncation_n`` or the near-degenerate pair.
+    AccuracyError, which names ``truncation_n`` or the near-degenerate pair;
+    a time that is not finite raises ValueError.
     """
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     psi0 = (StateVector.ground() if initial is None else initial).as_array()
     return _drive_states_and_spectra(
-        params, amplitudes, omega, times, [carrier_phase], [psi0], truncation_n
+        params, amplitudes, omega, times, [carrier_phase], psi0, truncation_n
     )[0][:, 0]
 
 
 def _drive_states_and_spectra(
-    params, amplitudes, omega, times, carrier_phases=(0.0,), initials=((1.0, 0.0),),
+    params, amplitudes, omega, times, carrier_phases=(0.0,), psi0=(1.0, 0.0),
     truncation_n=DEFAULT_TRUNCATION, specs=None, rise=None, fall=None,
 ):
     """``continuous_drive_states`` per amplitude and carrier phase, shape
-    (n_amp, n_phase, n_time, 2), each phase from its state in ``initials`` (|0>),
-    and the ``quasienergy_sweep`` it sums (``specs``, if already solved for
-    these amplitudes).  A phase enters as e^{in phi} on the coefficients
+    (n_amp, n_phase, n_time, 2), every phase from ``psi0`` (|0>), and the
+    ``quasienergy_sweep`` it sums (``specs``, if already solved for these
+    amplitudes).  A phase enters as e^{in phi} on the coefficients
     u_jn (``FloquetSpectrum.table``).  The sum over n is one matrix product
     of the e^{inwt} table with the coefficients.
 
@@ -269,7 +273,7 @@ def _drive_states_and_spectra(
         w_r, w_f = (s.edge_rows() if e is None else e for e in (rise, fall))
         decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
         starts = s.states_at(0.0, -np.asarray(carrier_phases), w_r)
-        for p, (start, shift, psi0) in enumerate(zip(starts, shifts[:, rows], initials)):
+        for p, (start, shift) in enumerate(zip(starts, shifts[:, rows])):
             w_p = w_f * shift[:, None, None] * (start.T @ psi0)[:, None]
             parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
             out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
@@ -303,19 +307,11 @@ def final_states_for_durations(
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
         raise ValueError("durations must be non-empty")
-    if np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
-        raise ValueError("durations must be >= 0 and non-decreasing")
+    if not np.all(np.isfinite(durs)) or np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
+        raise ValueError("durations must be finite, >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
     steps = _pulse_steps(pulse_template, target_step)
-    if spectrum is None:
-        spectrum = _plateau_spectrum(params, pulse_template, truncation_n)
-    solved = (spectrum.delta, spectrum.amp, spectrum.omega, spectrum.truncation_n)
-    want = (params.delta, pulse_template.amplitude_max, pulse_template.carrier, truncation_n)
-    if solved != want:
-        raise ValueError(
-            f"spectrum solved at (delta, amp, omega, truncation_n) = {solved}, "
-            f"not at the pulse's {want}"
-        )
+    spectrum = _plateau_spectrum(params, pulse_template, truncation_n, spectrum)
 
     run = functools.partial(
         _duration_batch_states, params, pulse_template, durs, None, spectrum, psi0
@@ -325,11 +321,21 @@ def final_states_for_durations(
     )
 
 
-def _plateau_spectrum(params, template, truncation_n):
-    """The plateau's Floquet solve: one ``quasienergy_sweep`` amplitude."""
-    return quasienergy_sweep(
-        params.delta, template.carrier, [template.amplitude_max], truncation_n
-    )[0]
+def _plateau_spectrum(params, template, truncation_n, spectrum=None):
+    """The plateau's Floquet solve: one ``quasienergy_sweep`` amplitude, or
+    ``spectrum``, a solve passed in, which must be the one at this Delta,
+    amplitude, carrier and ``truncation_n`` (else ValueError)."""
+    if spectrum is None:
+        return quasienergy_sweep(
+            params.delta, template.carrier, [template.amplitude_max], truncation_n
+        )[0]
+    solved = (spectrum.delta, spectrum.amp, spectrum.omega, spectrum.truncation_n)
+    want = (params.delta, template.amplitude_max, template.carrier, truncation_n)
+    if solved != want:
+        raise ValueError(
+            f"spectrum solved at (delta, amp, omega, truncation_n) = {solved}, not at {want}"
+        )
+    return spectrum
 
 
 def _duration_batch_states(params, template, durs, phases, spectrum, psi0, steps):
@@ -340,9 +346,8 @@ def _duration_batch_states(params, template, durs, phases, spectrum, psi0, steps
     omega, t_r, t_f = template.carrier, template.t_rise, template.t_fall
     phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
     out = _drive_states_and_spectra(
-        params, [spectrum.amp], omega, durs, omega * t_r + phi, [psi0] * len(phi),
-        spectrum.truncation_n, [spectrum],
-        _edge_rows(spectrum, t_r, steps[0]), _edge_rows(spectrum, t_f, steps[2]),
+        params, [spectrum.amp], omega, durs, omega * t_r + phi, psi0, spectrum.truncation_n,
+        [spectrum], _edge_rows(spectrum, t_r, steps[0]), _edge_rows(spectrum, t_f, steps[2]),
     )[0][0]
     if t_r == t_f == 0.0:
         out[:, durs == 0.0] = psi0  # a sharp pulse of zero length is the identity
@@ -461,49 +466,34 @@ def sweep_pulse_duration(
 # ---------------------------------------------------------------------------
 
 
-class _PulseFamily:
-    """Pulses of one amplitude, carrier and pair of edges, stepped at the
-    same edge steps, with any plateau length t_p and carrier phase theta:
+def _pulse_unitaries(params, spectrum, shape, t_p, theta, steps):
+    """Propagators, shape (len(t_p), 2, 2), of the pulses of ``shape``'s
+    amplitude, carrier and edges with plateaus ``t_p``, starting in local
+    time at carrier phases ``theta``:
 
         U = W_f(phi + w t_p) e^{-i eps t_p} W_r(-phi)^T,  phi = theta + w t_r,
 
-    from the plateau's Floquet solve (Shirley 1965) and its bases dressed
-    by the edges (``_edge_rows``), built once, here.  An edge series that
-    fails at ``FALL_PHASES_CAP``, or a dressed basis that fails its
-    unitarity gate (a near-degenerate plateau), leaves the pulses to
-    ``_mesh_propagators``, stepped as ``propagate`` steps them.
+    from the plateau's Floquet solve ``spectrum`` (Shirley 1965) and its
+    bases dressed by the edges at ``steps`` (``_edge_rows``).  A failed solve
+    (None), an edge series that fails at ``FALL_PHASES_CAP``, or a dressed
+    basis that fails its unitarity gate (a near-degenerate plateau) leaves
+    the pulses to ``_mesh_propagators``, stepped as ``propagate`` steps them.
     """
-
-    def __init__(self, params, shape, steps):
-        self.params, self.shape, self.steps = params, shape, steps
+    w = shape.carrier
+    phi = theta + w * shape.t_rise
+    if spectrum is not None:
         try:
-            self.spectrum = _plateau_spectrum(params, shape, DEFAULT_TRUNCATION)
-            self.rise = _edge_rows(self.spectrum, shape.t_rise, steps[0])
-            self.fall = _edge_rows(self.spectrum, shape.t_fall, steps[2])
-        except SimulationError:
-            self.spectrum = None  # step every pulse
-
-    def unitaries(self, t_p, theta):
-        """Propagators, shape (len(t_p), 2, 2), of the pulses with plateaus
-        ``t_p`` starting at carrier phases ``theta``."""
-        s, w = self.spectrum, self.shape.carrier
-        phi = theta + w * self.shape.t_rise
-        try:
-            bases = None if s is None else (
-                s.states_at(0.0, phi + w * t_p, self.fall), s.states_at(0.0, -phi, self.rise)
+            end = spectrum.states_at(
+                0.0, phi + w * t_p, _edge_rows(spectrum, shape.t_fall, steps[2])
             )
-        except AccuracyError:  # a near-degenerate plateau
-            bases = None
-        if bases is None:
-            pulses = [
-                replace(self.shape, t_plateau=t, carrier_phase=th) for t, th in zip(t_p, theta)
-            ]
-            return np.stack([
-                _mesh_propagators(self.params, p, [0.0, p.total], self.steps)[-1] for p in pulses
-            ])
-        end, start = bases
-        decay = np.exp(-1j * np.multiply.outer(t_p, [s.eps0, s.eps1]))
-        return end @ (decay[..., None] * start.swapaxes(-1, -2))
+            start = spectrum.states_at(0.0, -phi, _edge_rows(spectrum, shape.t_rise, steps[0]))
+        except SimulationError:  # a series over the cap or a near-degenerate plateau
+            pass
+        else:
+            decay = np.exp(-1j * np.multiply.outer(t_p, [spectrum.eps0, spectrum.eps1]))
+            return end @ (decay[..., None] * start.swapaxes(-1, -2))
+    pulses = [replace(shape, t_plateau=t, carrier_phase=th) for t, th in zip(t_p, theta)]
+    return np.stack([_mesh_propagators(params, p, [0.0, p.total], steps)[-1] for p in pulses])
 
 
 def propagate_train(
@@ -512,7 +502,7 @@ def propagate_train(
     initial: StateVector | None = None,
     *,
     target_step: float | None = None,
-    families: dict | None = None,
+    spectrum: FloquetSpectrum | None = None,
 ) -> StateVector:
     """Apply back-to-back pulses with a phase-coherent carrier.
 
@@ -520,33 +510,40 @@ def propagate_train(
     env_k(t - t_k) * cos(omega t + phi_k): envelopes shift, the carrier runs
     in absolute time, so equal-phase pulses share a rotation axis regardless
     of their start times.  In local time s that is env_k(s) cos(omega s +
-    theta_k), theta_k = omega t_k + phi_k.  The pulses of one amplitude,
-    carrier and pair of edges form a family, evaluated as one batch over
-    (t_p, theta_k) from its edge series and its Floquet plateau
-    (``_PulseFamily``), and the 2x2 propagators are composed in time order.
-    ``target_step`` (default: each edge at min(T/200, its length/50)) steps
-    the edge series alone; the plateau takes no step.  A family whose edge
-    series or plateau basis fails its gate is Magnus-stepped instead.
-    ``families``, a dict the caller passes to several calls (a calibration's
-    root search), keeps the families built, so each is built once for all
-    of them.
+    theta_k), theta_k = omega t_k + phi_k.  The pulses of one amplitude and
+    carrier share one plateau solve, whose tables keep each distinct edge
+    (``_edge_rows``); those of one pair of edges on it are one batch over
+    (t_p, theta_k) (``_pulse_unitaries``), and the 2x2 propagators are
+    composed in time order.  ``target_step`` (default: each edge at
+    min(T/200, its length/50)) steps the edge series alone; the plateau
+    takes no step.  ``spectrum``, a solve at ``DEFAULT_TRUNCATION`` and this
+    Delta (else ValueError) passed to several calls (a calibration's root
+    search), serves the pulses of its amplitude and carrier, so its edges
+    are built once for all of them.
     """
     psi = (StateVector.ground() if initial is None else initial).as_array()
     starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
-    families = {} if families is None else families
-    members = {}  # family key -> indices of its pulses
+    solves = {}  # (amplitude, carrier) -> the plateau's solve, None if it failed
+    if spectrum is not None:  # checked at its own amplitude and carrier
+        own = PulseSpec(spectrum.amp, spectrum.omega)
+        solves[own.amplitude_max, own.carrier] = _plateau_spectrum(
+            params, own, DEFAULT_TRUNCATION, spectrum
+        )
+    batches = {}  # (amplitude, carrier, t_rise, t_fall) -> indices of its pulses
     for k, p in enumerate(pulses):
-        edges = (p.amplitude_max, p.carrier, p.t_rise, p.t_fall)
-        members.setdefault((params, target_step, edges), []).append(k)
+        batches.setdefault((p.amplitude_max, p.carrier, p.t_rise, p.t_fall), []).append(k)
     units = {}
-    for key, ks in members.items():
-        if key not in families:
-            amp, carrier, t_r, t_f = key[2]
-            shape = PulseSpec(amp, carrier, t_r, 0.0, t_f)
-            families[key] = _PulseFamily(params, shape, _pulse_steps(shape, target_step))
+    for (amp, carrier, _, _), ks in batches.items():
+        shape = pulses[ks[0]]  # the amplitude, carrier and edges of the batch
+        if (amp, carrier) not in solves:
+            try:
+                solves[amp, carrier] = _plateau_spectrum(params, shape, DEFAULT_TRUNCATION)
+            except SimulationError:
+                solves[amp, carrier] = None  # step every pulse of this plateau
         t_p = np.array([pulses[k].t_plateau for k in ks])
         theta = np.array([pulses[k].carrier * starts[k] + pulses[k].carrier_phase for k in ks])
-        units.update(zip(ks, families[key].unitaries(t_p, theta)))
+        solve, steps = solves[amp, carrier], _pulse_steps(shape, target_step)
+        units.update(zip(ks, _pulse_unitaries(params, solve, shape, t_p, theta, steps)))
     u = functools.reduce(lambda acc, k: units[k] @ acc, range(len(pulses)), IDENTITY2)
     return StateVector.from_array(u @ psi)
 

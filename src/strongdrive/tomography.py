@@ -29,8 +29,8 @@ rotations shows the latter's exact response to an axis tilt phi is
 1 - 2 P1 = -sin((2n+1) phi) (the quoted amplification "2n" is the nominal
 factor; the estimators here invert the exact response).  Each train is
 composed by ``propagate_train`` from edge series and exact Floquet plateaus,
-no plateau time-stepped; every pulse of both root searches belongs to one
-pulse family, whose series and plateau solve are built once per calibration.
+no plateau time-stepped; every pulse of both root searches is on one plateau
+solve, made once per calibration, which builds their one edge series once.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import numpy as np
 # tracer patches tomography.propagate; drop it with that assertion.
 from .evolve import propagate, propagate_train  # noqa: F401
 from .errors import NumericError
+from .floquet import FloquetSpectrum, quasienergy_sweep
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, PulseSpec, QubitParams, StateVector
 from .units import TWO_PI
 
@@ -437,30 +438,30 @@ def _brentq(f, a, b, xtol):
 
 
 def angle_calibration_sequence(
-    params: QubitParams, pulse: PulseSpec, n: int, *, families: dict | None = None
+    params: QubitParams, pulse: PulseSpec, n: int, *, spectrum: FloquetSpectrum | None = None
 ) -> float:
     """Rotation-angle error estimate from the [R(theta)]^(2n+1) train.
 
     Propagates 2n+1 identical pulses from |0> with a phase-coherent carrier
-    and inverts 1 - 2 P1 = sin((2n+1) delta).  ``families`` is passed to
+    and inverts 1 - 2 P1 = sin((2n+1) delta).  ``spectrum`` is passed to
     ``propagate_train``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    final = propagate_train(params, [pulse] * (2 * n + 1), families=families)
+    final = propagate_train(params, [pulse] * (2 * n + 1), spectrum=spectrum)
     resp = np.clip(1.0 - 2.0 * final.p1, -1.0, 1.0)
     return float(np.arcsin(resp) / (2 * n + 1))
 
 
 def axis_calibration_sequence(
     params: QubitParams, pulse_x: PulseSpec, pulse_y: PulseSpec, n: int,
-    *, families: dict | None = None,
+    *, spectrum: FloquetSpectrum | None = None,
 ) -> float:
     """Axis-misalignment estimate from Ry'{[Rx]^2 [Ry']^2}^n Rx.
 
     The train runs in time order Rx, ([Ry']^2 [Rx]^2) x n, Ry'; composing
     ideal rotations gives 1 - 2 P1 = -sin((2n+1) phi) for a y-axis tilt phi
-    toward -x, which this inverts.  ``families`` is passed to
+    toward -x, which this inverts.  ``spectrum`` is passed to
     ``propagate_train``.
     """
     if n < 1:
@@ -469,7 +470,7 @@ def axis_calibration_sequence(
     for _ in range(n):
         pulses.extend([pulse_y, pulse_y, pulse_x, pulse_x])
     pulses.append(pulse_y)
-    final = propagate_train(params, pulses, families=families)
+    final = propagate_train(params, pulses, spectrum=spectrum)
     resp = np.clip(1.0 - 2.0 * final.p1, -1.0, 1.0)
     return float(-np.arcsin(resp) / (2 * n + 1))
 
@@ -486,17 +487,17 @@ def prerotation_pulses(
     (realized rotation angle pi/2 within the calibration tolerance), then
     the y pulse's carrier phase is solved so the axis estimate vanishes;
     both are ``_brentq`` roots to 1e-7 in a bracket around the ideal value.
-    Every pulse of both searches is of one family (``propagate_train``):
-    one amplitude, carrier and pair of edges.  Its edge series and plateau
-    solve are built once per call and shared by every train.
+    Every pulse of both searches has one amplitude, carrier and pair of
+    equal edges, so one plateau solve, made once per call and passed to
+    every train, builds their one edge series once.
     The identity is a zero-amplitude wait of the same shape.
     """
     n = 5
-    families = {}
+    spectrum = quasienergy_sweep(params.delta, params.delta, [amplitude])[0]
 
     def angle_err(t_p):
         pulse = PulseSpec(amplitude, params.delta, edge, t_p, edge, 0.0)
-        return angle_calibration_sequence(params, pulse, n, families=families)
+        return angle_calibration_sequence(params, pulse, n, spectrum=spectrum)
 
     # RWA estimate pi/2 = amplitude * (t_p + edge), then bracket and solve
     t_guess = (np.pi / 2.0) / amplitude - edge
@@ -507,7 +508,7 @@ def prerotation_pulses(
 
     def axis_err(phi):
         pulse_y = PulseSpec(amplitude, params.delta, edge, t_cal, edge, phi)
-        return axis_calibration_sequence(params, pulse_x, pulse_y, n, families=families)
+        return axis_calibration_sequence(params, pulse_x, pulse_y, n, spectrum=spectrum)
 
     phi0 = -np.pi / 2.0
     phi_cal = _brentq(axis_err, phi0 - 0.15, phi0 + 0.15, xtol=1e-7)

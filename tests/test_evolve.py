@@ -96,6 +96,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             ev.propagate(params, pulse, sample_dt=0.0)
 
+    @pytest.mark.parametrize("sample_dt", [np.nan, np.inf])
+    def test_non_finite_sample_dt_is_named(self, params, sample_dt):
+        pulse = PulseSpec(TWO_PI * 0.1, DELTA, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="sample_dt must be finite and > 0"):
+            ev.propagate(params, pulse, sample_dt=sample_dt)
+
 
 A_PLATEAU = TWO_PI * 1.33
 PLATEAU_DURS = np.array([0.0, 0.7, 1.9, 3.4])
@@ -215,6 +221,13 @@ class TestDurationSweep:
         with pytest.raises(ValueError):
             ev.sweep_pulse_duration(params, template, [1.0, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_durations_rejected(self, params, bad):
+        template = PulseSpec(TWO_PI * 0.3, DELTA, 0.5, 0.0, 0.5)
+        for call in (ev.final_states_for_durations, ev.sweep_pulse_duration):
+            with pytest.raises(ValueError, match="durations must be finite, >= 0 and non-"):
+                call(params, template, [0.0, bad])
+
     @pytest.mark.parametrize("t_rise", [0.0, 1.0])
     def test_empty_durations_rejected(self, params, t_rise):
         template = PulseSpec(TWO_PI * 0.3, DELTA, t_rise, 0.0, 1.0)
@@ -270,6 +283,11 @@ class TestContinuousDrive:
                                 target_step=2.5e-4, refine=False)
             assert np.array_equal(traj.times, times)
             assert np.max(np.abs(traj.states - states)) < 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, params, bad):
+        with pytest.raises(ValueError, match="times must be finite"):
+            ev.continuous_drive_states(params, [TWO_PI * 0.46], DELTA, [0.0, bad])
 
     def test_truncation_gate(self, params):
         # t = 0 basis unitarity defect at 4.78 GHz: 2.6e-12 at N = 15,
@@ -352,16 +370,16 @@ class TestContinuousDrive:
         rng = np.random.default_rng(seed)
         amps = TWO_PI * rng.uniform(0.05, 3.0, 3)
         phases = rng.uniform(0.0, TWO_PI, 2)
-        initials = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        initials /= np.linalg.norm(initials, axis=1, keepdims=True)
+        psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi0 /= np.linalg.norm(psi0)
         times = np.sort(rng.uniform(0.0, 20.0, 400))
-        got, specs = ev._drive_states_and_spectra(params, amps, omega, times, phases, initials)
+        got, specs = ev._drive_states_and_spectra(params, amps, omega, times, phases, psi0)
         assert got.shape == (len(amps), len(phases), len(times), 2)
         for s, got_a in zip(specs, got):
             n_max = s.truncation_n
             lab = s.table  # (harmonic, branch, component)
             decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
-            for phi, psi0, got_p in zip(phases, initials, got_a):
+            for phi, got_p in zip(phases, got_a):
                 shift = [np.exp(1j * (phi * n)) for n in range(-n_max, n_max + 1)]
                 basis0 = sum(z * u for z, u in zip(shift, lab))  # rows: branches at t = 0
                 c = basis0.conj() @ psi0
@@ -530,7 +548,7 @@ class TestEdgeSteps:
             k = len(ev._fall_series(params, PulseSpec(amp, DELTA, 0.0, 0.0, t_edge), step)) // 2
             return k * int(ev._step_count(t_edge, step))
 
-        # a scan, like a train family, steps one edge series per distinct edge
+        # a scan, like a train, steps one edge series per distinct edge
         rise, fall = series_steps(t_rise), series_steps(t_fall)
         family = rise + (fall if t_fall != t_rise else 0)
         if t_fall:  # the same steps for each stepped phase: half the series' 2K >= 32
@@ -552,11 +570,11 @@ class TestEdgeSteps:
         budget = step_budget(200_000)
         ev.evolve_interval(params, pulse, t_rise, pulse.total)
         assert budget.steps == n[1] + n[2]
-        # a train steps only edge series, one per distinct edge of each
-        # family; the mirror is a second family unless its edges are equal
+        # a train steps only edge series, one per distinct edge of its
+        # plateau solve, which the pulse and its mirror share
         budget = step_budget(400_000)
         ev.propagate_train(params, [pulse, mirror])
-        assert budget.steps == (1 if t_rise == t_fall else 2) * family
+        assert budget.steps == family
 
     def test_short_rise_pulse_step_counts(self, params, step_budget):
         # rise steps of 1e-5 / 50 ns: the whole pulse at that step would be
@@ -720,17 +738,39 @@ class TestPulseTrain:
         got = ev.propagate_train(params, pulses).as_array()
         assert np.max(np.abs(got - _serial_train(params, pulses))) <= 1e-12
 
-    def test_shared_families_give_the_same_bits(self, params):
-        families = {}
+    def test_shared_spectrum_gives_the_same_bits(self, params):
+        spectrum = ev._plateau_spectrum(params, CAL_X, fq.DEFAULT_TRUNCATION)
         for pulses, target_step in [c[1:] for c in TRAIN_CASES]:
             own = ev.propagate_train(params, pulses, target_step=target_step)
             shared = ev.propagate_train(params, pulses, target_step=target_step,
-                                        families=families)
+                                        spectrum=spectrum)
             assert own == shared
-        # one family per amplitude, carrier, pair of edges and step rule: the
-        # mixed train's five under each of three steps, which the
-        # calibration trains share
-        assert len(families) == 15
+        # the calibration edge at each of the three step rules, kept by the
+        # solve for every train of its amplitude and carrier; the mixed
+        # train's other plateaus solve their own
+        assert len(spectrum.edge_tables) == 3
+
+    @pytest.mark.parametrize("field", ["delta", "truncation_n"])
+    def test_spectrum_at_another_delta_or_truncation_is_rejected(self, params, field):
+        spectrum = ev._plateau_spectrum(params, CAL_X, fq.DEFAULT_TRUNCATION)
+        other = dataclasses.replace(spectrum, **{field: getattr(spectrum, field) + 1})
+        with pytest.raises(ValueError, match="spectrum solved at"):
+            ev.propagate_train(params, [CAL_X], spectrum=other)
+
+    def test_a_pulse_and_its_mirror_share_one_solve(self, params, monkeypatch):
+        # one amplitude and carrier: one plateau solve, and one series for
+        # each of the two edge lengths, whichever end of a pulse it is on
+        builds = []
+        for name in ("_fall_series", "_plateau_spectrum"):
+            def spy(*args, _name=name, _build=getattr(ev, name)):
+                builds.append(_name)
+                return _build(*args)
+
+            monkeypatch.setattr(ev, name, spy)
+        pulse = PulseSpec(TWO_PI * 0.46, DELTA, 0.2, 1.0, 0.5)
+        mirror = PulseSpec(TWO_PI * 0.46, DELTA, 0.5, 1.0, 0.2)
+        ev.propagate_train(params, [pulse, mirror])
+        assert sorted(builds) == ["_fall_series"] * 2 + ["_plateau_spectrum"]
 
 
 class TestMesh:

@@ -578,17 +578,20 @@ class TestCalibration:
     def test_one_family_build_per_calibration(self, params, monkeypatch):
         # every train of both root searches shares one edge series (rise and
         # fall are equal) and one plateau solve, and no call reuses another's
+        # (the calibration solves its plateau itself and passes the solve to
+        # every train, which would solve through evolve's sweep otherwise)
         builds = []
-        for name in ("_fall_series", "_plateau_spectrum"):
-            def spy(*args, _name=name, _build=getattr(evolve, name)):
+        for module, name in ((evolve, "_fall_series"), (evolve, "quasienergy_sweep"),
+                             (tg, "quasienergy_sweep")):
+            def spy(*args, _name=name, _build=getattr(module, name)):
                 builds.append(_name)
                 return _build(*args)
 
-            monkeypatch.setattr(evolve, name, spy)
+            monkeypatch.setattr(module, name, spy)
         tg.prerotation_pulses.__wrapped__(params)
-        assert sorted(builds) == ["_fall_series", "_plateau_spectrum"]
+        assert sorted(builds) == ["_fall_series", "quasienergy_sweep"]
         tg.prerotation_pulses.__wrapped__(params)
-        assert sorted(builds) == ["_fall_series"] * 2 + ["_plateau_spectrum"] * 2
+        assert sorted(builds) == ["_fall_series"] * 2 + ["quasienergy_sweep"] * 2
 
     def test_sequence_validation(self, params, cal_pulses):
         with pytest.raises(ValueError):
