@@ -22,12 +22,13 @@ phi = theta + w t_r, and the table is real, so a pulse of plateau t_p is
 
 with W = B for a sharp edge: the un-enveloped drive is the pulse with both
 edges sharp.  A duration scan starts the sum from W_r(-phi)^T psi0 and sums
-W_f at every duration at once; a pulse train solves each amplitude and
-carrier once and evaluates the pulses of each pair of edges on that solve
-as one batch of the product.  So ``target_step`` steps the edge series
-alone, with a time-stepped pulse as the oracle.  ``_refine``, which halves
-all three steps together, is the one step-refinement policy the drivers
-share.
+W_f at every duration at once, over an e^{inwt} table that the solve keeps
+for the next scan of the same durations; a pulse train solves each
+amplitude and carrier once and evaluates the pulses of each pair of edges
+on that solve as one batch of the product.  So ``target_step`` steps the
+edge series alone, with a time-stepped pulse as the oracle.  ``_refine``,
+which halves all three steps together, is the one step-refinement policy
+the drivers share.
 """
 
 from __future__ import annotations
@@ -157,7 +158,9 @@ def evolve_interval(
     target_step: float | None = None,
 ) -> np.ndarray:
     """Propagator of the pulse Hamiltonian over [t0, t1] (drive = 0 outside
-    the pulse support)."""
+    the pulse support); bounds that are not finite raise ValueError."""
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got ({t0}, {t1})")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     return _mesh_propagators(params, pulse, [t0, t1], _pulse_steps(pulse, target_step))[-1]
@@ -224,10 +227,11 @@ def continuous_drive_states(
     Hamiltonians agree on [0, t] for each duration t.  Summed from the
     Floquet expansion psi(t) = sum_j <u_j(0)|psi(0)> e^{-i eps_j t} u_j(t),
     u_j(t) = sum_n u_jn e^{in(wt+phi)}, of one ``quasienergy_sweep``: one
-    e^{inwt} table, trimmed to the n with a coefficient above 1e-16, serves
-    the batch.  A resummed t = 0 basis that is not unitary to 1e-10 raises
-    AccuracyError, which names ``truncation_n`` or the near-degenerate pair;
-    a time that is not finite raises ValueError.
+    e^{inwt} table per call, its n >= 0 half exponentiated and the rest
+    conjugated (``_harmonics``), trimmed to the n with a coefficient above
+    1e-16, serves the batch.  A resummed t = 0 basis that is not unitary to
+    1e-10 raises AccuracyError, which names ``truncation_n`` or the
+    near-degenerate pair; a time that is not finite raises ValueError.
     """
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
@@ -246,7 +250,11 @@ def _drive_states_and_spectra(
     ``quasienergy_sweep`` it sums (``specs``, if already solved for these
     amplitudes).  A phase enters as e^{in phi} on the coefficients
     u_jn (``FloquetSpectrum.table``).  The sum over n is one matrix product
-    of the e^{inwt} table with the coefficients.
+    of the e^{inwt} table (``_harmonics``, from its n >= 0 half) with the
+    coefficients.  A solve passed in alone (``specs`` of one, a duration
+    scan's plateau) keeps that table in its one slot (``_solve_harmonics``),
+    so the scans that share the solve exponentiate it once; solves made here
+    share one table of this call, which dies with it.
 
     ``rise`` and ``fall``, the dressed tables of a one-amplitude call
     (``_edge_rows``; None: sharp), make each trace the pulse of that rise, a
@@ -257,14 +265,19 @@ def _drive_states_and_spectra(
     fall-dressed table, K rows wider on each side of the live rows."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
+    kept = specs is not None and len(specs) == 1  # a solve passed in alone keeps its table
     if specs is None:
         specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
     live = [s.live_rows for s in specs]
-    lo, hi = min((r[0] for r in live), default=0), max((r[1] for r in live), default=0)
+    lo = min((r[0] for r in live), default=truncation_n)
+    hi = max((r[1] for r in live), default=truncation_n)
     pad = 0 if fall is None else (len(fall) - (live[0][1] - live[0][0])) // 2
-    n = np.arange(lo - truncation_n - pad, hi - truncation_n + pad)
-    harmonics = 1j * n[:, None] * (omega * times)
-    np.exp(harmonics, out=harmonics)  # in place: one (n, t) table, not two
+    first, end = lo - truncation_n - pad, hi - truncation_n + pad  # rows first <= n < end
+    n = np.arange(first, end)
+    m = max(-first, end - 1, 0)
+    table = _solve_harmonics(specs[0], omega, times, m) if kept else _harmonics(omega, times, m)
+    c = len(table) // 2  # row n = 0; a kept table may be wider than m
+    harmonics = table[c + first : c + end]
     shifts = np.exp(1j * np.outer(carrier_phases, n))
     out = np.empty((len(amps), len(shifts), len(times), 2), dtype=complex)
     for i, (s, (a, b)) in enumerate(zip(specs, live)):
@@ -278,6 +291,43 @@ def _drive_states_and_spectra(
             parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
             out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
     return out, specs
+
+
+def _harmonics(omega, times, m, known=None):
+    """The table e^{inwt}, rows n = -m..m by ``times``, from its n >= 0 half:
+    each row n >= 0 is exponentiated and each row n < 0 is the conjugate of
+    row -n.  That is bit for bit np.exp(1j * n[:, None] * (omega * times)):
+    the imaginary part of 1j n (wt) is n (wt) exactly, and cexp(+-0 + iy) =
+    (cos y, sin y) with sin odd.  ``known``, the table at this omega and
+    ``times`` for some m0 <= m, gives its rows, so only those with m0 < |n|
+    <= m are exponentiated.  Every e^{inwt} table of a scan is built here."""
+    m0 = -1 if known is None else len(known) // 2
+    table = np.empty((2 * m + 1, len(times)), dtype=complex)
+    if known is not None:
+        table[m - m0 : m + m0 + 1] = known
+    new = table[m + m0 + 1 :]  # the rows m0 < n <= m, exponentiated in place
+    np.multiply(1j * np.arange(m0 + 1, m + 1)[:, None], omega * times, out=new)
+    np.exp(new, out=new)
+    k = max(m0, 0)
+    np.conjugate(table[m + k + 1 :][::-1], out=table[: m - k])
+    return table
+
+
+def _solve_harmonics(spectrum, omega, times, m):
+    """``_harmonics`` at (omega, ``times``) for at least |n| <= m, kept in
+    the one slot ``spectrum.harmonics``: reused for the same omega and an
+    equal ``times``, widened when a later edge needs more rows (only the new
+    rows exponentiated), and replaced, the old table dropped first, for any
+    other grid.  So the calls that share a solve (``edge-study``'s pairs,
+    ``_refine``'s reruns) exponentiate each entry once, and a solve holds
+    one table, which dies with it."""
+    slot = spectrum.harmonics
+    same = bool(slot) and slot[0] == omega and np.array_equal(slot[1], times)
+    known = slot[2] if same else None
+    if known is None or len(known) < 2 * m + 1:
+        slot.clear()
+        slot += [omega, times.copy(), _harmonics(omega, times, m, known)]
+    return slot[2]
 
 
 def final_states_for_durations(

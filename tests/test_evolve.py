@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -83,6 +85,15 @@ class TestPropagate:
         ):
             with pytest.raises(ValueError, match="target_step must be finite and > 0"):
                 call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["t0", "t1"])
+    def test_non_finite_interval_bounds_are_named(self, params, side, bad):
+        # a nan bound used to reach the step count's cast to int
+        pulse = PulseSpec(TWO_PI * 0.46, DELTA, 0.5, 3.0, 0.5)
+        bounds = {"t0": 0.0, "t1": 1.0, side: bad}
+        with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+            ev.evolve_interval(params, pulse, **bounds)
 
     def test_refinement_converges(self, params):
         pulse = PulseSpec(TWO_PI * 1.0, DELTA, 0.0, 5.0, 0.0)
@@ -387,6 +398,107 @@ class TestContinuousDrive:
                 for n, z, u in zip(range(-n_max, n_max + 1), shift, lab):
                     want += np.exp(1j * n * (omega * times))[:, None] * ((decay * (z * c)) @ u)
                 assert np.max(np.abs(got_p - want)) <= 1e-14
+
+
+def _bits(a):
+    """The bytes of an array: equal only if every entry is, signed zeros too."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+class _TableSpy:
+    """Wraps ``ev._harmonics``: the rows n >= 0 each call exponentiates, and
+    a weak reference to each table it returns."""
+
+    def __init__(self, monkeypatch):
+        self.rows, self.tables, self._build = [], [], ev._harmonics
+        monkeypatch.setattr(ev, "_harmonics", self)
+
+    def __call__(self, omega, times, m, known=None):
+        self.rows += range(0 if known is None else len(known) // 2 + 1, m + 1)
+        table = self._build(omega, times, m, known)
+        self.tables.append(weakref.ref(table))
+        return table
+
+    def alive(self):
+        gc.collect()
+        return [t for t in (ref() for ref in self.tables) if t is not None]
+
+
+class TestHarmonics:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_table_is_the_exponential_bitwise(self, seed):
+        # every row range a scan could slice: all negative, all >= 0,
+        # asymmetric, and n = 0 alone; on a uniform and a random grid,
+        # each from t = 0
+        rng = np.random.default_rng(seed)
+        omega = rng.uniform(0.05, 40.0)
+        grids = [
+            np.arange(rng.integers(1, 3000)) * rng.uniform(1e-3, 0.05),
+            np.sort(np.append(rng.uniform(0.0, 100.0, rng.integers(0, 400)), 0.0)),
+        ]
+        neg = -int(rng.integers(2, 90))
+        pos = int(rng.integers(1, 90))
+        ranges = [
+            (neg, int(rng.integers(neg, 0))), (pos - 1, pos + int(rng.integers(0, 40))),
+            (neg, pos), (-pos, pos + int(rng.integers(1, 5))), (0, 0),
+        ]
+        for times in grids:
+            for lo, hi in ranges:  # rows lo..hi
+                n = np.arange(lo, hi + 1)
+                m = max(-lo, hi, 0)
+                got = ev._harmonics(omega, times, m)[lo + m : hi + m + 1]
+                assert _bits(got) == _bits(np.exp(1j * n[:, None] * (omega * times)))
+            # widened from a narrower table, only its new rows exponentiated
+            m0 = int(rng.integers(0, 20))
+            known = ev._harmonics(omega, times, m0)
+            for m in (m0, m0 + int(rng.integers(1, 60))):
+                assert _bits(ev._harmonics(omega, times, m, known)) == _bits(
+                    ev._harmonics(omega, times, m)
+                )
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_edge_study_exponentiates_each_entry_once(self, monkeypatch, refine):
+        # the seven pairs (and each refined rerun) share the study's solve,
+        # so its grid's table is built once, widened for the dressed edges
+        # after the sharp pair; it dies with the solve
+        from strongdrive import cli
+        from strongdrive.config import load_config
+
+        config = load_config(None)
+        config["solver"]["refine"] = refine
+        spy = _TableSpy(monkeypatch)
+        cli.cmd_edge_study(config)
+        assert sorted(spy.rows) == list(range(max(spy.rows) + 1))
+        assert len(spy.tables) == 2  # the sharp pair's, widened once for the dressed edges
+        assert spy.alive() == []
+
+    @pytest.mark.parametrize("target", [StateVector.minus_y(), StateVector.excited()])
+    def test_state_prep_solve_holds_one_table(self, params, target, monkeypatch):
+        # the coarse scan's table goes when the fine scan's grid replaces it
+        solves, plateau = [], ev._plateau_spectrum
+
+        def solve_spy(*args):
+            solves.append(plateau(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(ev, "_plateau_spectrum", solve_spy)
+        spy = _TableSpy(monkeypatch)
+        ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
+        (solve,) = solves
+        assert len(spy.tables) == 2
+        assert [id(t) for t in spy.alive()] == [id(solve.harmonics[2])]
+        del solve, solves[:]
+        assert spy.alive() == []
+
+    def test_many_solves_build_one_table_per_call(self, params, monkeypatch):
+        # the amplitudes of one call share one table, kept by none of them
+        spy = _TableSpy(monkeypatch)
+        times = np.arange(0.0, 5.0, 0.01)
+        amps = TWO_PI * np.array([0.5, 2.0])
+        for _ in range(2):
+            _, specs = ev._drive_states_and_spectra(params, amps, DELTA, times)
+        assert len(spy.tables) == 2 and spy.alive() == []
+        assert all(s.harmonics == [] for s in specs)
 
 
 def _direct_falls(params, template, durs, step):
