@@ -42,9 +42,6 @@ import numpy as np
 _GL_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GL_HI = 0.5 + np.sqrt(3.0) / 6.0
 
-#: Hard floor on the internal step (ns); refinement below this fails.
-STEP_FLOOR = 1e-6
-
 #: Steps per block of ``magnus_path``; fixed so that block edges, and with
 #: them the floating-point results, do not depend on the batch size.
 BLOCK = 256

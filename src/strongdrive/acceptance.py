@@ -356,7 +356,6 @@ def check_numerical_hygiene() -> CheckResult:
             np.arange(0.0, 5.0, 0.05),
             shots=1024,
             seed=seed,
-            refine=False,
         )
         return p1.tobytes() + counts.tobytes()
 

@@ -271,7 +271,7 @@ def cmd_edge_study(config: ExperimentConfig) -> Tables:
         template = PulseSpec(amp, omega, t_r, 0.0, t_f)
         p1 = evolve.sweep_pulse_duration(  # step 0: each edge its default step
             par, template, durations, target_step=solver["propagator_step_ns"] or None,
-            refine=solver["refine"], truncation_n=solver["truncation_n"], spectrum=fspec,
+            truncation_n=solver["truncation_n"], spectrum=fspec,
         )
         lo, hi = spectral.fast_component_amplitudes(durations, p1, omega, fspec.delta_eps)
         trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))

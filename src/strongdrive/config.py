@@ -1,8 +1,10 @@
 """Experiment configuration: flat INI sections with a strict key schema.
 
 Every key has a typed default; unknown sections or keys are rejected with
-the offending name in the message.  User-facing units are GHz (plain
-frequency) and ns; the commands convert to angular units internally.
+the offending name in the message, and a file the INI parser cannot read
+(a duplicate key, no section header, a line that is not ``key = value``)
+with the parser's message.  User-facing units are GHz (plain frequency)
+and ns; the commands convert to angular units internally.
 """
 
 from __future__ import annotations
@@ -15,15 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .spectral import WINDOWS
-
-
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _parse_float_list(s: str) -> tuple[float, ...]:
@@ -52,7 +45,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "truncation_n": (int, 50),
         "monodromy_steps_per_period": (int, 2000),
         "propagator_step_ns": (float, 0.0),  # 0 -> per segment: min(T/200, edge/50)
-        "refine": (_parse_bool, False),
     },
     "quasienergies": {
         "omega_factors": (_parse_float_list, (1.0, 0.6, 1.4)),
@@ -192,7 +184,10 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig(values)
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # duplicate key, no section header, bad line
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found or unreadable: {path}")
     for sec in cp.sections():

@@ -26,9 +26,9 @@ W_f at every duration at once, over an e^{inwt} table that the solve keeps
 for the next scan of the same durations; a pulse train solves each
 amplitude and carrier once and evaluates the pulses of each pair of edges
 on that solve as one batch of the product.  So ``target_step`` steps the
-edge series alone, with a time-stepped pulse as the oracle.  ``_refine``,
-which halves all three steps together, is the one step-refinement policy
-the drivers share.
+edge series alone, with a time-stepped pulse as the oracle.  Every driver
+runs once, at ``_pulse_steps`` or at the caller's ``target_step``: the
+Magnus step's error falls as h^4, so the step is the one accuracy control.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._magnus import IDENTITY2, STEP_FLOOR, SZ_CONJ, magnus_path, magnus_segment
+from ._magnus import IDENTITY2, SZ_CONJ, magnus_path, magnus_segment
 from .errors import AccuracyError, SimulationError
 from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
@@ -128,27 +128,6 @@ def _mesh_propagators(params, pulse, times, steps):
     return magnus_path(IDENTITY2, x_of_t, -0.5 * params.delta, lo, h, keep)
 
 
-def _refine(run, steps, final, message):
-    """``run(steps)``, halving the (rise, plateau, fall) steps together until
-    the P1 of the states ``final`` maps a run to moves by < 1e-8; returns the
-    finer run.  A step below ``STEP_FLOOR`` raises AccuracyError with
-    ``message``."""
-
-    def p1(r):
-        return np.abs(final(r)[..., 1]) ** 2
-
-    result = run(steps)
-    while True:
-        finer = run(steps / 2.0)
-        converged = np.max(np.abs(p1(result) - p1(finer)), initial=0.0) < 1e-8
-        result = finer
-        if converged:
-            return result
-        steps = steps / 2.0
-        if np.min(steps) < STEP_FLOOR:
-            raise AccuracyError(message)
-
-
 def evolve_interval(
     params: QubitParams,
     pulse: PulseSpec,
@@ -173,14 +152,9 @@ def propagate(
     sample_dt: float = 0.005,
     *,
     target_step: float | None = None,
-    refine: bool = True,
 ) -> Trajectory:
-    """Integrate i dpsi/dt = H(t) psi over the pulse, sampled every sample_dt.
-
-    With ``refine`` the internal step is halved until the final P1 changes by
-    less than 1e-8 between refinements; hitting the step floor raises
-    AccuracyError.
-    """
+    """Integrate i dpsi/dt = H(t) psi over the pulse, sampled every sample_dt,
+    Magnus-stepped at ``target_step`` (default: ``_pulse_steps``' rule)."""
     if not 0.0 < sample_dt < np.inf:
         raise ValueError(f"sample_dt must be finite and > 0, got {sample_dt}")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
@@ -190,12 +164,7 @@ def propagate(
     if pulse.total - times[-1] > 1e-12:
         times = np.append(times, pulse.total)
 
-    steps = _pulse_steps(pulse, target_step)
-    run = functools.partial(_mesh_propagators, params, pulse, times)
-    u = run(steps) if not refine else _refine(
-        run, steps, lambda u: _states_from_unitaries(u[-1], psi0),
-        "propagation did not converge above the step floor",
-    )
+    u = _mesh_propagators(params, pulse, times, _pulse_steps(pulse, target_step))
     states = _states_from_unitaries(u, psi0)
     return Trajectory(
         times=times,
@@ -318,9 +287,9 @@ def _solve_harmonics(spectrum, omega, times, m):
     the one slot ``spectrum.harmonics``: reused for the same omega and an
     equal ``times``, widened when a later edge needs more rows (only the new
     rows exponentiated), and replaced, the old table dropped first, for any
-    other grid.  So the calls that share a solve (``edge-study``'s pairs,
-    ``_refine``'s reruns) exponentiate each entry once, and a solve holds
-    one table, which dies with it."""
+    other grid.  So the calls that share a solve (``edge-study``'s pairs)
+    exponentiate each entry once, and a solve holds one table, which dies
+    with it."""
     slot = spectrum.harmonics
     same = bool(slot) and slot[0] == omega and np.array_equal(slot[1], times)
     known = slot[2] if same else None
@@ -337,22 +306,21 @@ def final_states_for_durations(
     *,
     initial: StateVector | None = None,
     target_step: float | None = None,
-    refine: bool = True,
     truncation_n: int = DEFAULT_TRUNCATION,
     spectrum: FloquetSpectrum | None = None,
 ):
     """Final state of one pulse per plateau duration, batched: the same
     quantity as one independent propagation per duration.
 
-    Only the edge series take time steps, so ``target_step`` and ``refine``
-    govern them alone; by default each edge steps at min(T/200, its
-    length/50).  The states are one Floquet sum of the plateau at carrier
-    phase w t_r + phi, started from ``initial`` through the rise-dressed
-    basis and summed over the fall-dressed one (``_edge_rows``); a sharp
-    pulse of zero length returns ``initial`` exactly.  The plateau's sector
-    is solved once per call, or passed in as ``spectrum``, the solve at this
-    call's Delta, amplitude, carrier and ``truncation_n`` (else ValueError),
-    which keeps each distinct edge it dressed for the calls that share it.
+    Only the edge series take time steps, so ``target_step`` governs them
+    alone; by default each edge steps at min(T/200, its length/50).  The
+    states are one Floquet sum of the plateau at carrier phase w t_r + phi,
+    started from ``initial`` through the rise-dressed basis and summed over
+    the fall-dressed one (``_edge_rows``); a sharp pulse of zero length
+    returns ``initial`` exactly.  The plateau's sector is solved once per
+    call, or passed in as ``spectrum``, the solve at this call's Delta,
+    amplitude, carrier and ``truncation_n`` (else ValueError), which keeps
+    each distinct edge it dressed for the calls that share it.
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
@@ -362,13 +330,7 @@ def final_states_for_durations(
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
     steps = _pulse_steps(pulse_template, target_step)
     spectrum = _plateau_spectrum(params, pulse_template, truncation_n, spectrum)
-
-    run = functools.partial(
-        _duration_batch_states, params, pulse_template, durs, None, spectrum, psi0
-    )
-    return run(steps) if not refine else _refine(
-        run, steps, lambda states: states, "duration sweep did not converge"
-    )
+    return _duration_batch_states(params, pulse_template, durs, None, spectrum, psi0, steps)
 
 
 def _plateau_spectrum(params, template, truncation_n, spectrum=None):
@@ -486,7 +448,6 @@ def sweep_pulse_duration(
     shots: int | None = None,
     seed: int | None = None,
     target_step: float | None = None,
-    refine: bool = True,
     truncation_n: int = DEFAULT_TRUNCATION,
     spectrum: FloquetSpectrum | None = None,
 ):
@@ -498,7 +459,7 @@ def sweep_pulse_duration(
     do not depend on evaluation order.
     """
     states = final_states_for_durations(
-        params, pulse_template, durations, target_step=target_step, refine=refine,
+        params, pulse_template, durations, target_step=target_step,
         truncation_n=truncation_n, spectrum=spectrum,
     )
     p1 = np.abs(states[:, 1]) ** 2

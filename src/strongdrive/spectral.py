@@ -120,7 +120,7 @@ class PeakSet:
 
 
 def find_peaks(spectrum: Spectrum, min_prominence: float = 0.05) -> PeakSet:
-    """Local maxima above min_prominence * max magnitude, parabolic-refined.
+    """Local maxima above min_prominence * max magnitude, parabolic-interpolated.
 
     Three-point parabolic interpolation on the magnitude puts the frequency
     well under a tenth of a bin off for isolated tones; peaks come back

@@ -8,8 +8,8 @@ maps onto the measurement axis and its sign, P1 = (1 - sign s_axis) / 2:
     rx90  Rx(pi/2) then sigma_z    sy = 1 - 2 p1
     id    measure sigma_z          sz = 1 - 2 p1
 
-with Rx(pi/2) = exp(-i pi sigma_x / 4) and Ry(pi/2) = exp(-i pi sigma_y / 4)
-(``ROTATIONS``), against which the table is checked: P1 = (R rho R^dag)[1, 1].
+with Rx(pi/2) = exp(-i pi sigma_x / 4) and Ry(pi/2) = exp(-i pi sigma_y / 4);
+the tests check the table against P1 = (R rho R^dag)[1, 1] for those R.
 
 Because each basis measures one Bloch component, the binomial likelihood
 splits into three concave one-variable terms.  The maximum-likelihood state
@@ -56,13 +56,6 @@ BASES = ("id", "rx90", "ry90")
 _MEASUREMENTS = {"ry90": (0, -1.0), "rx90": (1, +1.0), "id": (2, +1.0)}
 _AXIS_BASES = tuple(_MEASUREMENTS)
 _AXIS_SIGNS = np.array([sign for _, sign in _MEASUREMENTS.values()])
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-ROTATIONS = {
-    "id": np.eye(2, dtype=complex),
-    "rx90": _SQ2 * np.array([[1.0, -1.0j], [-1.0j, 1.0]]),
-    "ry90": _SQ2 * np.array([[1.0, -1.0], [1.0, 1.0]]),
-}
 
 #: Default pre-rotation pulse parameters: amplitude 2*pi x 0.13 rad/ns,
 #: 0.2 ns cosine edges.

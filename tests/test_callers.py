@@ -1,12 +1,13 @@
 """Every definition in ``src/strongdrive`` has a caller there.
 
-A function, class or method that only tests call belongs in the test file
-that uses it, as an oracle, so the package holds what its commands run.  A
-definition counts as called when its name appears in some module of the
-package (a name, an attribute or an imported name; ``__init__.py``, which
+A function, class, method or module-level name that only tests use belongs
+in the test file that uses it, as an oracle, so the package holds what its
+commands run.  A definition counts as called when its name is read in some
+module of the package (a name, an attribute or an imported name; the
+assignment that binds it is not a read, and ``__init__.py``, which
 re-exports everything, does not count), or when the benchmark tracer
 (``benchmarks/tracing.py``) names it as an entry point in ``LAYERS``.
-Dunder methods are called by the language, so they are exempt.
+Dunder names are used by the language, so they are exempt.
 """
 
 import ast
@@ -29,7 +30,7 @@ def _layers():
 
 def _used_names(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -46,6 +47,27 @@ def _trees_and_called():
     called = {name for tree in trees.values() for name in _used_names(tree)}
     called |= {name for names in _layers().values() for name in names}
     return trees, called
+
+
+def _bound_names(target):
+    """Names an assignment target binds: a name, or the names of a tuple or
+    list target, starred or nested."""
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, ast.Starred):
+        yield from _bound_names(target.value)
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _bound_names(element)
+
+
+def _module_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield from _bound_names(target)
+        elif isinstance(node, ast.AnnAssign):
+            yield from _bound_names(node.target)
 
 
 def test_every_public_definition_has_a_caller_in_src():
@@ -79,6 +101,18 @@ def test_every_private_definition_and_method_has_a_caller_in_src():
     orphans = [
         qualname
         for qualname, name in definitions
+        if not (name.startswith("__") and name.endswith("__")) and name not in called
+    ]
+    assert not orphans, f"no caller in src/strongdrive: {', '.join(orphans)}"
+
+
+def test_every_module_level_name_has_a_caller_in_src():
+    # constants and tables, public or private, tuple targets included
+    trees, called = _trees_and_called()
+    orphans = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _module_level_names(tree)
         if not (name.startswith("__") and name.endswith("__")) and name not in called
     ]
     assert not orphans, f"no caller in src/strongdrive: {', '.join(orphans)}"

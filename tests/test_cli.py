@@ -60,12 +60,16 @@ class TestConfig:
             ("device", "t_ramsey_ns"),
             ("device", "persistent_current_na"),
             ("run", "threads"),
+            ("solver", "refine"),  # the step is the one accuracy control
         ],
     )
-    def test_removed_keys_rejected(self, tmp_path, section, key):
-        p = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = 1\n")
+    def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
+        p = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = true\n")
         with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
             load_config(p)
+        assert cli.main(["edge-study", "--config", p, "--out", str(tmp_path)]) == 2
+        assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
 
     def test_bad_value(self, tmp_path):
         p = write_config(tmp_path / "c.ini", "[rabi]\namp_points = lots\n")
@@ -228,9 +232,9 @@ class TestRabiScanCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_p1_is_the_floquet_expansion_whatever_the_step_policy(self, tmp_path):
-        # the amplitude scans take no step: [solver] refine and
-        # propagator_step_ns reach edge-study only
-        solver = "[solver]\nrefine = true\npropagator_step_ns = 0.0005\n"
+        # the amplitude scans take no step: [solver] propagator_step_ns
+        # reaches edge-study only
+        solver = "[solver]\npropagator_step_ns = 0.0005\n"
         for name, text in (("default", SMALL_ALL), ("stepped", SMALL_ALL + solver)):
             cfg = write_config(tmp_path / f"{name}.ini", text)
             for cmd in ("rabi-scan", "tomography-trace"):
@@ -260,8 +264,9 @@ class TestRabiScanCommand:
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(sweeps) == 1
         # an edge study solves its plateau once, whatever the edges and the
-        # step halvings; state preparation once per target
-        cfg = write_config(tmp_path / "e.ini", SMALL_ALL + "[solver]\nrefine = true\n")
+        # step; state preparation once per target
+        solver = "[solver]\npropagator_step_ns = 0.0005\n"
+        cfg = write_config(tmp_path / "e.ini", SMALL_ALL + solver)
         sweeps.clear()
         assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(sweeps) == 1
@@ -716,6 +721,24 @@ class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[rabi]\nbogus = 1\n")
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ("[rabi]\namp_points = 3\namp_points = 4\n", "already exists"),
+            ("amp_points = 3\n", "no section headers"),
+            ("[rabi]\namp_points = 3\nnot a key line\n", "not a key line"),
+        ],
+        ids=["duplicate-key", "no-section-header", "unparsable-line"],
+    )
+    def test_malformed_ini_exit_2_names_file(self, tmp_path, capsys, text, why):
+        # configparser's own errors used to escape main as a traceback
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot parse config file")
+        assert cfg in err and why in err
+        assert not (tmp_path / "run_report.json").exists()
 
     def test_domain_error_exit_2(self, tmp_path):
         # duration too short to separate the fast pair in the fit

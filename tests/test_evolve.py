@@ -50,8 +50,7 @@ class TestPropagate:
         from strongdrive import spectral
 
         pulse = PulseSpec(TWO_PI * 1.0, DELTA, 0.0, 50.0, 0.0)
-        traj = ev.propagate(params, pulse, sample_dt=0.005, target_step=1.25e-3,
-                            refine=False)
+        traj = ev.propagate(params, pulse, sample_dt=0.005, target_step=1.25e-3)
         sp = spectral.dft(traj.times, traj.p1)
         peaks = spectral.find_peaks(sp, 0.02)
         de = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 1.0])[0].delta_eps / TWO_PI
@@ -95,13 +94,6 @@ class TestPropagate:
         with pytest.raises(ValueError, match="t0 and t1 must be finite"):
             ev.evolve_interval(params, pulse, **bounds)
 
-    def test_refinement_converges(self, params):
-        pulse = PulseSpec(TWO_PI * 1.0, DELTA, 0.0, 5.0, 0.0)
-        coarse = ev.propagate(params, pulse, sample_dt=0.5, target_step=0.05)
-        fine = ev.propagate(params, pulse, sample_dt=0.5, target_step=0.002,
-                            refine=False)
-        assert coarse.p1[-1] == pytest.approx(fine.p1[-1], abs=1e-7)
-
     def test_bad_sample_dt(self, params):
         pulse = PulseSpec(TWO_PI * 0.1, DELTA, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -139,7 +131,7 @@ PLATEAU_CASES = [  # (id, template, durations, carrier phases)
 class TestDurationSweep:
     def test_zero_duration_ground(self, params):
         template = PulseSpec(TWO_PI * 0.3, DELTA, 0.0, 0.0, 0.0)
-        p1 = ev.sweep_pulse_duration(params, template, [0.0], refine=False)
+        p1 = ev.sweep_pulse_duration(params, template, [0.0])
         assert p1[0] == 0.0
 
     def test_pi_pulse_time(self, params):
@@ -147,29 +139,25 @@ class TestDurationSweep:
         # discrete argmax by a fraction of the 2w period
         template = PulseSpec(TWO_PI * 0.10, DELTA, 0.0, 0.0, 0.0)
         durs = np.arange(0.0, 8.0, 0.002)
-        p1 = ev.sweep_pulse_duration(params, template, durs, refine=False)
+        p1 = ev.sweep_pulse_duration(params, template, durs)
         t_peak = durs[int(np.argmax(p1))]
         assert abs(t_peak - 5.0) < 0.15
 
     def test_matches_continuous_drive_for_zero_edges(self, params):
         times = np.arange(0.0, 8.0 + 1e-12, 0.01)
         template = PulseSpec(TWO_PI * 1.0, DELTA, 0.0, 0.0, 0.0)
-        st_a = ev.final_states_for_durations(
-            params, template, times, target_step=1e-4, refine=False
-        )
+        st_a = ev.final_states_for_durations(params, template, times, target_step=1e-4)
         st_b = ev.continuous_drive_states(params, [TWO_PI * 1.0], DELTA, times)[0]
         assert np.max(np.abs(st_a - st_b)) < 1e-12
 
     def test_matches_independent_propagation_with_edges(self, params):
         template = PulseSpec(TWO_PI * 1.33, DELTA, 1.0, 0.0, 1.0)
         durs = np.array([0.0, 0.7, 1.9, 3.4])
-        batch = ev.final_states_for_durations(
-            params, template, durs, target_step=1e-3, refine=False
-        )
+        batch = ev.final_states_for_durations(params, template, durs, target_step=1e-3)
         for d, got in zip(durs, batch):
             pulse = PulseSpec(TWO_PI * 1.33, DELTA, 1.0, d, 1.0)
             traj = ev.propagate(params, pulse, sample_dt=max(pulse.total, 1e-3),
-                                target_step=1e-3, refine=False)
+                                target_step=1e-3)
             assert np.max(np.abs(traj.states[-1] - got)) < 1e-8
 
     @pytest.mark.parametrize(
@@ -191,18 +179,14 @@ class TestDurationSweep:
                 for i in sorted({0, len(durs) // 2, len(durs) - 1}):
                     pulse = dataclasses.replace(template, t_plateau=durs[i], carrier_phase=phi)
                     want = ev.propagate(params, pulse, psi0, sample_dt=max(pulse.total, 1e-3),
-                                        target_step=step, refine=False).states[-1]
+                                        target_step=step).states[-1]
                     assert np.max(np.abs(got[p, i] - want)) <= 1e-10
 
     def test_shot_emulation_deterministic(self, params):
         template = PulseSpec(TWO_PI * 0.3, DELTA, 0.0, 0.0, 0.0)
         durs = np.arange(0.0, 4.0, 0.1)
-        p1a, ca = ev.sweep_pulse_duration(
-            params, template, durs, shots=512, seed=9, refine=False
-        )
-        p1b, cb = ev.sweep_pulse_duration(
-            params, template, durs, shots=512, seed=9, refine=False
-        )
+        p1a, ca = ev.sweep_pulse_duration(params, template, durs, shots=512, seed=9)
+        p1b, cb = ev.sweep_pulse_duration(params, template, durs, shots=512, seed=9)
         assert np.array_equal(ca, cb)
         assert np.all(ca <= 512)
         # counts track the probabilities
@@ -249,29 +233,29 @@ class TestDurationSweep:
     def test_spectrum_passed_in_must_match_the_pulse(self, params, field):
         # a matching solve (None) is the one the sweep makes itself, to the
         # bit, also with the edges it kept from the scans before: the default
-        # edge-study pairs in order, unrefined and refined (whose halved
-        # steps are kept too)
+        # edge-study pairs in order
         template = PulseSpec(TWO_PI * 1.33, DELTA, 0.5, 0.0, 0.5)
         durs = np.arange(0.0, 3.0, 0.05)
         spec = ev._plateau_spectrum(params, template, 30)
         if field is None:
             edges = default_config()["edges"]
             pairs = [(e, e) for e in edges["edge_times_ns"]] + list(edges["asymmetric_pairs_ns"])
-            for refine in (False, True):
-                kwargs = {"truncation_n": 30, "refine": refine}
-                shared = dataclasses.replace(spec)  # the same solve, no edges kept yet
-                for t_r, t_f in pairs:
-                    pulse = PulseSpec(TWO_PI * 1.33, DELTA, t_r, 0.0, t_f)
-                    own = ev.sweep_pulse_duration(params, pulse, durs, **kwargs)
-                    given = ev.sweep_pulse_duration(params, pulse, durs, spectrum=shared, **kwargs)
-                    assert np.array_equal(own, given)
-                # one table per distinct (edge, step), the sharp edge's too
-                assert len(shared.edge_tables) == (5 if not refine else 13)
+            shared = dataclasses.replace(spec)  # the same solve, no edges kept yet
+            for t_r, t_f in pairs:
+                pulse = PulseSpec(TWO_PI * 1.33, DELTA, t_r, 0.0, t_f)
+                own = ev.sweep_pulse_duration(params, pulse, durs, truncation_n=30)
+                given = ev.sweep_pulse_duration(
+                    params, pulse, durs, truncation_n=30, spectrum=shared
+                )
+                assert np.array_equal(own, given)
+            # one table per distinct (edge, step), the sharp edge's too
+            assert len(shared.edge_tables) == 5
             return
-        kwargs = {"truncation_n": 30, "refine": False}
         other = dataclasses.replace(spec, **{field: getattr(spec, field) + 1})
         with pytest.raises(ValueError, match="spectrum solved at"):
-            ev.final_states_for_durations(params, template, durs, spectrum=other, **kwargs)
+            ev.final_states_for_durations(
+                params, template, durs, truncation_n=30, spectrum=other
+            )
 
 
 class TestContinuousDrive:
@@ -290,8 +274,7 @@ class TestContinuousDrive:
         )
         for a, states in zip(amps, got):
             pulse = PulseSpec(a, omega, 0.0, times[-1], 0.0, phase)
-            traj = ev.propagate(params, pulse, initial, sample_dt=0.01,
-                                target_step=2.5e-4, refine=False)
+            traj = ev.propagate(params, pulse, initial, sample_dt=0.01, target_step=2.5e-4)
             assert np.array_equal(traj.times, times)
             assert np.max(np.abs(traj.states - states)) < 1e-9
 
@@ -366,7 +349,7 @@ class TestContinuousDrive:
         template = PulseSpec(amp, omega, t_rise, 0.0, t_fall, phase)
         try:
             drive = ev.continuous_drive_states(params, [amp], omega, times, carrier_phase=phase)
-            pulses = ev.final_states_for_durations(params, template, times[::5], refine=False)
+            pulses = ev.final_states_for_durations(params, template, times[::5])
         except AccuracyError:
             reject()
         for states in (drive[0], pulses):
@@ -456,18 +439,14 @@ class TestHarmonics:
                     ev._harmonics(omega, times, m)
                 )
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_edge_study_exponentiates_each_entry_once(self, monkeypatch, refine):
-        # the seven pairs (and each refined rerun) share the study's solve,
-        # so its grid's table is built once, widened for the dressed edges
-        # after the sharp pair; it dies with the solve
+    def test_edge_study_exponentiates_each_entry_once(self, monkeypatch):
+        # the seven pairs share the study's solve, so its grid's table is
+        # built once, widened for the dressed edges after the sharp pair; it
+        # dies with the solve
         from strongdrive import cli
-        from strongdrive.config import load_config
 
-        config = load_config(None)
-        config["solver"]["refine"] = refine
         spy = _TableSpy(monkeypatch)
-        cli.cmd_edge_study(config)
+        cli.cmd_edge_study(default_config())
         assert sorted(spy.rows) == list(range(max(spy.rows) + 1))
         assert len(spy.tables) == 2  # the sharp pair's, widened once for the dressed edges
         assert spy.alive() == []
@@ -595,7 +574,7 @@ class TestPhaseHarmonicFalls:
 
         monkeypatch.setattr(ev, "_fall_series", spy)
         template = PulseSpec(A_EDGE, DELTA, 4.0, 0.0, 4.0)
-        kwargs = {"target_step": TWO_PI / DELTA / 200.0, "refine": False}  # T/200
+        kwargs = {"target_step": TWO_PI / DELTA / 200.0}  # T/200
         batch = ev.final_states_for_durations(params, template, EDGE_DURS, **kwargs)
         for i in (0, 1, 617, 1250, 2500):
             one = ev.final_states_for_durations(params, template, EDGE_DURS[i : i + 1], **kwargs)
@@ -610,7 +589,7 @@ class TestPhaseHarmonicFalls:
         monkeypatch.setattr(ev, "FALL_PHASES_CAP", 16)
         template = PulseSpec(A_EDGE, DELTA, 1.0, 0.0, 4.0)
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
-        kwargs = {"target_step": 2e-3, "refine": False, "spectrum": spec}
+        kwargs = {"target_step": 2e-3, "spectrum": spec}
         with pytest.raises(AccuracyError, match="interpolation error .* at K = 16"):
             ev.final_states_for_durations(params, template, [0.0, 1.0], **kwargs)
         # the solve keeps no table of a failed series, so a retry builds it
@@ -668,7 +647,7 @@ class TestEdgeSteps:
             assert fall % n_fall == 0 and fall // n_fall >= ev.FALL_PHASES_START
         budget = step_budget(400_000)
         states = ev.final_states_for_durations(
-            params, PulseSpec(amp, DELTA, t_rise, 0.0, t_fall, phase), durs, refine=False
+            params, PulseSpec(amp, DELTA, t_rise, 0.0, t_fall, phase), durs
         )
         assert np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)) <= 1e-9
         assert budget.steps == family
@@ -677,7 +656,7 @@ class TestEdgeSteps:
         mirror = PulseSpec(amp, DELTA, t_fall, t_plateau, t_rise, phase)
         n = segment_steps(pulse)
         budget = step_budget(200_000)
-        ev.propagate(params, pulse, sample_dt=pulse.total or 1.0, refine=False)
+        ev.propagate(params, pulse, sample_dt=pulse.total or 1.0)
         assert budget.steps == sum(n)
         budget = step_budget(200_000)
         ev.evolve_interval(params, pulse, t_rise, pulse.total)
@@ -688,12 +667,44 @@ class TestEdgeSteps:
         ev.propagate_train(params, [pulse, mirror])
         assert budget.steps == family
 
+    def test_default_edge_study_step_error(self, params):
+        # the step is the one accuracy control: the default edge-study pairs
+        # at their default step (T/200 on every edge) against a quarter of
+        # it, whose own error is 4^4 = 256 times smaller.  Measured max |dP1|
+        # over every 25th duration; the bound is twice that, and a sharp pair
+        # takes no step.
+        measured = {
+            (0.0, 0.0): 0.0, (0.5, 0.5): 5.27e-9, (1.0, 1.0): 5.60e-9, (2.0, 2.0): 1.25e-8,
+            (4.0, 4.0): 2.42e-8, (4.0, 0.0): 1.23e-8, (0.0, 4.0): 1.22e-8,
+        }
+        edges = default_config()["edges"]
+        pairs = [(e, e) for e in edges["edge_times_ns"]] + list(edges["asymmetric_pairs_ns"])
+        assert sorted(pairs) == sorted(measured)
+        period_step = TWO_PI / DELTA / 200.0
+        spec = ev._plateau_spectrum(params, PulseSpec(A_EDGE, DELTA), fq.DEFAULT_TRUNCATION)
+        durs = EDGE_DURS[::25]
+        for t_r, t_f in pairs:
+            template = PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f)
+            assert np.all(ev._pulse_steps(template) == period_step)
+            p1 = ev.sweep_pulse_duration(params, template, durs, spectrum=spec)
+            ref = ev.sweep_pulse_duration(
+                params, template, durs, target_step=period_step / 4.0, spectrum=spec
+            )
+            assert np.max(np.abs(p1 - ref)) <= 2.0 * measured[t_r, t_f]
+            if (t_r, t_f) == (4.0, 4.0):
+                # [solver] propagator_step_ns = 0.001 is the knob for more
+                # (measured 9.7e-10)
+                fine = ev.sweep_pulse_duration(
+                    params, template, durs, target_step=1e-3, spectrum=spec
+                )
+                assert np.max(np.abs(fine - ref)) < 1e-8
+
     def test_short_rise_pulse_step_counts(self, params, step_budget):
         # rise steps of 1e-5 / 50 ns: the whole pulse at that step would be
         # 15,000,050 steps, and its 2 ns fall alone 10,000,000
         pulse = PulseSpec(A_EDGE, DELTA, 1e-5, 1.0, 2.0)
         budget = step_budget(200_000)
-        ev.propagate(params, pulse, sample_dt=pulse.total, refine=False)
+        ev.propagate(params, pulse, sample_dt=pulse.total)
         assert budget.steps == 50 + 458 + 916
         budget = step_budget(200_000)
         edge_transition_unitary(params, pulse, "fall")
@@ -1025,8 +1036,7 @@ class TestFloquetFrame:
         amp = TWO_PI * 1.33
         pulse = PulseSpec(amp, DELTA, 10.0, 6.0, 10.0)
         spec = fq.quasienergy_sweep(DELTA, DELTA, [amp])[0]
-        traj = ev.propagate(params, pulse, sample_dt=0.5, target_step=2e-3,
-                            refine=False)
+        traj = ev.propagate(params, pulse, sample_dt=0.5, target_step=2e-3)
         on_plateau = (traj.times >= pulse.t_rise) & (
             traj.times <= pulse.t_rise + pulse.t_plateau
         )
@@ -1086,9 +1096,7 @@ class TestAsymmetry:
 
         def fast(t_r, t_f):
             template = PulseSpec(amp, DELTA, t_r, 0.0, t_f)
-            p1 = ev.sweep_pulse_duration(
-                params, template, durs, target_step=1.5e-3, refine=False
-            )
+            p1 = ev.sweep_pulse_duration(params, template, durs, target_step=1.5e-3)
             return spectral.fast_component_amplitudes(durs, p1, DELTA, de)
 
         slow_rise = fast(4.0, 0.0)  # fast components present
@@ -1136,9 +1144,7 @@ class TestStatePrep:
             best = (-1.0, None, None)  # the per-phase loop's rule
             for phi, got_phi in zip(phases, got):
                 one = dataclasses.replace(template, carrier_phase=phi)
-                states = ev.final_states_for_durations(
-                    params, one, durs, refine=False, target_step=step[0]
-                )
+                states = ev.final_states_for_durations(params, one, durs, target_step=step[0])
                 assert np.array_equal(got_phi, states)
                 f = np.abs(states @ tgt.conj())
                 i = int(np.argmax(f))
@@ -1210,8 +1216,11 @@ class TestStatePrep:
     )
     def test_returned_state_is_the_stepped_pulse(self, params, target):
         # the state the Floquet-composed scan scored against the time-stepped
-        # propagation of the pulse reported for it
+        # propagation of the pulse reported for it, at an oracle step below
+        # the scan's own (its 0.02 ns edges step at 4e-4 ns)
         pulse, fid, state = ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
-        final = ev.propagate(params, pulse, sample_dt=max(pulse.total, 1e-3)).states[-1]
+        final = ev.propagate(
+            params, pulse, sample_dt=max(pulse.total, 1e-3), target_step=2.5e-4
+        ).states[-1]
         assert np.max(np.abs(state.as_array() - final)) <= 1e-9
         assert abs(np.vdot(target.as_array(), state.as_array())) == pytest.approx(fid, abs=1e-15)

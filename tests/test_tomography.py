@@ -18,6 +18,16 @@ from strongdrive.model import PulseSpec, QubitParams, StateVector
 MINUS_Y = tg.DensityMatrix.from_state(StateVector.minus_y())
 EXCITED = tg.DensityMatrix.from_state(StateVector.excited())
 
+# The pre-rotation R of each basis, Rx(pi/2) = exp(-i pi sigma_x / 4) and
+# Ry(pi/2) = exp(-i pi sigma_y / 4): the oracle of ``tg._MEASUREMENTS``,
+# which must give P1 = (R rho R^dag)[1, 1].
+_SQ2 = 1.0 / np.sqrt(2.0)
+ROTATIONS = {
+    "id": np.eye(2, dtype=complex),
+    "rx90": _SQ2 * np.array([[1.0, -1.0j], [-1.0j, 1.0]]),
+    "ry90": _SQ2 * np.array([[1.0, -1.0], [1.0, 1.0]]),
+}
+
 
 def exact_records(state, shots):
     """Infinite-shot-limit records: exact probabilities as fractional counts."""
@@ -87,7 +97,7 @@ class TestShots:
             rho = m @ m.conj().T
             rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
             state = tg.DensityMatrix(rho)
-        for b, r in tg.ROTATIONS.items():
+        for b, r in ROTATIONS.items():
             want = (r @ rho @ r.conj().T)[1, 1].real
             assert abs(tg.measured_p1(state, b) - want) <= 1e-15
 
@@ -170,7 +180,7 @@ _P_CLIP = 1e-12
 
 # Measurement operators M_b = R^dag |1><1| R, so p_b = tr(rho M_b).
 _MEAS = {
-    b: tg.ROTATIONS[b].conj().T @ np.diag([0.0, 1.0]).astype(complex) @ tg.ROTATIONS[b]
+    b: ROTATIONS[b].conj().T @ np.diag([0.0, 1.0]).astype(complex) @ ROTATIONS[b]
     for b in tg.BASES
 }
 
