@@ -439,14 +439,19 @@ class TestHarmonics:
                     ev._harmonics(omega, times, m)
                 )
 
-    def test_edge_study_exponentiates_each_entry_once(self, monkeypatch):
+    @pytest.mark.parametrize("fine_step", [False, True])
+    def test_edge_study_exponentiates_each_entry_once(self, monkeypatch, fine_step):
         # the seven pairs share the study's solve, so its grid's table is
         # built once, widened for the dressed edges after the sharp pair; it
-        # dies with the solve
+        # dies with the solve. A set [solver] propagator_step_ns (the knob
+        # for a finer edge step) changes the edge series, not the table.
         from strongdrive import cli
 
+        config = default_config()
+        if fine_step:
+            config["solver"]["propagator_step_ns"] = 0.001
         spy = _TableSpy(monkeypatch)
-        cli.cmd_edge_study(default_config())
+        cli.cmd_edge_study(config)
         assert sorted(spy.rows) == list(range(max(spy.rows) + 1))
         assert len(spy.tables) == 2  # the sharp pair's, widened once for the dressed edges
         assert spy.alive() == []
