@@ -6,9 +6,10 @@ computes plot-ready tables: its ``cmd_*`` function returns them as
 ``main`` writes them plus a run_report.json manifest (resolved config,
 version, wall time, sha256 of every output), and the acceptance criteria
 score the same tables.  Each command is one serial call chain: an amplitude
-scan is one Floquet-expansion batch, an edge study one duration sweep per
-edge pair.  Data files are byte-identical for identical config and seed; the
-manifest's wall-time field is the one value that varies between runs.
+scan is one Floquet-expansion batch, an edge study one Floquet sum over
+all its edge pairs.  Data files are byte-identical for identical config
+and seed; the manifest's wall-time field is the one value that varies
+between runs.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 acceptance
 threshold failure (``check``).
@@ -265,14 +266,14 @@ def cmd_edge_study(config: ExperimentConfig) -> Tables:
     pairs = [(x, x) for x in e["edge_times_ns"]] + list(e["asymmetric_pairs_ns"])
     solver = config["solver"]
     fspec = floquet.quasienergy_sweep(par.delta, omega, [amp], solver["truncation_n"])[0]
+    states = evolve._duration_batch_states(  # step 0: each edge its default step
+        [PulseSpec(amp, omega, t_r, 0.0, t_f) for t_r, t_f in pairs], durations, None, fspec,
+        StateVector.ground().as_array(), solver["propagator_step_ns"] or None,
+    )
     trace_parts = []
     amp_rows = []
-    for t_r, t_f in pairs:
-        template = PulseSpec(amp, omega, t_r, 0.0, t_f)
-        p1 = evolve.sweep_pulse_duration(  # step 0: each edge its default step
-            par, template, durations, target_step=solver["propagator_step_ns"] or None,
-            truncation_n=solver["truncation_n"], spectrum=fspec,
-        )
+    for (t_r, t_f), st in zip(pairs, states):
+        p1 = np.abs(st[:, 1]) ** 2
         lo, hi = spectral.fast_component_amplitudes(durations, p1, omega, fspec.delta_eps)
         trace_parts.append(np.column_stack([np.full(n, t_r), np.full(n, t_f), durations, p1]))
         amp_rows.append([t_r, t_f, lo, hi])

@@ -147,7 +147,9 @@ def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
     ``_ghz``, and ``omega_factors``) must be finite and > 0, every entry of
     a list; the keys in ``_ZERO_ALLOWED`` must be finite and >= 0.
     ``rabi.min_prominence``, a fraction of the largest peak, must lie in
-    (0, 1).
+    (0, 1).  A scan list must not be empty: ``omega_factors``,
+    ``amplitudes_ghz``, and the edge pairs, of which
+    ``asymmetric_pairs_ns`` alone may be empty.
     """
 
     def bad(sec, key, why):
@@ -163,6 +165,11 @@ def _check_ranges(values: dict[str, dict[str, Any]]) -> None:
                     raise bad(sec, key, "must be finite and >= 0")
             elif not np.all(np.isfinite(flat) & (flat > 0.0)):
                 raise bad(sec, key, "must be finite and > 0")
+    for sec, key in (("quasienergies", "omega_factors"), ("tomotrace", "amplitudes_ghz")):
+        if not values[sec][key]:
+            raise bad(sec, key, "must not be empty")
+    if not (values["edges"]["edge_times_ns"] or values["edges"]["asymmetric_pairs_ns"]):
+        raise bad("edges", "edge_times_ns", "must not be empty when edges.asymmetric_pairs_ns is")
     for (sec, key), lowest in _MINIMUMS.items():
         if values[sec][key] < lowest:
             raise bad(sec, key, f"must be >= {lowest}")

@@ -22,13 +22,15 @@ phi = theta + w t_r, and the table is real, so a pulse of plateau t_p is
 
 with W = B for a sharp edge: the un-enveloped drive is the pulse with both
 edges sharp.  A duration scan starts the sum from W_r(-phi)^T psi0 and sums
-W_f at every duration at once, over an e^{inwt} table that the solve keeps
-for the next scan of the same durations; a pulse train solves each
-amplitude and carrier once and evaluates the pulses of each pair of edges
-on that solve as one batch of the product.  So ``target_step`` steps the
-edge series alone, with a time-stepped pulse as the oracle.  Every driver
-runs once, at ``_pulse_steps`` or at the caller's ``target_step``: the
-Magnus step's error falls as h^4, so the step is the one accuracy control.
+W_f at every duration at once.  The scans of one call (the amplitudes of a
+batch, the edge pairs of a study) are the lanes of one sum over one
+e^{inwt} table, which dies with the call (``_sum_lanes``); a pulse train
+solves each amplitude and carrier once and evaluates the pulses of each
+pair of edges on that solve as one batch of the product.  So
+``target_step`` steps the edge series alone, with a time-stepped pulse as
+the oracle.  Every driver runs once, at ``_pulse_steps`` or at the
+caller's ``target_step``: the Magnus step's error falls as h^4, so the
+step is the one accuracy control.
 """
 
 from __future__ import annotations
@@ -212,91 +214,65 @@ def continuous_drive_states(
 
 def _drive_states_and_spectra(
     params, amplitudes, omega, times, carrier_phases=(0.0,), psi0=(1.0, 0.0),
-    truncation_n=DEFAULT_TRUNCATION, specs=None, rise=None, fall=None,
+    truncation_n=DEFAULT_TRUNCATION,
 ):
     """``continuous_drive_states`` per amplitude and carrier phase, shape
     (n_amp, n_phase, n_time, 2), every phase from ``psi0`` (|0>), and the
-    ``quasienergy_sweep`` it sums (``specs``, if already solved for these
-    amplitudes).  A phase enters as e^{in phi} on the coefficients
-    u_jn (``FloquetSpectrum.table``).  The sum over n is one matrix product
-    of the e^{inwt} table (``_harmonics``, from its n >= 0 half) with the
-    coefficients.  A solve passed in alone (``specs`` of one, a duration
-    scan's plateau) keeps that table in its one slot (``_solve_harmonics``),
-    so the scans that share the solve exponentiate it once; solves made here
-    share one table of this call, which dies with it.
-
-    ``rise`` and ``fall``, the dressed tables of a one-amplitude call
-    (``_edge_rows``; None: sharp), make each trace the pulse of that rise, a
-    plateau of each duration in ``times`` and that fall, the plateau starting
-    at phase phi: its coefficients c = W_r(-phi)^T psi0 (B(phi)^dag psi0 for
-    a sharp rise) come from one gated ``states_at(0, -phi)`` of the
-    rise-dressed basis for all phases, and the sum runs over the
-    fall-dressed table, K rows wider on each side of the live rows."""
+    ``quasienergy_sweep`` it sums: one lane of plain rows per amplitude,
+    all summed by one ``_sum_lanes`` call."""
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     times = np.asarray(times, dtype=float)
-    kept = specs is not None and len(specs) == 1  # a solve passed in alone keeps its table
-    if specs is None:
-        specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
-    live = [s.live_rows for s in specs]
-    lo = min((r[0] for r in live), default=truncation_n)
-    hi = max((r[1] for r in live), default=truncation_n)
-    pad = 0 if fall is None else (len(fall) - (live[0][1] - live[0][0])) // 2
-    first, end = lo - truncation_n - pad, hi - truncation_n + pad  # rows first <= n < end
-    n = np.arange(first, end)
-    m = max(-first, end - 1, 0)
-    table = _solve_harmonics(specs[0], omega, times, m) if kept else _harmonics(omega, times, m)
-    c = len(table) // 2  # row n = 0; a kept table may be wider than m
-    harmonics = table[c + first : c + end]
-    shifts = np.exp(1j * np.outer(carrier_phases, n))
-    out = np.empty((len(amps), len(shifts), len(times), 2), dtype=complex)
-    for i, (s, (a, b)) in enumerate(zip(specs, live)):
-        rows = slice(a - lo, b - lo + 2 * pad)
-        h = harmonics[rows]
-        w_r, w_f = (s.edge_rows() if e is None else e for e in (rise, fall))
-        decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
-        starts = s.states_at(0.0, -np.asarray(carrier_phases), w_r)
-        for p, (start, shift) in enumerate(zip(starts, shifts[:, rows])):
-            w_p = w_f * shift[:, None, None] * (start.T @ psi0)[:, None]
-            parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
-            out[i, p] = np.einsum("tj,tjk->tk", decay, parts)
+    specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
+    lanes = [(s, s.edge_rows(), s.edge_rows(), carrier_phases) for s in specs]
+    out = np.empty((len(amps), len(carrier_phases), len(times), 2), dtype=complex)
+    _sum_lanes(lanes, omega, times, psi0, out)
     return out, specs
 
 
-def _harmonics(omega, times, m, known=None):
+def _sum_lanes(lanes, omega, times, psi0, out):
+    """Fill out[i], shape (n_phase, n_time, 2), with the Floquet sum of lane
+    i = (solve, rise rows, fall rows, carrier phases): per phase phi, the
+    states from ``psi0`` of the pulse of that rise, a plateau of each
+    duration in ``times`` and that fall, the plateau starting at phase phi.
+    The rows are the solve's ``edge_rows`` (``_edge_rows``), plain for a
+    sharp edge, so a lane of plain rows is the un-enveloped drive.  The
+    coefficients c = W_r(-phi)^T psi0 (B(phi)^dag psi0 for plain rows) come
+    from one gated ``states_at(0, -phi)`` of the rise rows for all phases; a
+    phase enters as e^{in phi} on the fall rows (``FloquetSpectrum.table``),
+    and the sum over n is one matrix product of the e^{inwt} table with
+    them.  One table (``_harmonics``), of the widest rows a lane's fall rows
+    span, serves every lane over its own slice and dies with the call."""
+    spans = []  # per lane, its fall rows' n: first <= n < end
+    for s, _, w_f, _ in lanes:
+        a, b = s.live_rows
+        pad = (len(w_f) - (b - a)) // 2  # dressed rows are K wider on each side
+        spans.append((a - s.truncation_n - pad, b - s.truncation_n + pad))
+    m = max((max(-first, end - 1, 0) for first, end in spans), default=0)
+    table = _harmonics(omega, times, m)
+    for o, (s, w_r, w_f, phases), (first, end) in zip(out, lanes, spans):
+        h = table[m + first : m + end]
+        shifts = np.exp(1j * np.outer(phases, np.arange(first, end)))
+        decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
+        starts = s.states_at(0.0, -np.asarray(phases), w_r)
+        for p, (start, shift) in enumerate(zip(starts, shifts)):
+            w_p = w_f * shift[:, None, None] * (start.T @ psi0)[:, None]
+            parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
+            o[p] = np.einsum("tj,tjk->tk", decay, parts)
+
+
+def _harmonics(omega, times, m):
     """The table e^{inwt}, rows n = -m..m by ``times``, from its n >= 0 half:
     each row n >= 0 is exponentiated and each row n < 0 is the conjugate of
     row -n.  That is bit for bit np.exp(1j * n[:, None] * (omega * times)):
     the imaginary part of 1j n (wt) is n (wt) exactly, and cexp(+-0 + iy) =
-    (cos y, sin y) with sin odd.  ``known``, the table at this omega and
-    ``times`` for some m0 <= m, gives its rows, so only those with m0 < |n|
-    <= m are exponentiated.  Every e^{inwt} table of a scan is built here."""
-    m0 = -1 if known is None else len(known) // 2
+    (cos y, sin y) with sin odd.  Every e^{inwt} table of a scan is built
+    here."""
     table = np.empty((2 * m + 1, len(times)), dtype=complex)
-    if known is not None:
-        table[m - m0 : m + m0 + 1] = known
-    new = table[m + m0 + 1 :]  # the rows m0 < n <= m, exponentiated in place
-    np.multiply(1j * np.arange(m0 + 1, m + 1)[:, None], omega * times, out=new)
-    np.exp(new, out=new)
-    k = max(m0, 0)
-    np.conjugate(table[m + k + 1 :][::-1], out=table[: m - k])
+    half = table[m:]  # the rows n >= 0, exponentiated in place
+    np.multiply(1j * np.arange(m + 1)[:, None], omega * times, out=half)
+    np.exp(half, out=half)
+    np.conjugate(table[m + 1 :][::-1], out=table[:m])
     return table
-
-
-def _solve_harmonics(spectrum, omega, times, m):
-    """``_harmonics`` at (omega, ``times``) for at least |n| <= m, kept in
-    the one slot ``spectrum.harmonics``: reused for the same omega and an
-    equal ``times``, widened when a later edge needs more rows (only the new
-    rows exponentiated), and replaced, the old table dropped first, for any
-    other grid.  So the calls that share a solve (``edge-study``'s pairs)
-    exponentiate each entry once, and a solve holds one table, which dies
-    with it."""
-    slot = spectrum.harmonics
-    same = bool(slot) and slot[0] == omega and np.array_equal(slot[1], times)
-    known = slot[2] if same else None
-    if known is None or len(known) < 2 * m + 1:
-        slot.clear()
-        slot += [omega, times.copy(), _harmonics(omega, times, m, known)]
-    return slot[2]
 
 
 def final_states_for_durations(
@@ -307,7 +283,6 @@ def final_states_for_durations(
     initial: StateVector | None = None,
     target_step: float | None = None,
     truncation_n: int = DEFAULT_TRUNCATION,
-    spectrum: FloquetSpectrum | None = None,
 ):
     """Final state of one pulse per plateau duration, batched: the same
     quantity as one independent propagation per duration.
@@ -318,9 +293,7 @@ def final_states_for_durations(
     started from ``initial`` through the rise-dressed basis and summed over
     the fall-dressed one (``_edge_rows``); a sharp pulse of zero length
     returns ``initial`` exactly.  The plateau's sector is solved once per
-    call, or passed in as ``spectrum``, the solve at this call's Delta,
-    amplitude, carrier and ``truncation_n`` (else ValueError), which keeps
-    each distinct edge it dressed for the calls that share it.
+    call.
     """
     durs = np.atleast_1d(np.asarray(durations, dtype=float))
     if durs.size == 0:
@@ -328,42 +301,37 @@ def final_states_for_durations(
     if not np.all(np.isfinite(durs)) or np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
         raise ValueError("durations must be finite, >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
-    steps = _pulse_steps(pulse_template, target_step)
-    spectrum = _plateau_spectrum(params, pulse_template, truncation_n, spectrum)
-    return _duration_batch_states(params, pulse_template, durs, None, spectrum, psi0, steps)
+    spectrum = _plateau_spectrum(params, pulse_template, truncation_n)
+    return _duration_batch_states([pulse_template], durs, None, spectrum, psi0, target_step)[0]
 
 
-def _plateau_spectrum(params, template, truncation_n, spectrum=None):
-    """The plateau's Floquet solve: one ``quasienergy_sweep`` amplitude, or
-    ``spectrum``, a solve passed in, which must be the one at this Delta,
-    amplitude, carrier and ``truncation_n`` (else ValueError)."""
-    if spectrum is None:
-        return quasienergy_sweep(
-            params.delta, template.carrier, [template.amplitude_max], truncation_n
-        )[0]
-    solved = (spectrum.delta, spectrum.amp, spectrum.omega, spectrum.truncation_n)
-    want = (params.delta, template.amplitude_max, template.carrier, truncation_n)
-    if solved != want:
-        raise ValueError(
-            f"spectrum solved at (delta, amp, omega, truncation_n) = {solved}, not at {want}"
-        )
-    return spectrum
+def _plateau_spectrum(params, template, truncation_n):
+    """The plateau's Floquet solve: one ``quasienergy_sweep`` amplitude."""
+    return quasienergy_sweep(
+        params.delta, template.carrier, [template.amplitude_max], truncation_n
+    )[0]
 
 
-def _duration_batch_states(params, template, durs, phases, spectrum, psi0, steps):
-    """States of ``final_states_for_durations`` from ``psi0``: one Floquet
-    sum of ``spectrum`` dressed by the ``_edge_rows`` of ``template`` at its
-    (rise, plateau, fall) ``steps``; ``phases``, if not None, replace the
-    carrier phase as a leading axis: (phases, durations)."""
-    omega, t_r, t_f = template.carrier, template.t_rise, template.t_fall
-    phi = np.atleast_1d(template.carrier_phase if phases is None else phases)
-    out = _drive_states_and_spectra(
-        params, [spectrum.amp], omega, durs, omega * t_r + phi, psi0, spectrum.truncation_n,
-        [spectrum], _edge_rows(spectrum, t_r, steps[0]), _edge_rows(spectrum, t_f, steps[2]),
-    )[0][0]
-    if t_r == t_f == 0.0:
-        out[:, durs == 0.0] = psi0  # a sharp pulse of zero length is the identity
-    return out if phases is not None else out[0]
+def _duration_batch_states(templates, durs, phases, spectrum, psi0, target_step):
+    """States of ``final_states_for_durations`` from ``psi0`` for each of
+    ``templates``, pulses at the amplitude and carrier of the plateau solve
+    ``spectrum``: shape (templates, durations, 2), or (templates, phases,
+    durations, 2) with ``phases``, if not None, in place of each template's
+    carrier phase.  Each template is one lane of one ``_sum_lanes`` call,
+    dressed by the ``_edge_rows`` of its edges at its ``_pulse_steps``."""
+    lanes = []
+    for t in templates:
+        steps = _pulse_steps(t, target_step)
+        rise = _edge_rows(spectrum, t.t_rise, steps[0])
+        fall = _edge_rows(spectrum, t.t_fall, steps[2])
+        phi = np.atleast_1d(t.carrier_phase if phases is None else phases)
+        lanes.append((spectrum, rise, fall, t.carrier * t.t_rise + phi))
+    out = np.empty((len(lanes), 1 if phases is None else len(phases), len(durs), 2), dtype=complex)
+    _sum_lanes(lanes, spectrum.omega, durs, psi0, out)
+    for t, o in zip(templates, out):
+        if t.t_rise == t.t_fall == 0.0:
+            o[:, durs == 0.0] = psi0  # a sharp pulse of zero length is the identity
+    return out if phases is not None else out[:, 0]
 
 
 def _falls(params, template, n_fall, theta):
@@ -449,18 +417,15 @@ def sweep_pulse_duration(
     seed: int | None = None,
     target_step: float | None = None,
     truncation_n: int = DEFAULT_TRUNCATION,
-    spectrum: FloquetSpectrum | None = None,
 ):
-    """Final-state P1 for one pulse per plateau duration (``spectrum`` as in
-    ``final_states_for_durations``).
+    """Final-state P1 for one pulse per plateau duration.
 
     With ``shots`` set, also draws binomial(shots, P1) counts per duration
     from independent per-point streams split off the master seed, so results
     do not depend on evaluation order.
     """
     states = final_states_for_durations(
-        params, pulse_template, durations, target_step=target_step,
-        truncation_n=truncation_n, spectrum=spectrum,
+        params, pulse_template, durations, target_step=target_step, truncation_n=truncation_n
     )
     p1 = np.abs(states[:, 1]) ** 2
     if shots is None:
@@ -535,11 +500,11 @@ def propagate_train(
     psi = (StateVector.ground() if initial is None else initial).as_array()
     starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
     solves = {}  # (amplitude, carrier) -> the plateau's solve, None if it failed
-    if spectrum is not None:  # checked at its own amplitude and carrier
-        own = PulseSpec(spectrum.amp, spectrum.omega)
-        solves[own.amplitude_max, own.carrier] = _plateau_spectrum(
-            params, own, DEFAULT_TRUNCATION, spectrum
-        )
+    if spectrum is not None:  # serves the pulses of its own amplitude and carrier
+        solved = (spectrum.delta, spectrum.truncation_n)
+        if solved != (want := (params.delta, DEFAULT_TRUNCATION)):
+            raise ValueError(f"spectrum solved at (delta, truncation_n) = {solved}, not at {want}")
+        solves[spectrum.amp, spectrum.omega] = spectrum
     batches = {}  # (amplitude, carrier, t_rise, t_fall) -> indices of its pulses
     for k, p in enumerate(pulses):
         batches.setdefault((p.amplitude_max, p.carrier, p.t_rise, p.t_fall), []).append(k)
@@ -609,12 +574,11 @@ def prepare_state(
         )
 
     template = PulseSpec(amp, omega, edges, 0.0, edges)
-    steps = _pulse_steps(template)
     spectrum = _plateau_spectrum(params, template, truncation_n)
     ground = StateVector.ground().as_array()
 
     def scan(durs, phases):
-        states = _duration_batch_states(params, template, durs, phases, spectrum, ground, steps)
+        states = _duration_batch_states([template], durs, phases, spectrum, ground, None)[0]
         fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

@@ -95,10 +95,10 @@ class FloquetSpectrum:
     (2N+1, branch, component) array: by the generalized parity, an even row
     is (c_n, 0) and an odd row (0, -c_n), with the other slot exactly 0.
     ``limit_convention`` marks the A = 0 resonant point where the stored
-    basis is the A -> 0+ limit rather than a unique eigenbasis.  Scans that
-    share a solve keep their work on it: each dressed edge in
-    ``edge_tables``, and the last e^{inwt} table in the one slot
-    ``harmonics``; both die with the solve.
+    basis is the A -> 0+ limit rather than a unique eigenbasis.  The scans
+    and trains that share a solve share each dressed edge it keeps in
+    ``edge_tables``, which die with it; an e^{inwt} table lives only as
+    long as the call that sums with it.
     """
 
     eps0: float
@@ -131,12 +131,6 @@ class FloquetSpectrum:
     def edge_tables(self) -> dict:
         """``edge_rows`` by (edge length, step), as ``evolve._edge_rows`` builds them."""
         return {}
-
-    @cached_property
-    def harmonics(self) -> list:
-        """[omega, times, e^{inwt} table]: the last table a scan summed this
-        solve with, as ``evolve._solve_harmonics`` keeps it, or empty."""
-        return []
 
     def edge_rows(self, edge=None) -> np.ndarray:
         """The live rows of ``table`` dressed by a pulse edge.

@@ -116,3 +116,62 @@ def test_every_module_level_name_has_a_caller_in_src():
         if not (name.startswith("__") and name.endswith("__")) and name not in called
     ]
     assert not orphans, f"no caller in src/strongdrive: {', '.join(orphans)}"
+
+
+def _defaulted_parameters(node, method):
+    """(index among positional parameters or None, name) of each defaulted
+    parameter of a function definition; a method's first one is bound."""
+    positional = node.args.posonlyargs + node.args.args
+    if method:
+        positional = positional[1:]
+    first = len(positional) - len(node.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield i, arg.arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _sets(call, index, name):
+    """Whether ``call`` passes the parameter at ``index`` (positional) or
+    ``name``: a starred or double-starred argument may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_set_in_src():
+    # a default no caller overrides is a dead knob: the parameter and the
+    # code behind it go, the default becoming the code
+    trees, _ = _trees_and_called()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    functions = [
+        (f"{module}.{node.name}", node)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    ]
+    methods = {
+        id(node)
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    dead = [
+        f"{qualname}({name})"
+        for qualname, node in functions
+        if node.name.startswith("_") and not node.name.endswith("__")
+        for index, name in _defaulted_parameters(node, id(node) in methods)
+        if not any(_sets(call, index, name) for call in calls.get(node.name, []))
+    ]
+    assert not dead, f"a default no call in src/strongdrive sets: {', '.join(dead)}"

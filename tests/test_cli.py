@@ -134,6 +134,23 @@ class TestConfig:
         assert "stateprep.bootstrap_b" in capsys.readouterr().err
         assert not (tmp_path / "state_prep.json").exists()
 
+    @pytest.mark.parametrize(
+        "cmd, text, key",
+        [
+            ("quasienergies", "[quasienergies]\nomega_factors =\n", "quasienergies.omega_factors"),
+            ("tomography-trace", "[tomotrace]\namplitudes_ghz =\n", "tomotrace.amplitudes_ghz"),
+            ("edge-study", "[edges]\nedge_times_ns =\nasymmetric_pairs_ns =\n",
+             "edges.edge_times_ns"),
+        ],
+        ids=["quasienergies", "tomography-trace", "edge-study"],
+    )
+    def test_empty_scan_list_is_rejected(self, tmp_path, capsys, cmd, text, key):
+        # an empty scan used to exit 0 with header-only tables
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"bad value for {key}: " in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_zero_propagator_step_and_sharp_edges_allowed(self, tmp_path):
         p = write_config(
             tmp_path / "c.ini",
@@ -492,18 +509,9 @@ class TestBulkCsvWriter:
         assert peak <= 3e6
 
     def test_empty_tables_write_the_header_only(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.ini",
-            "[quasienergies]\nomega_factors =\n[tomotrace]\namplitudes_ghz =\n"
-            "[edges]\nedge_times_ns =\nasymmetric_pairs_ns =\n",
-        )
-        for cmd, name in (
-            ("quasienergies", "quasienergies.csv"),
-            ("tomography-trace", "bloch_trace.csv"),
-            ("edge-study", "edge_traces.csv"),
-        ):
-            assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 0
-            assert (tmp_path / name).read_text().count("\n") == 1
+        for rows in (np.empty((0, 3)), []):
+            cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+            assert (tmp_path / "t.csv").read_text() == "a,b,c\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -172,9 +172,8 @@ class TestDurationSweep:
         step = 2.5e-4
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
         for psi0 in (StateVector.ground(), StateVector.excited()):
-            got = ev._duration_batch_states(
-                params, template, durs, phases, spec, psi0.as_array(), np.full(3, step)
-            )
+            psi = psi0.as_array()
+            got = ev._duration_batch_states([template], durs, phases, spec, psi, step)[0]
             for p, phi in enumerate(phases):
                 for i in sorted({0, len(durs) // 2, len(durs) - 1}):
                     pulse = dataclasses.replace(template, t_plateau=durs[i], carrier_phase=phi)
@@ -229,33 +228,22 @@ class TestDurationSweep:
         with pytest.raises(ValueError, match="non-empty"):
             ev.final_states_for_durations(params, template, [])
 
-    @pytest.mark.parametrize("field", [None, "delta", "amp", "omega", "truncation_n"])
-    def test_spectrum_passed_in_must_match_the_pulse(self, params, field):
-        # a matching solve (None) is the one the sweep makes itself, to the
-        # bit, also with the edges it kept from the scans before: the default
-        # edge-study pairs in order
-        template = PulseSpec(TWO_PI * 1.33, DELTA, 0.5, 0.0, 0.5)
-        durs = np.arange(0.0, 3.0, 0.05)
-        spec = ev._plateau_spectrum(params, template, 30)
-        if field is None:
-            edges = default_config()["edges"]
-            pairs = [(e, e) for e in edges["edge_times_ns"]] + list(edges["asymmetric_pairs_ns"])
-            shared = dataclasses.replace(spec)  # the same solve, no edges kept yet
-            for t_r, t_f in pairs:
-                pulse = PulseSpec(TWO_PI * 1.33, DELTA, t_r, 0.0, t_f)
-                own = ev.sweep_pulse_duration(params, pulse, durs, truncation_n=30)
-                given = ev.sweep_pulse_duration(
-                    params, pulse, durs, truncation_n=30, spectrum=shared
-                )
-                assert np.array_equal(own, given)
-            # one table per distinct (edge, step), the sharp edge's too
-            assert len(shared.edge_tables) == 5
-            return
-        other = dataclasses.replace(spec, **{field: getattr(spec, field) + 1})
-        with pytest.raises(ValueError, match="spectrum solved at"):
-            ev.final_states_for_durations(
-                params, template, durs, truncation_n=30, spectrum=other
-            )
+    @pytest.mark.parametrize("target_step", [None, 1e-3])
+    def test_edge_study_pairs_are_lanes_of_one_sum(self, params, target_step):
+        # the default edge-study pairs as the lanes of one sum on one solve,
+        # each over its own slice of the widest table, give each pair's own
+        # sweep to the bit, at the default step and at a set one
+        edges = default_config()["edges"]
+        pairs = [(e, e) for e in edges["edge_times_ns"]] + list(edges["asymmetric_pairs_ns"])
+        templates = [PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f) for t_r, t_f in pairs]
+        spec = ev._plateau_spectrum(params, templates[0], fq.DEFAULT_TRUNCATION)
+        ground = StateVector.ground().as_array()
+        lanes = ev._duration_batch_states(templates, EDGE_DURS, None, spec, ground, target_step)
+        for template, states in zip(templates, lanes):
+            own = ev.sweep_pulse_duration(params, template, EDGE_DURS, target_step=target_step)
+            assert np.array_equal(np.abs(states[:, 1]) ** 2, own)
+        # one table per distinct (edge, step), the sharp edge's too
+        assert len(spec.edge_tables) == 5
 
 
 class TestContinuousDrive:
@@ -396,9 +384,9 @@ class _TableSpy:
         self.rows, self.tables, self._build = [], [], ev._harmonics
         monkeypatch.setattr(ev, "_harmonics", self)
 
-    def __call__(self, omega, times, m, known=None):
-        self.rows += range(0 if known is None else len(known) // 2 + 1, m + 1)
-        table = self._build(omega, times, m, known)
+    def __call__(self, omega, times, m):
+        self.rows += range(m + 1)
+        table = self._build(omega, times, m)
         self.tables.append(weakref.ref(table))
         return table
 
@@ -431,20 +419,13 @@ class TestHarmonics:
                 m = max(-lo, hi, 0)
                 got = ev._harmonics(omega, times, m)[lo + m : hi + m + 1]
                 assert _bits(got) == _bits(np.exp(1j * n[:, None] * (omega * times)))
-            # widened from a narrower table, only its new rows exponentiated
-            m0 = int(rng.integers(0, 20))
-            known = ev._harmonics(omega, times, m0)
-            for m in (m0, m0 + int(rng.integers(1, 60))):
-                assert _bits(ev._harmonics(omega, times, m, known)) == _bits(
-                    ev._harmonics(omega, times, m)
-                )
 
     @pytest.mark.parametrize("fine_step", [False, True])
     def test_edge_study_exponentiates_each_entry_once(self, monkeypatch, fine_step):
-        # the seven pairs share the study's solve, so its grid's table is
-        # built once, widened for the dressed edges after the sharp pair; it
-        # dies with the solve. A set [solver] propagator_step_ns (the knob
-        # for a finer edge step) changes the edge series, not the table.
+        # the seven pairs are the lanes of one sum, so its grid's table is
+        # built once, as wide as the dressed edges need, and dies with the
+        # call.  A set [solver] propagator_step_ns (the knob for a finer edge
+        # step) changes the edge series, not the table.
         from strongdrive import cli
 
         config = default_config()
@@ -453,12 +434,13 @@ class TestHarmonics:
         spy = _TableSpy(monkeypatch)
         cli.cmd_edge_study(config)
         assert sorted(spy.rows) == list(range(max(spy.rows) + 1))
-        assert len(spy.tables) == 2  # the sharp pair's, widened once for the dressed edges
+        assert len(spy.tables) == 1
         assert spy.alive() == []
 
     @pytest.mark.parametrize("target", [StateVector.minus_y(), StateVector.excited()])
     def test_state_prep_solve_holds_one_table(self, params, target, monkeypatch):
-        # the coarse scan's table goes when the fine scan's grid replaces it
+        # the solve keeps the one dressed table of its equal edges; each of
+        # the two scans builds its own e^{inwt} table, which dies with it
         solves, plateau = [], ev._plateau_spectrum
 
         def solve_spy(*args):
@@ -470,19 +452,17 @@ class TestHarmonics:
         ev.prepare_state(params, target, TWO_PI * 0.46, 0.02)
         (solve,) = solves
         assert len(spy.tables) == 2
-        assert [id(t) for t in spy.alive()] == [id(solve.harmonics[2])]
-        del solve, solves[:]
         assert spy.alive() == []
+        assert len(solve.edge_tables) == 1
 
     def test_many_solves_build_one_table_per_call(self, params, monkeypatch):
-        # the amplitudes of one call share one table, kept by none of them
+        # the amplitudes of one call share one table, which dies with the call
         spy = _TableSpy(monkeypatch)
         times = np.arange(0.0, 5.0, 0.01)
         amps = TWO_PI * np.array([0.5, 2.0])
         for _ in range(2):
-            _, specs = ev._drive_states_and_spectra(params, amps, DELTA, times)
+            ev._drive_states_and_spectra(params, amps, DELTA, times)
         assert len(spy.tables) == 2 and spy.alive() == []
-        assert all(s.harmonics == [] for s in specs)
 
 
 def _direct_falls(params, template, durs, step):
@@ -542,9 +522,9 @@ class TestPhaseHarmonicFalls:
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
         falls = _direct_falls(params, template, durs, steps[2])
         for psi0 in (StateVector.ground().as_array(), StateVector.excited().as_array()):
-            plateau = ev._duration_batch_states(params, no_fall, durs, None, spec, psi0, steps)
+            plateau = ev._duration_batch_states([no_fall], durs, None, spec, psi0, step)[0]
             want = (falls @ plateau[..., None])[..., 0]
-            got = ev._duration_batch_states(params, template, durs, None, spec, psi0, steps)
+            got = ev._duration_batch_states([template], durs, None, spec, psi0, step)[0]
             assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("k", [16, 64])
@@ -594,13 +574,13 @@ class TestPhaseHarmonicFalls:
         monkeypatch.setattr(ev, "FALL_PHASES_CAP", 16)
         template = PulseSpec(A_EDGE, DELTA, 1.0, 0.0, 4.0)
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
-        kwargs = {"target_step": 2e-3, "spectrum": spec}
+        args = ([template], np.array([0.0, 1.0]), None, spec, StateVector.ground().as_array(), 2e-3)
         with pytest.raises(AccuracyError, match="interpolation error .* at K = 16"):
-            ev.final_states_for_durations(params, template, [0.0, 1.0], **kwargs)
+            ev._duration_batch_states(*args)
         # the solve keeps no table of a failed series, so a retry builds it
         assert spec.edge_tables == {}
         monkeypatch.undo()
-        ev.final_states_for_durations(params, template, [0.0, 1.0], **kwargs)
+        ev._duration_batch_states(*args)
         assert len(spec.edge_tables) == 2
 
 
@@ -687,22 +667,22 @@ class TestEdgeSteps:
         assert sorted(pairs) == sorted(measured)
         period_step = TWO_PI / DELTA / 200.0
         spec = ev._plateau_spectrum(params, PulseSpec(A_EDGE, DELTA), fq.DEFAULT_TRUNCATION)
-        durs = EDGE_DURS[::25]
-        for t_r, t_f in pairs:
-            template = PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f)
-            assert np.all(ev._pulse_steps(template) == period_step)
-            p1 = ev.sweep_pulse_duration(params, template, durs, spectrum=spec)
-            ref = ev.sweep_pulse_duration(
-                params, template, durs, target_step=period_step / 4.0, spectrum=spec
+        templates = [PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f) for t_r, t_f in pairs]
+        ground = StateVector.ground().as_array()
+
+        def p1(target_step):
+            states = ev._duration_batch_states(
+                templates, EDGE_DURS[::25], None, spec, ground, target_step
             )
-            assert np.max(np.abs(p1 - ref)) <= 2.0 * measured[t_r, t_f]
-            if (t_r, t_f) == (4.0, 4.0):
-                # [solver] propagator_step_ns = 0.001 is the knob for more
-                # (measured 9.7e-10)
-                fine = ev.sweep_pulse_duration(
-                    params, template, durs, target_step=1e-3, spectrum=spec
-                )
-                assert np.max(np.abs(fine - ref)) < 1e-8
+            return dict(zip(pairs, np.abs(states[..., 1]) ** 2))
+
+        assert all(np.all(ev._pulse_steps(t) == period_step) for t in templates)
+        default, ref = p1(None), p1(period_step / 4.0)
+        for pair in pairs:
+            assert np.max(np.abs(default[pair] - ref[pair])) <= 2.0 * measured[pair]
+        # [solver] propagator_step_ns = 0.001 is the knob for more (measured
+        # 9.7e-10)
+        assert np.max(np.abs(p1(1e-3)[4.0, 4.0] - ref[4.0, 4.0])) < 1e-8
 
     def test_short_rise_pulse_step_counts(self, params, step_budget):
         # rise steps of 1e-5 / 50 ns: the whole pulse at that step would be
@@ -1125,9 +1105,9 @@ class TestStatePrep:
         scans, series = [], []
         batch, fall_series = ev._duration_batch_states, ev._fall_series
 
-        def batch_spy(params, template, durs, phases, spectrum, psi0, steps):
-            states = batch(params, template, durs, phases, spectrum, psi0, steps)
-            scans.append((template, durs, phases, states))
+        def batch_spy(templates, durs, phases, spectrum, psi0, target_step):
+            states = batch(templates, durs, phases, spectrum, psi0, target_step)
+            scans.append((templates[0], durs, phases, states[0]))
             return states
 
         def series_spy(*args):
@@ -1168,10 +1148,10 @@ class TestStatePrep:
         # the per-phase loop kept the first strictly greater fidelity
         grids = []
 
-        def tied(params, template, durs, phases, spectrum, psi0, steps):
+        def tied(templates, durs, phases, spectrum, psi0, target_step):
             grids.append((durs, phases))
-            states = np.zeros((len(phases), len(durs), 2), dtype=complex)
-            states[0, 5, 1] = states[1, 2, 1] = 1.0  # |1> at both
+            states = np.zeros((1, len(phases), len(durs), 2), dtype=complex)
+            states[0, 0, 5, 1] = states[0, 1, 2, 1] = 1.0  # |1> at both
             return states
 
         monkeypatch.setattr(ev, "_duration_batch_states", tied)
@@ -1183,9 +1163,9 @@ class TestStatePrep:
     def _hide_phases_below_pi(monkeypatch):
         batch = ev._duration_batch_states
 
-        def upper_half(params, template, durs, phases, spectrum, psi0, steps):
-            states = batch(params, template, durs, phases, spectrum, psi0, steps)
-            states[np.mod(phases, TWO_PI) < np.pi] = 0.0
+        def upper_half(templates, durs, phases, spectrum, psi0, target_step):
+            states = batch(templates, durs, phases, spectrum, psi0, target_step)
+            states[:, np.mod(phases, TWO_PI) < np.pi] = 0.0
             return states
 
         monkeypatch.setattr(ev, "_duration_batch_states", upper_half)
