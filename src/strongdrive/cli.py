@@ -195,10 +195,12 @@ def cmd_rabi_scan(config: ExperimentConfig) -> Tables:
     omega = ghz_to_rad_per_ns(r["omega_ghz"])
     amps = ghz_to_rad_per_ns(np.linspace(r["amp_min_ghz"], r["amp_max_ghz"], r["amp_points"]))
     durations = np.arange(0.0, r["duration_ns"] + 1e-9, r["sample_dt_ns"])
-    states, specs = evolve._drive_states_and_spectra(
-        par, amps, omega, durations, truncation_n=config["solver"]["truncation_n"]
+    specs = floquet.quasienergy_sweep(par.delta, omega, amps, config["solver"]["truncation_n"])
+    states = evolve._duration_batch_states(  # sharp pulses: the un-enveloped drive
+        [PulseSpec(a, omega) for a in amps], durations, None, specs,
+        StateVector.ground().as_array(), None,
     )
-    p1 = np.abs(states[:, 0, :, 1]) ** 2
+    p1 = np.abs(states[..., 1]) ** 2
     amps_ghz = rad_per_ns_to_ghz(amps)
     p1_rows = np.column_stack(
         [np.repeat(amps_ghz, len(durations)), np.tile(durations, len(amps)), p1.ravel()]
@@ -267,8 +269,8 @@ def cmd_edge_study(config: ExperimentConfig) -> Tables:
     solver = config["solver"]
     fspec = floquet.quasienergy_sweep(par.delta, omega, [amp], solver["truncation_n"])[0]
     states = evolve._duration_batch_states(  # step 0: each edge its default step
-        [PulseSpec(amp, omega, t_r, 0.0, t_f) for t_r, t_f in pairs], durations, None, fspec,
-        StateVector.ground().as_array(), solver["propagator_step_ns"] or None,
+        [PulseSpec(amp, omega, t_r, 0.0, t_f) for t_r, t_f in pairs], durations, None,
+        [fspec] * len(pairs), StateVector.ground().as_array(), solver["propagator_step_ns"] or None,
     )
     trace_parts = []
     amp_rows = []
@@ -394,7 +396,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config["run"]["seed"]
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one
+            raise ConfigError(f"--out {args.out} cannot be a directory: {exc.strerror}") from exc
         if args.command == "quasienergies":
             tables = cmd_quasienergies(config, args.oracle)
         elif args.command == "rabi-scan":

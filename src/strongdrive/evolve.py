@@ -22,11 +22,12 @@ phi = theta + w t_r, and the table is real, so a pulse of plateau t_p is
 
 with W = B for a sharp edge: the un-enveloped drive is the pulse with both
 edges sharp.  A duration scan starts the sum from W_r(-phi)^T psi0 and sums
-W_f at every duration at once.  The scans of one call (the amplitudes of a
-batch, the edge pairs of a study) are the lanes of one sum over one
-e^{inwt} table, which dies with the call (``_sum_lanes``); a pulse train
-solves each amplitude and carrier once and evaluates the pulses of each
-pair of edges on that solve as one batch of the product.  So
+W_f at every duration at once.  Every scan is a batch of pulse templates,
+each on its own plateau solve (the amplitudes of a drive, the edge pairs of
+a study), summed by one ``_duration_batch_states`` call over one e^{inwt}
+table, which dies with the call; a pulse train solves each amplitude and
+carrier once and evaluates the pulses of each pair of edges on that solve
+as one batch of the product.  So
 ``target_step`` steps the edge series alone, with a time-stepped pulse as
 the oracle.  Every driver runs once, at ``_pulse_steps`` or at the
 caller's ``target_step``: the Magnus step's error falls as h^4, so the
@@ -194,70 +195,20 @@ def continuous_drive_states(
     """States under the un-enveloped drive A cos(wt+phi) at each time.
 
     Batched over amplitudes; returns an array of shape (n_amp, n_time, 2).
-    Equivalent to zero-edge pulses of every duration in ``times``, since the
-    Hamiltonians agree on [0, t] for each duration t.  Summed from the
-    Floquet expansion psi(t) = sum_j <u_j(0)|psi(0)> e^{-i eps_j t} u_j(t),
-    u_j(t) = sum_n u_jn e^{in(wt+phi)}, of one ``quasienergy_sweep``: one
-    e^{inwt} table per call, its n >= 0 half exponentiated and the rest
-    conjugated (``_harmonics``), trimmed to the n with a coefficient above
-    1e-16, serves the batch.  A resummed t = 0 basis that is not unitary to
-    1e-10 raises AccuracyError, which names ``truncation_n`` or the
-    near-degenerate pair; a time that is not finite raises ValueError.
+    The Hamiltonians agree on [0, t] for each duration t, so this is the
+    pulse with both edges sharp at every duration in ``times``: one sharp
+    template per amplitude of one ``quasienergy_sweep``, summed by one
+    ``_duration_batch_states`` call, and a time t = 0 returns ``initial``
+    exactly.  A resummed t = 0 basis that is not unitary to 1e-10 raises
+    AccuracyError, which names ``truncation_n`` or the near-degenerate
+    pair; a time or carrier phase that is not finite raises ValueError.
     """
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     psi0 = (StateVector.ground() if initial is None else initial).as_array()
-    return _drive_states_and_spectra(
-        params, amplitudes, omega, times, [carrier_phase], psi0, truncation_n
-    )[0][:, 0]
-
-
-def _drive_states_and_spectra(
-    params, amplitudes, omega, times, carrier_phases=(0.0,), psi0=(1.0, 0.0),
-    truncation_n=DEFAULT_TRUNCATION,
-):
-    """``continuous_drive_states`` per amplitude and carrier phase, shape
-    (n_amp, n_phase, n_time, 2), every phase from ``psi0`` (|0>), and the
-    ``quasienergy_sweep`` it sums: one lane of plain rows per amplitude,
-    all summed by one ``_sum_lanes`` call."""
-    amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    times = np.asarray(times, dtype=float)
-    specs = quasienergy_sweep(params.delta, omega, amps, truncation_n)
-    lanes = [(s, s.edge_rows(), s.edge_rows(), carrier_phases) for s in specs]
-    out = np.empty((len(amps), len(carrier_phases), len(times), 2), dtype=complex)
-    _sum_lanes(lanes, omega, times, psi0, out)
-    return out, specs
-
-
-def _sum_lanes(lanes, omega, times, psi0, out):
-    """Fill out[i], shape (n_phase, n_time, 2), with the Floquet sum of lane
-    i = (solve, rise rows, fall rows, carrier phases): per phase phi, the
-    states from ``psi0`` of the pulse of that rise, a plateau of each
-    duration in ``times`` and that fall, the plateau starting at phase phi.
-    The rows are the solve's ``edge_rows`` (``_edge_rows``), plain for a
-    sharp edge, so a lane of plain rows is the un-enveloped drive.  The
-    coefficients c = W_r(-phi)^T psi0 (B(phi)^dag psi0 for plain rows) come
-    from one gated ``states_at(0, -phi)`` of the rise rows for all phases; a
-    phase enters as e^{in phi} on the fall rows (``FloquetSpectrum.table``),
-    and the sum over n is one matrix product of the e^{inwt} table with
-    them.  One table (``_harmonics``), of the widest rows a lane's fall rows
-    span, serves every lane over its own slice and dies with the call."""
-    spans = []  # per lane, its fall rows' n: first <= n < end
-    for s, _, w_f, _ in lanes:
-        a, b = s.live_rows
-        pad = (len(w_f) - (b - a)) // 2  # dressed rows are K wider on each side
-        spans.append((a - s.truncation_n - pad, b - s.truncation_n + pad))
-    m = max((max(-first, end - 1, 0) for first, end in spans), default=0)
-    table = _harmonics(omega, times, m)
-    for o, (s, w_r, w_f, phases), (first, end) in zip(out, lanes, spans):
-        h = table[m + first : m + end]
-        shifts = np.exp(1j * np.outer(phases, np.arange(first, end)))
-        decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
-        starts = s.states_at(0.0, -np.asarray(phases), w_r)
-        for p, (start, shift) in enumerate(zip(starts, shifts)):
-            w_p = w_f * shift[:, None, None] * (start.T @ psi0)[:, None]
-            parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
-            o[p] = np.einsum("tj,tjk->tk", decay, parts)
+    specs = quasienergy_sweep(params.delta, omega, amplitudes, truncation_n)
+    sharp = [PulseSpec(s.amp, omega, carrier_phase=carrier_phase) for s in specs]
+    return _duration_batch_states(sharp, np.asarray(times, dtype=float), None, specs, psi0, None)
 
 
 def _harmonics(omega, times, m):
@@ -302,7 +253,7 @@ def final_states_for_durations(
         raise ValueError("durations must be finite, >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
     spectrum = _plateau_spectrum(params, pulse_template, truncation_n)
-    return _duration_batch_states([pulse_template], durs, None, spectrum, psi0, target_step)[0]
+    return _duration_batch_states([pulse_template], durs, None, [spectrum], psi0, target_step)[0]
 
 
 def _plateau_spectrum(params, template, truncation_n):
@@ -312,25 +263,47 @@ def _plateau_spectrum(params, template, truncation_n):
     )[0]
 
 
-def _duration_batch_states(templates, durs, phases, spectrum, psi0, target_step):
-    """States of ``final_states_for_durations`` from ``psi0`` for each of
-    ``templates``, pulses at the amplitude and carrier of the plateau solve
-    ``spectrum``: shape (templates, durations, 2), or (templates, phases,
+def _duration_batch_states(templates, durs, phases, solves, psi0, target_step):
+    """States from ``psi0`` of one pulse per template and plateau duration in
+    ``durs``: shape (templates, durations, 2), or (templates, phases,
     durations, 2) with ``phases``, if not None, in place of each template's
-    carrier phase.  Each template is one lane of one ``_sum_lanes`` call,
-    dressed by the ``_edge_rows`` of its edges at its ``_pulse_steps``."""
-    lanes = []
-    for t in templates:
+    carrier phase.  Template i is a pulse at the amplitude and carrier of its
+    plateau solve ``solves[i]``, all at one carrier, dressed by the
+    ``_edge_rows`` of its edges at its ``_pulse_steps`` (the plain rows if
+    sharp, so a sharp template is the un-enveloped drive).
+
+    Per phase phi, the coefficients c = W_r(-phi')^T psi0, phi' = w t_r +
+    phi, come from one gated ``states_at(0, -phi')`` of the rise rows for
+    all phases; a phase enters as e^{in phi'} on the fall rows
+    (``FloquetSpectrum.table``), and the sum over n is one matrix product of
+    the e^{inwt} table with them.  One table (``_harmonics``), of the widest
+    rows a template's fall rows span, serves every template over its own
+    slice and dies with the call.  A sharp pulse of zero length returns
+    ``psi0`` exactly."""
+    lanes = []  # per template: solve, rise rows, fall rows, phases, fall rows' n in [first, end)
+    for t, s in zip(templates, solves):
         steps = _pulse_steps(t, target_step)
-        rise = _edge_rows(spectrum, t.t_rise, steps[0])
-        fall = _edge_rows(spectrum, t.t_fall, steps[2])
-        phi = np.atleast_1d(t.carrier_phase if phases is None else phases)
-        lanes.append((spectrum, rise, fall, t.carrier * t.t_rise + phi))
+        rise = _edge_rows(s, t.t_rise, steps[0])
+        fall = _edge_rows(s, t.t_fall, steps[2])
+        phi = t.carrier * t.t_rise + np.atleast_1d(t.carrier_phase if phases is None else phases)
+        (a, b), n0 = s.live_rows, s.truncation_n
+        pad = (len(fall) - (b - a)) // 2  # dressed rows are K wider on each side
+        lanes.append((s, rise, fall, phi, a - n0 - pad, b - n0 + pad))
+    m = max((max(-first, end - 1, 0) for *_, first, end in lanes), default=0)
+    table = _harmonics(solves[0].omega, durs, m) if lanes else None
     out = np.empty((len(lanes), 1 if phases is None else len(phases), len(durs), 2), dtype=complex)
-    _sum_lanes(lanes, spectrum.omega, durs, psi0, out)
-    for t, o in zip(templates, out):
+    zero = np.flatnonzero(durs == 0.0)
+    for o, t, (s, w_r, w_f, phi, first, end) in zip(out, templates, lanes):
+        h = table[m + first : m + end]
+        shifts = np.exp(1j * np.outer(phi, np.arange(first, end)))
+        decay = np.exp(-1j * np.outer(durs, [s.eps0, s.eps1]))
+        starts = s.states_at(0.0, -phi, w_r)
+        for p, (start, shift) in enumerate(zip(starts, shifts)):
+            w_p = w_f * shift[:, None, None] * (start.T @ psi0)[:, None]
+            parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
+            o[p] = np.einsum("tj,tjk->tk", decay, parts)
         if t.t_rise == t.t_fall == 0.0:
-            o[:, durs == 0.0] = psi0  # a sharp pulse of zero length is the identity
+            o[:, zero] = psi0  # a sharp pulse of zero length is the identity
     return out if phases is not None else out[:, 0]
 
 
@@ -578,7 +551,7 @@ def prepare_state(
     ground = StateVector.ground().as_array()
 
     def scan(durs, phases):
-        states = _duration_batch_states([template], durs, phases, spectrum, ground, None)[0]
+        states = _duration_batch_states([template], durs, phases, [spectrum], ground, None)[0]
         fid = np.abs(states @ tgt.conj())
         # row-major argmax: the first strictly greater (phase, duration) wins
         p, i = np.unravel_index(np.argmax(fid), fid.shape)

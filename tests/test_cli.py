@@ -726,6 +726,23 @@ class TestExitCodes:
         assert "[stateprep] amplitude_ghz" in capsys.readouterr().err
         assert not (tmp_path / "state_prep.json").exists()
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["existing-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exit_2_names_path(
+        self, tmp_path, capsys, monkeypatch, under_file
+    ):
+        # mkdir's FileExistsError and NotADirectoryError used to escape main
+        # as a traceback
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "sub" if under_file else taken
+        work = []
+        monkeypatch.setattr(cli, "cmd_rabi_scan", work.append)
+        assert cli.main(["rabi-scan", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out} cannot be a directory")
+        assert work == []
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
     def test_config_error_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[rabi]\nbogus = 1\n")
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -144,11 +145,23 @@ class TestDurationSweep:
         assert abs(t_peak - 5.0) < 0.15
 
     def test_matches_continuous_drive_for_zero_edges(self, params):
+        # the un-enveloped drive is the pulse with both edges sharp: the same
+        # sum, bit for bit, t = 0 included
         times = np.arange(0.0, 8.0 + 1e-12, 0.01)
-        template = PulseSpec(TWO_PI * 1.0, DELTA, 0.0, 0.0, 0.0)
-        st_a = ev.final_states_for_durations(params, template, times, target_step=1e-4)
-        st_b = ev.continuous_drive_states(params, [TWO_PI * 1.0], DELTA, times)[0]
-        assert np.max(np.abs(st_a - st_b)) < 1e-12
+        rng = np.random.default_rng(5)
+        psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        initial = StateVector.from_array(psi0 / np.linalg.norm(psi0))
+        cases = [(1.0, DELTA), (4.78, DELTA), (1.33, TWO_PI * 1.373)]  # GHz, carrier
+        for (amp_ghz, omega), phase in itertools.product(cases, (0.0, 0.7, 2.1)):
+            amp = TWO_PI * amp_ghz
+            template = PulseSpec(amp, omega, 0.0, 0.0, 0.0, phase)
+            st_a = ev.final_states_for_durations(
+                params, template, times, initial=initial, target_step=1e-4
+            )
+            st_b = ev.continuous_drive_states(
+                params, [amp], omega, times, carrier_phase=phase, initial=initial
+            )[0]
+            assert np.array_equal(st_a, st_b)
 
     def test_matches_independent_propagation_with_edges(self, params):
         template = PulseSpec(TWO_PI * 1.33, DELTA, 1.0, 0.0, 1.0)
@@ -173,7 +186,7 @@ class TestDurationSweep:
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
         for psi0 in (StateVector.ground(), StateVector.excited()):
             psi = psi0.as_array()
-            got = ev._duration_batch_states([template], durs, phases, spec, psi, step)[0]
+            got = ev._duration_batch_states([template], durs, phases, [spec], psi, step)[0]
             for p, phi in enumerate(phases):
                 for i in sorted({0, len(durs) // 2, len(durs) - 1}):
                     pulse = dataclasses.replace(template, t_plateau=durs[i], carrier_phase=phi)
@@ -238,7 +251,8 @@ class TestDurationSweep:
         templates = [PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f) for t_r, t_f in pairs]
         spec = ev._plateau_spectrum(params, templates[0], fq.DEFAULT_TRUNCATION)
         ground = StateVector.ground().as_array()
-        lanes = ev._duration_batch_states(templates, EDGE_DURS, None, spec, ground, target_step)
+        solves = [spec] * len(templates)
+        lanes = ev._duration_batch_states(templates, EDGE_DURS, None, solves, ground, target_step)
         for template, states in zip(templates, lanes):
             own = ev.sweep_pulse_duration(params, template, EDGE_DURS, target_step=target_step)
             assert np.array_equal(np.abs(states[:, 1]) ** 2, own)
@@ -270,6 +284,21 @@ class TestContinuousDrive:
     def test_non_finite_times_rejected(self, params, bad):
         with pytest.raises(ValueError, match="times must be finite"):
             ev.continuous_drive_states(params, [TWO_PI * 0.46], DELTA, [0.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_carrier_phase_rejected(self, params, bad):
+        # each amplitude is a sharp PulseSpec, which checks its phase; such
+        # a phase used to return nan states
+        with pytest.raises(ValueError, match="carrier_phase must be finite"):
+            ev.continuous_drive_states(
+                params, [TWO_PI * 0.46], DELTA, [0.0, 1.0], carrier_phase=bad
+            )
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_bad_amplitude_raises_the_solve_message(self, params, bad):
+        # the solve checks the amplitudes before any pulse is built from them
+        with pytest.raises(ValueError, match="amplitudes must be finite and >= 0"):
+            ev.continuous_drive_states(params, [bad], DELTA, [0.0, 1.0])
 
     def test_truncation_gate(self, params):
         # t = 0 basis unitarity defect at 4.78 GHz: 2.6e-12 at N = 15,
@@ -355,7 +384,9 @@ class TestContinuousDrive:
         psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi0 /= np.linalg.norm(psi0)
         times = np.sort(rng.uniform(0.0, 20.0, 400))
-        got, specs = ev._drive_states_and_spectra(params, amps, omega, times, phases, psi0)
+        specs = fq.quasienergy_sweep(params.delta, omega, amps)
+        sharp = [PulseSpec(a, omega) for a in amps]
+        got = ev._duration_batch_states(sharp, times, phases, specs, psi0, None)
         assert got.shape == (len(amps), len(phases), len(times), 2)
         for s, got_a in zip(specs, got):
             n_max = s.truncation_n
@@ -461,7 +492,7 @@ class TestHarmonics:
         times = np.arange(0.0, 5.0, 0.01)
         amps = TWO_PI * np.array([0.5, 2.0])
         for _ in range(2):
-            ev._drive_states_and_spectra(params, amps, DELTA, times)
+            ev.continuous_drive_states(params, amps, DELTA, times)
         assert len(spy.tables) == 2 and spy.alive() == []
 
 
@@ -522,9 +553,9 @@ class TestPhaseHarmonicFalls:
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
         falls = _direct_falls(params, template, durs, steps[2])
         for psi0 in (StateVector.ground().as_array(), StateVector.excited().as_array()):
-            plateau = ev._duration_batch_states([no_fall], durs, None, spec, psi0, step)[0]
+            plateau = ev._duration_batch_states([no_fall], durs, None, [spec], psi0, step)[0]
             want = (falls @ plateau[..., None])[..., 0]
-            got = ev._duration_batch_states([template], durs, None, spec, psi0, step)[0]
+            got = ev._duration_batch_states([template], durs, None, [spec], psi0, step)[0]
             assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("k", [16, 64])
@@ -574,7 +605,8 @@ class TestPhaseHarmonicFalls:
         monkeypatch.setattr(ev, "FALL_PHASES_CAP", 16)
         template = PulseSpec(A_EDGE, DELTA, 1.0, 0.0, 4.0)
         spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
-        args = ([template], np.array([0.0, 1.0]), None, spec, StateVector.ground().as_array(), 2e-3)
+        ground = StateVector.ground().as_array()
+        args = ([template], np.array([0.0, 1.0]), None, [spec], ground, 2e-3)
         with pytest.raises(AccuracyError, match="interpolation error .* at K = 16"):
             ev._duration_batch_states(*args)
         # the solve keeps no table of a failed series, so a retry builds it
@@ -672,7 +704,7 @@ class TestEdgeSteps:
 
         def p1(target_step):
             states = ev._duration_batch_states(
-                templates, EDGE_DURS[::25], None, spec, ground, target_step
+                templates, EDGE_DURS[::25], None, [spec] * len(templates), ground, target_step
             )
             return dict(zip(pairs, np.abs(states[..., 1]) ** 2))
 
@@ -1105,8 +1137,8 @@ class TestStatePrep:
         scans, series = [], []
         batch, fall_series = ev._duration_batch_states, ev._fall_series
 
-        def batch_spy(templates, durs, phases, spectrum, psi0, target_step):
-            states = batch(templates, durs, phases, spectrum, psi0, target_step)
+        def batch_spy(templates, durs, phases, solves, psi0, target_step):
+            states = batch(templates, durs, phases, solves, psi0, target_step)
             scans.append((templates[0], durs, phases, states[0]))
             return states
 
@@ -1148,7 +1180,7 @@ class TestStatePrep:
         # the per-phase loop kept the first strictly greater fidelity
         grids = []
 
-        def tied(templates, durs, phases, spectrum, psi0, target_step):
+        def tied(templates, durs, phases, solves, psi0, target_step):
             grids.append((durs, phases))
             states = np.zeros((1, len(phases), len(durs), 2), dtype=complex)
             states[0, 0, 5, 1] = states[0, 1, 2, 1] = 1.0  # |1> at both
@@ -1163,8 +1195,8 @@ class TestStatePrep:
     def _hide_phases_below_pi(monkeypatch):
         batch = ev._duration_batch_states
 
-        def upper_half(templates, durs, phases, spectrum, psi0, target_step):
-            states = batch(templates, durs, phases, spectrum, psi0, target_step)
+        def upper_half(templates, durs, phases, solves, psi0, target_step):
+            states = batch(templates, durs, phases, solves, psi0, target_step)
             states[:, np.mod(phases, TWO_PI) < np.pi] = 0.0
             return states
 
