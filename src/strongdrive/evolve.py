@@ -14,9 +14,11 @@ it, and every pulse is that sum dressed by its edges.  An edge depends on
 the plateau only through the carrier phase theta it starts at, so it is one
 series E(theta) = sum_m E_m e^{im theta} (``_fall_series``), and the basis
 dressed by it, W_e(theta) = E(theta) B(theta), is one table, which a solve
-builds once per distinct edge and keeps (``_edge_rows``).  The rise is a
-transposed fall (a real H run backwards), R(theta) = F_{t_r}(-phi)^T with
-phi = theta + w t_r, and the table is real, so a pulse of plateau t_p is
+builds once per distinct edge and keeps (``_edge_rows``); a sum takes each
+component from its own rows (``FloquetSpectrum.components``), whose layout
+only ``floquet`` reads.  The rise is a transposed fall (a real H run
+backwards), R(theta) = F_{t_r}(-phi)^T with phi = theta + w t_r, and the
+plain table is real, so a pulse of plateau t_p is
 
     U(t_p, theta) = W_f(phi + w t_p) e^{-i eps t_p} W_r(-phi)^T,
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from ._magnus import IDENTITY2, SZ_CONJ, magnus_path, magnus_segment
 from .errors import AccuracyError, SimulationError
-from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, quasienergy_sweep
+from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, analytic_delta_epsilon, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
 from .units import TWO_PI
 
@@ -274,34 +276,32 @@ def _duration_batch_states(templates, durs, phases, solves, psi0, target_step):
 
     Per phase phi, the coefficients c = W_r(-phi')^T psi0, phi' = w t_r +
     phi, come from one gated ``states_at(0, -phi')`` of the rise rows for
-    all phases; a phase enters as e^{in phi'} on the fall rows
-    (``FloquetSpectrum.table``), and the sum over n is one matrix product of
-    the e^{inwt} table with them.  One table (``_harmonics``), of the widest
-    rows a template's fall rows span, serves every template over its own
-    slice and dies with the call.  A sharp pulse of zero length returns
+    all phases; a phase enters as e^{in phi'} on the fall rows, and each
+    component's sum over n is one matrix product per phase, stacked over
+    the phases, of its own rows of the e^{inwt} table and of the fall rows
+    (``FloquetSpectrum.components``).  One table (``_harmonics``), of the
+    widest rows a template's fall rows span, serves every template over its
+    own slice and dies with the call.  A sharp pulse of zero length returns
     ``psi0`` exactly."""
-    lanes = []  # per template: solve, rise rows, fall rows, phases, fall rows' n in [first, end)
+    lanes = []  # per template: solve, rise rows, fall rows, phases
     for t, s in zip(templates, solves):
         steps = _pulse_steps(t, target_step)
         rise = _edge_rows(s, t.t_rise, steps[0])
         fall = _edge_rows(s, t.t_fall, steps[2])
         phi = t.carrier * t.t_rise + np.atleast_1d(t.carrier_phase if phases is None else phases)
-        (a, b), n0 = s.live_rows, s.truncation_n
-        pad = (len(fall) - (b - a)) // 2  # dressed rows are K wider on each side
-        lanes.append((s, rise, fall, phi, a - n0 - pad, b - n0 + pad))
-    m = max((max(-first, end - 1, 0) for *_, first, end in lanes), default=0)
+        lanes.append((s, rise, fall, phi))
+    m = max((max(-first, first + len(w_f) - 1, 0) for _, _, (first, w_f), _ in lanes), default=0)
     table = _harmonics(solves[0].omega, durs, m) if lanes else None
     out = np.empty((len(lanes), 1 if phases is None else len(phases), len(durs), 2), dtype=complex)
     zero = np.flatnonzero(durs == 0.0)
-    for o, t, (s, w_r, w_f, phi, first, end) in zip(out, templates, lanes):
-        h = table[m + first : m + end]
-        shifts = np.exp(1j * np.outer(phi, np.arange(first, end)))
+    for o, t, (s, w_r, (first, w_f), phi) in zip(out, templates, lanes):
+        h = table[m + first : m + first + len(w_f)]
+        shifts = np.exp(1j * np.outer(phi, np.arange(first, first + len(w_f))))
         decay = np.exp(-1j * np.outer(durs, [s.eps0, s.eps1]))
         starts = s.states_at(0.0, -phi, w_r)
-        for p, (start, shift) in enumerate(zip(starts, shifts)):
-            w_p = w_f * shift[:, None, None] * (start.T @ psi0)[:, None]
-            parts = (h.T @ w_p.reshape(len(w_p), 4)).reshape(-1, 2, 2)
-            o[p] = np.einsum("tj,tjk->tk", decay, parts)
+        w = w_f * shifts[..., None] * (starts.swapaxes(-1, -2) @ psi0)[:, None]
+        for k, c in enumerate(s.components(first)):
+            o[..., k] = np.einsum("tj,ptj->pt", decay, h[c].T @ w[:, c])
         if t.t_rise == t.t_fall == 0.0:
             o[:, zero] = psi0  # a sharp pulse of zero length is the identity
     return out if phases is not None else out[:, 0]
@@ -528,8 +528,6 @@ def prepare_state(
     state the scan scored, with its |1> amplitude negated if the reported
     phase is an odd multiple of pi from the scanned one (sigma_z|0> = |0>).
     """
-    from .floquet import analytic_delta_epsilon
-
     omega = params.delta
     de = analytic_delta_epsilon(params.delta, amp, omega)
     tgt = target.as_array()

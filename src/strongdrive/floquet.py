@@ -39,8 +39,9 @@ Branch labels are anchored at A = 0 where the quasienergies are
 -omega/2 -+ |Delta - omega|/2, so delta_eps -> |Delta - omega| in the weak
 drive limit.  A branch's sector vector c is its quasienergy state: in the
 lab frame |n> (x) |x = (-1)^n> is |n>|0> for even n and -|n>|1> for odd n,
-so even harmonics lie on |0>, odd ones on |1>, the stored table is real, and
-``FloquetSpectrum.states_at`` is its one, gated, resummation.  At A -> 0+ on
+so harmonic n lies on component n mod 2 alone: every table of a solve
+stores that component only, beside the harmonic of its first row, and
+``FloquetSpectrum.states_at`` is their one, gated, resummation.  At A -> 0+ on
 resonance that gives u0 = (|0> - |1>)/sqrt(2), u1 = (|0> + |1>)/sqrt(2) under
 this sign convention for the drive term; off resonance the energy
 eigenstates.  The sign of c makes its largest-magnitude entry positive.
@@ -91,9 +92,9 @@ class FloquetSpectrum:
 
     eps0 <= eps1 are the branch values anchored at A = 0 (not reduced mod
     omega).  ``table`` holds the lab-frame Fourier coefficients u_jn of
-    u_j(theta) = sum_n u_jn e^{in theta}, n = -N..N, as a real
-    (2N+1, branch, component) array: by the generalized parity, an even row
-    is (c_n, 0) and an odd row (0, -c_n), with the other slot exactly 0.
+    u_j(theta) = sum_n u_jn e^{in theta}, n = -N..N, as a real (2N+1,
+    branch) array: by the generalized parity u_jn lies on component n mod 2,
+    and row n is that component, c_n for even n and -c_n for odd n.
     ``limit_convention`` marks the A = 0 resonant point where the stored
     basis is the A -> 0+ limit rather than a unique eigenbasis.  The scans
     and trains that share a solve share each dressed edge it keeps in
@@ -122,52 +123,51 @@ class FloquetSpectrum:
         )
 
     @cached_property
-    def live_rows(self) -> tuple[int, int]:
-        """The rows [a, b) of ``table`` that hold an entry above 1e-16."""
-        live = np.flatnonzero(np.abs(self.table).max(axis=(1, 2)) > 1e-16)
-        return int(live[0]), int(live[-1]) + 1
-
-    @cached_property
     def edge_tables(self) -> dict:
         """``edge_rows`` by (edge length, step), as ``evolve._edge_rows`` builds them."""
         return {}
 
-    def edge_rows(self, edge=None) -> np.ndarray:
-        """The live rows of ``table`` dressed by a pulse edge.
+    def edge_rows(self, edge=None) -> tuple[int, np.ndarray]:
+        """The harmonic n of the first row, and the rows of ``table`` from the
+        first to the last with an entry above 1e-16 dressed by a pulse edge.
 
         ``edge`` holds the harmonics E_m, m = -K..K, of the edge's propagator
         as a function of the carrier phase it starts at, E(theta) = sum_m E_m
-        e^{im theta}.  The dressed basis E(theta) B(theta) has the
-        coefficients w_k = sum_m u_{k-m} E_m^T, K rows wider on each side.  A
-        sharp edge (None) leaves the rows as they are.
+        e^{im theta}.  The dressed basis E(theta) B(theta) has the rows
+        w_k = sum_m E_m u_{k-m}, K more on each side, summed one m at a time:
+        E_m is diagonal for even m and off-diagonal for odd m (F(theta + pi) =
+        sigma_z F(theta) sigma_z), so w_k lies on component k mod 2 as u_k
+        does.  A sharp edge (None) leaves the rows as they are.
         """
-        a, b = self.live_rows
+        live = np.flatnonzero(np.abs(self.table).max(axis=1) > 1e-16)
+        first, u = int(live[0]) - self.truncation_n, self.table[live[0] : live[-1] + 1]
         if edge is None:
-            return self.table[a:b]
-        rows = np.zeros((b - a + len(edge) - 1, 2, 2), dtype=complex)
-        for m, e in enumerate(edge):
-            rows[m : m + b - a] += np.dot(self.table[a:b], e.T)  # one BLAS call; @ makes b - a
-        return rows
+            return first, u
+        k = len(edge) // 2
+        par = np.arange(first, first + len(u)) % 2
+        rows = np.zeros((len(u) + 2 * k, 2), dtype=complex)
+        for m, e in enumerate(edge, -k):
+            rows[m + k : m + k + len(u)] += u * e[par ^ (m % 2), par][:, None]
+        return first - k, rows
 
     def states_at(self, t: float, carrier_phase=0.0, rows=None) -> np.ndarray:
         """Instantaneous quasienergy states at time t, in the lab frame.
 
-        Sums the live rows of ``table``, or the dressed ``rows`` of
-        ``edge_rows``, at theta = omega t + carrier_phase into a 2x2 matrix
-        whose columns are u0(t), u1(t) (dressed: E(theta) u_j(t)), not
-        renormalized; an array of carrier phases gives one such matrix per
-        phase.  A basis that is not unitary to 1e-10 raises AccuracyError,
-        which names ``truncation_n`` if the live rows of ``table`` reach
-        |n| = N, else the near-degenerate pair.
+        Sums the plain rows of ``edge_rows()``, or the dressed ``rows`` of
+        ``edge_rows(edge)``, at theta = omega t + carrier_phase into a 2x2
+        matrix whose columns are u0(t), u1(t) (dressed: E(theta) u_j(t)), not
+        renormalized, each component over its own rows; an array of carrier
+        phases gives one such matrix per phase.  A basis that is not unitary
+        to 1e-10 raises AccuracyError, which names ``truncation_n`` if the
+        plain rows reach |n| = N, else the near-degenerate pair.
         """
-        a, b = self.live_rows
-        rows = self.table[a:b] if rows is None else rows
-        pad = (len(rows) - (b - a)) // 2
-        n = np.arange(a - pad - self.truncation_n, b + pad - self.truncation_n)
+        first, rows = self.edge_rows() if rows is None else rows
+        n = np.arange(first, first + len(rows))
         shift = np.exp(1j * np.multiply.outer(self.omega * t + carrier_phase, n))
-        basis = (rows * shift[..., None, None]).sum(axis=-3).swapaxes(-1, -2)
+        sums = [(rows[c] * shift[..., c, None]).sum(axis=-2) for c in self.components(first)]
+        basis = np.stack(sums, axis=-2)  # (..., component, branch)
         if (defect := unitarity_defect(basis)) > 1e-10:
-            if max(-n[0], n[-1]) - pad == self.truncation_n:  # the live rows reach |n| = N
+            if np.abs(self.table[[0, -1]]).max() > 1e-16:  # the plain rows reach |n| = N
                 cause = f"raise truncation_n (now {self.truncation_n})"
             else:
                 cause = (f"eps0, eps1 near-degenerate mod omega (delta_eps = "
@@ -177,6 +177,11 @@ class FloquetSpectrum:
                 f"defect {defect:.2e} > 1e-10; {cause}"
             )
         return basis
+
+    @staticmethod
+    def components(first: int) -> tuple[slice, slice]:
+        """Row slices on |0> and on |1> of rows whose first is harmonic ``first``."""
+        return slice(first % 2, None, 2), slice(1 - first % 2, None, 2)
 
 
 def reduce_to_zone(x, omega: float):
@@ -397,14 +402,10 @@ def quasienergy_sweep(
 
 
 def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, limit_convention):
-    """Lab-frame table of the sector vectors c (one column per branch), each
-    signed so that its largest |c_n| is positive: row n is (c_n, 0) for even
-    n and (0, -c_n) for odd n."""
-    c = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]])
-    even = truncation_n % 2  # the first row with n even
-    table = np.zeros((len(c), 2, 2))
-    table[even::2, :, 0] = c[even::2]
-    table[1 - even::2, :, 1] = -c[1 - even::2]
+    """The lab-frame table: the sector vectors c (one column per branch), each
+    signed so that its largest |c_n| is positive, with the odd rows negated."""
+    table = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]])
+    table[FloquetSpectrum.components(-truncation_n)[1]] *= -1.0
     return FloquetSpectrum(
         eps0=float(eps[0]),
         eps1=float(eps[1]),

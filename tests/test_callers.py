@@ -175,3 +175,18 @@ def test_every_defaulted_parameter_of_a_private_function_is_set_in_src():
         if not any(_sets(call, index, name) for call in calls.get(node.name, []))
     ]
     assert not dead, f"a default no call in src/strongdrive sets: {', '.join(dead)}"
+
+
+def test_only_floquet_reads_the_table_format():
+    # the parity shape of a solve's tables (harmonic n on component n mod 2,
+    # the first row's n beside the rows) is floquet.py's alone: the other
+    # modules take rows from ``edge_rows`` and sum them per
+    # ``FloquetSpectrum.components``
+    readers = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "floquet.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("table", "live_rows")
+    ]
+    assert not readers, f"the Floquet table read outside floquet.py: {', '.join(readers)}"

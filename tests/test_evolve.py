@@ -390,7 +390,8 @@ class TestContinuousDrive:
         assert got.shape == (len(amps), len(phases), len(times), 2)
         for s, got_a in zip(specs, got):
             n_max = s.truncation_n
-            lab = s.table  # (harmonic, branch, component)
+            # (harmonic, branch, component): row n of the table on component n mod 2
+            lab = np.einsum("nj,nk->njk", s.table, np.eye(2)[np.arange(-n_max, n_max + 1) % 2])
             decay = np.exp(-1j * np.outer(times, [s.eps0, s.eps1]))
             for phi, got_p in zip(phases, got_a):
                 shift = [np.exp(1j * (phi * n)) for n in range(-n_max, n_max + 1)]

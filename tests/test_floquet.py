@@ -4,14 +4,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
+from strongdrive import evolve as ev
 from strongdrive import floquet as fq
 from strongdrive._magnus import magnus_segment
 from strongdrive.errors import AccuracyError, NumericError
+from strongdrive.model import PulseSpec, QubitParams
 from strongdrive.units import TWO_PI
 
 DELTA = TWO_PI * 2.288
@@ -21,15 +23,69 @@ DELTA = TWO_PI * 2.288
 ROT = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
+def _photon_indices(spec):
+    """The harmonics n = -N..N of the rows of ``table``."""
+    return np.arange(-spec.truncation_n, spec.truncation_n + 1)
+
+
+def _lab(spec):
+    """The lab table of ``spec`` as (harmonic, branch, component): row n of
+    ``table`` on component n mod 2, the other component 0."""
+    return np.einsum("nj,nk->njk", spec.table, np.eye(2)[_photon_indices(spec) % 2])
+
+
 def _rotated(spec):
     """Each branch's lab table rotated into the Floquet matrix's frame and
     flattened to a vector over (n, spin), as ``build_floquet_matrix`` orders it."""
-    return [(spec.table[:, j] @ ROT.T).reshape(-1) for j in range(2)]
+    return [(_lab(spec)[:, j] @ ROT.T).reshape(-1) for j in range(2)]
 
 
 def _sector_vectors(spec):
-    """The sector vectors c, one column per branch: row n is (c_n, 0) or (0, -c_n)."""
-    return spec.table[:, :, 0] - spec.table[:, :, 1]
+    """The sector vectors c, one column per branch: row n of ``table`` is
+    c_n for even n and -c_n for odd n."""
+    return spec.table * np.where(_photon_indices(spec) % 2, -1.0, 1.0)[:, None]
+
+
+def _bits(a):
+    """The bytes of an array: equal only if every entry is, signed zeros too."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _dense_table(spec):
+    """The dense oracle of ``table``: the solve's sector vectors at its
+    quasienergies, each signed so that its largest |c_n| is positive, as a
+    (harmonic, branch, component) array whose even row n is (c_n, 0) and odd
+    row (0, -c_n), the other slot filled with 0."""
+    diag = fq._even_sector(spec.delta, spec.omega, spec.truncation_n)
+    lam = np.array([spec.eps0, spec.eps1])
+    vecs = fq._twisted_vectors(diag, np.full(2, -0.5 * spec.amp), lam)
+    c = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]])
+    even = spec.truncation_n % 2  # the first row with n even
+    table = np.zeros((len(c), 2, 2))
+    table[even::2, :, 0] = c[even::2]
+    table[1 - even::2, :, 1] = -c[1 - even::2]
+    return table
+
+
+def _dense_edge_rows(spec, table, edge):
+    """The dense oracle of ``edge_rows``: the harmonic n of the first row, and
+    the live rows of a dense table dressed one harmonic at a time,
+    w_k = sum_m u_{k-m} E_m^T over both components."""
+    live = np.flatnonzero(np.abs(table).max(axis=(1, 2)) > 1e-16)
+    a, b = live[0], live[-1] + 1
+    if edge is None:
+        return a - spec.truncation_n, table[a:b]
+    rows = np.zeros((b - a + len(edge) - 1, 2, 2), dtype=complex)
+    for m, e in enumerate(edge):
+        rows[m : m + b - a] += np.dot(table[a:b], e.T)
+    return a - spec.truncation_n - len(edge) // 2, rows
+
+
+def _dense_states(rows, first, omega, t, phase):
+    """The dense oracle of ``states_at``: both components summed over every row."""
+    n = np.arange(first, first + len(rows))
+    shift = np.exp(1j * np.multiply.outer(omega * t + phase, n))
+    return (rows * shift[..., None, None]).sum(axis=-3).swapaxes(-1, -2)
 
 
 def central_block(delta):
@@ -161,11 +217,12 @@ class TestStatesAt:
     def test_truncation_defect_raises(self):
         # N = 10 leaves a basis defect of about 1e-6 at 4.78 GHz, which
         # renormalizing each column used to hide.  Dressed by an edge, here
-        # E(theta) = e^{i theta} on rows one wider, the basis keeps the
+        # E(theta) = e^{i theta} sigma_x on rows one wider (an odd harmonic
+        # flips the component, as an edge's does), the basis keeps the
         # defect and its cause.
         spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
         kick = np.zeros((3, 2, 2))
-        kick[2] = np.eye(2)
+        kick[2] = [[0.0, 1.0], [1.0, 0.0]]
         for rows in (None, spec.edge_rows(kick)):
             for t in (0.0, 0.37):
                 with pytest.raises(AccuracyError, match=r"raise truncation_n \(now 10\)"):
@@ -353,10 +410,45 @@ class TestParitySector:
         for eps, v in zip((spec.eps0, spec.eps1), _rotated(spec)):
             assert np.min(np.abs(evals - eps)) < 1e-10
             assert np.linalg.norm(h @ v - eps * v) <= 1e-9 * h_norm
-        # Pi = +1: even harmonics lie on |0>, odd ones on |1>, exactly
-        odd = np.arange(-n_trunc, n_trunc + 1) % 2 == 1
-        assert spec.table.dtype == np.float64
-        assert not spec.table[~odd, :, 1].any() and not spec.table[odd, :, 0].any()
+        assert spec.table.shape == (2 * n_trunc + 1, 2) and spec.table.dtype == np.float64
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        delta=st.floats(1.0, 30.0),
+        omega=st.floats(1.0, 30.0),
+        amp_per_omega=st.floats(1e-3, 3.0),
+        t_edge=st.floats(0.02, 4.0),
+        draw=st.floats(0.0, 1.0),
+    )
+    def test_rows_are_the_dense_oracles_right_parity_entries(
+        self, delta, omega, amp_per_omega, t_edge, draw
+    ):
+        # Pi = +1: harmonic n lies on component n mod 2 alone, so the compact
+        # plain and dressed rows are the dense oracle's right-parity entries
+        # bit for bit, its other entries are exactly 0, and each component
+        # summed over its own rows gives the dense sum's bits
+        amp = amp_per_omega * omega
+        spec = fq.quasienergy_sweep(delta, omega, [amp])[0]
+        fall = PulseSpec(amp, omega, t_fall=t_edge)
+        try:
+            series = ev._fall_series(QubitParams(delta), fall, ev._pulse_steps(fall)[2])
+        except AccuracyError:
+            reject()  # a series over FALL_PHASES_CAP
+        dense = _dense_table(spec)
+        i, par = np.arange(len(dense)), _photon_indices(spec) % 2
+        assert _bits(spec.table) == _bits(dense[i, :, par])
+        assert not dense[i, :, 1 - par].any()
+        for edge in (None, series):
+            first, rows = spec.edge_rows(edge)
+            want_first, want = _dense_edge_rows(spec, dense, edge)
+            assert first == want_first and rows.shape == want.shape[:2]
+            i = np.arange(len(rows))
+            par = (first + i) % 2
+            assert _bits(rows) == _bits(want[i, :, par])
+            assert not want[i, :, 1 - par].any()
+            phases = TWO_PI * draw + np.linspace(0.0, TWO_PI, 5)
+            got = spec.states_at(0.0, phases, (first, rows))
+            assert _bits(got) == _bits(_dense_states(want, first, omega, 0.0, phases))
 
     @pytest.mark.parametrize("factor", [1.0, 0.6, 1.4])
     def test_eigenvectors_continuous_in_amplitude(self, factor):
