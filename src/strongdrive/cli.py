@@ -30,9 +30,9 @@ import numpy as np
 
 from . import __version__, evolve, floquet, spectral, tomography
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, SimulationError
+from .errors import AccuracyError, ConfigError, SimulationError
 from .model import PulseSpec, QubitParams, StateVector
-from .units import TWO_PI, ghz_to_rad_per_ns, rad_per_ns_to_ghz
+from .units import ghz_to_rad_per_ns, rad_per_ns_to_ghz
 
 
 #: Rows per %-format call of ``_write_csv``: bounds the strings it builds.
@@ -147,7 +147,6 @@ Tables = dict[str, Any]
 def cmd_quasienergies(config: ExperimentConfig, oracle: bool) -> Tables:
     par = _device(config)
     q = config["quasienergies"]
-    n_trunc = config["solver"]["truncation_n"]
     amps = ghz_to_rad_per_ns(
         np.linspace(q["amp_min_ghz"], q["amp_max_ghz"], q["amp_points"])
     )
@@ -166,11 +165,16 @@ def cmd_quasienergies(config: ExperimentConfig, oracle: bool) -> Tables:
     rows = []
     for factor in q["omega_factors"]:
         omega = factor * par.delta
-        specs = floquet.quasienergy_sweep(par.delta, omega, amps, n_trunc)
-        if oracle:
-            period = TWO_PI / omega
-            step = period / config["solver"]["monodromy_steps_per_period"]
-            mono = floquet.monodromy_quasienergies_batch(par.delta, amps, omega, step)
+        specs = floquet.quasienergy_sweep(par.delta, omega, amps)
+        if oracle:  # each numeric value against the nearer monodromy one, as criterion 01
+            mono = floquet.monodromy_quasienergies_batch(par.delta, amps, omega)
+            eps = np.array([[s.eps0, s.eps1] for s in specs])
+            gap = np.abs(floquet.reduce_to_zone(eps[:, :, None] - mono[:, None], omega))
+            if (worst := gap.min(axis=2).max(initial=0.0)) > floquet.MONODROMY_TOL:
+                raise AccuracyError(
+                    f"numeric vs monodromy quasienergies differ by {worst:.2e} rad/ns mod "
+                    f"omega > {floquet.MONODROMY_TOL:g} at omega = {omega:.6g} rad/ns"
+                )
         analytic = floquet.analytic_quasienergies(par.delta, amps, omega)
         for i, (a, s, e0a, e1a) in enumerate(zip(amps, specs, *analytic)):
             row = [
@@ -195,7 +199,7 @@ def cmd_rabi_scan(config: ExperimentConfig) -> Tables:
     omega = ghz_to_rad_per_ns(r["omega_ghz"])
     amps = ghz_to_rad_per_ns(np.linspace(r["amp_min_ghz"], r["amp_max_ghz"], r["amp_points"]))
     durations = np.arange(0.0, r["duration_ns"] + 1e-9, r["sample_dt_ns"])
-    specs = floquet.quasienergy_sweep(par.delta, omega, amps, config["solver"]["truncation_n"])
+    specs = floquet.quasienergy_sweep(par.delta, omega, amps)
     states = evolve._duration_batch_states(  # sharp pulses: the un-enveloped drive
         [PulseSpec(a, omega) for a in amps], durations, None, specs,
         StateVector.ground().as_array(), None,
@@ -244,8 +248,7 @@ def cmd_tomography_trace(config: ExperimentConfig, shots: int, seed: int) -> Tab
     if shots > 0:
         header += ["sx_meas", "sy_meas", "sz_meas"]
     batch = evolve.continuous_drive_states(
-        par, ghz_to_rad_per_ns(np.array(t["amplitudes_ghz"])), omega, durations,
-        truncation_n=config["solver"]["truncation_n"],
+        par, ghz_to_rad_per_ns(np.array(t["amplitudes_ghz"])), omega, durations
     )
     parts = []
     for a_ghz, states in zip(t["amplitudes_ghz"], batch):
@@ -267,7 +270,7 @@ def cmd_edge_study(config: ExperimentConfig) -> Tables:
     n = len(durations)
     pairs = [(x, x) for x in e["edge_times_ns"]] + list(e["asymmetric_pairs_ns"])
     solver = config["solver"]
-    fspec = floquet.quasienergy_sweep(par.delta, omega, [amp], solver["truncation_n"])[0]
+    fspec = floquet.quasienergy_sweep(par.delta, omega, [amp])[0]
     states = evolve._duration_batch_states(  # step 0: each edge its default step
         [PulseSpec(amp, omega, t_r, 0.0, t_f) for t_r, t_f in pairs], durations, None,
         [fspec] * len(pairs), StateVector.ground().as_array(), solver["propagator_step_ns"] or None,
@@ -293,13 +296,13 @@ def cmd_state_prep(config: ExperimentConfig, shots: int, seed: int) -> Tables:
     par = _device(config)
     sp = config["stateprep"]
     amp = ghz_to_rad_per_ns(sp["amplitude_ghz"])
-    edges, n_trunc = sp["min_edge_ns"], config["solver"]["truncation_n"]
+    edges = sp["min_edge_ns"]
     n_shots = shots if shots > 0 else sp["shots"]
     report = {}
     for offset, (name, target) in enumerate(
         (("minus_y", StateVector.minus_y()), ("excited", StateVector.excited()))
     ):
-        pulse, fid, final = evolve.prepare_state(par, target, amp, edges, truncation_n=n_trunc)
+        pulse, fid, final = evolve.prepare_state(par, target, amp, edges)
         recs = [
             tomography.simulate_shots(final, b, n_shots, seed=seed + 13 * i + 1000 * offset)
             for i, b in enumerate(tomography.BASES)

@@ -42,8 +42,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "delta_ghz": (float, 2.288),
     },
     "solver": {
-        "truncation_n": (int, 50),
-        "monodromy_steps_per_period": (int, 2000),
         "propagator_step_ns": (float, 0.0),  # 0 -> per segment: min(T/200, edge/50)
     },
     "quasienergies": {
@@ -120,8 +118,6 @@ _MINIMUMS = {
     ("rabi", "zero_pad_factor"): 1,
     ("stateprep", "shots"): 1,
     ("stateprep", "bootstrap_b"): 100,
-    ("solver", "monodromy_steps_per_period"): 1,
-    ("solver", "truncation_n"): 1,
     ("run", "seed"): 0,
 }
 

@@ -33,7 +33,8 @@ as one batch of the product.  So
 ``target_step`` steps the edge series alone, with a time-stepped pulse as
 the oracle.  Every driver runs once, at ``_pulse_steps`` or at the
 caller's ``target_step``: the Magnus step's error falls as h^4, so the
-step is the one accuracy control.
+step is the one accuracy control; each plateau solve sizes its own
+truncation (``quasienergy_sweep``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from ._magnus import IDENTITY2, SZ_CONJ, magnus_path, magnus_segment
 from .errors import AccuracyError, SimulationError
-from .floquet import DEFAULT_TRUNCATION, FloquetSpectrum, analytic_delta_epsilon, quasienergy_sweep
+from .floquet import FloquetSpectrum, analytic_delta_epsilon, quasienergy_sweep
 from .model import PulseSpec, QubitParams, StateVector, envelope
 from .units import TWO_PI
 
@@ -192,7 +193,6 @@ def continuous_drive_states(
     *,
     carrier_phase: float = 0.0,
     initial: StateVector | None = None,
-    truncation_n: int = DEFAULT_TRUNCATION,
 ):
     """States under the un-enveloped drive A cos(wt+phi) at each time.
 
@@ -202,13 +202,13 @@ def continuous_drive_states(
     template per amplitude of one ``quasienergy_sweep``, summed by one
     ``_duration_batch_states`` call, and a time t = 0 returns ``initial``
     exactly.  A resummed t = 0 basis that is not unitary to 1e-10 raises
-    AccuracyError, which names ``truncation_n`` or the near-degenerate
-    pair; a time or carrier phase that is not finite raises ValueError.
+    AccuracyError naming the near-degenerate pair; a time or carrier phase
+    that is not finite raises ValueError.
     """
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     psi0 = (StateVector.ground() if initial is None else initial).as_array()
-    specs = quasienergy_sweep(params.delta, omega, amplitudes, truncation_n)
+    specs = quasienergy_sweep(params.delta, omega, amplitudes)
     sharp = [PulseSpec(s.amp, omega, carrier_phase=carrier_phase) for s in specs]
     return _duration_batch_states(sharp, np.asarray(times, dtype=float), None, specs, psi0, None)
 
@@ -235,7 +235,6 @@ def final_states_for_durations(
     *,
     initial: StateVector | None = None,
     target_step: float | None = None,
-    truncation_n: int = DEFAULT_TRUNCATION,
 ):
     """Final state of one pulse per plateau duration, batched: the same
     quantity as one independent propagation per duration.
@@ -254,15 +253,13 @@ def final_states_for_durations(
     if not np.all(np.isfinite(durs)) or np.any(durs < 0.0) or np.any(np.diff(durs) < 0.0):
         raise ValueError("durations must be finite, >= 0 and non-decreasing")
     psi0 = StateVector.ground().as_array() if initial is None else initial.as_array()
-    spectrum = _plateau_spectrum(params, pulse_template, truncation_n)
+    spectrum = _plateau_spectrum(params, pulse_template)
     return _duration_batch_states([pulse_template], durs, None, [spectrum], psi0, target_step)[0]
 
 
-def _plateau_spectrum(params, template, truncation_n):
+def _plateau_spectrum(params, template):
     """The plateau's Floquet solve: one ``quasienergy_sweep`` amplitude."""
-    return quasienergy_sweep(
-        params.delta, template.carrier, [template.amplitude_max], truncation_n
-    )[0]
+    return quasienergy_sweep(params.delta, template.carrier, [template.amplitude_max])[0]
 
 
 def _duration_batch_states(templates, durs, phases, solves, psi0, target_step):
@@ -389,7 +386,6 @@ def sweep_pulse_duration(
     shots: int | None = None,
     seed: int | None = None,
     target_step: float | None = None,
-    truncation_n: int = DEFAULT_TRUNCATION,
 ):
     """Final-state P1 for one pulse per plateau duration.
 
@@ -397,9 +393,7 @@ def sweep_pulse_duration(
     from independent per-point streams split off the master seed, so results
     do not depend on evaluation order.
     """
-    states = final_states_for_durations(
-        params, pulse_template, durations, target_step=target_step, truncation_n=truncation_n
-    )
+    states = final_states_for_durations(params, pulse_template, durations, target_step=target_step)
     p1 = np.abs(states[:, 1]) ** 2
     if shots is None:
         return p1
@@ -465,18 +459,17 @@ def propagate_train(
     (t_p, theta_k) (``_pulse_unitaries``), and the 2x2 propagators are
     composed in time order.  ``target_step`` (default: each edge at
     min(T/200, its length/50)) steps the edge series alone; the plateau
-    takes no step.  ``spectrum``, a solve at ``DEFAULT_TRUNCATION`` and this
-    Delta (else ValueError) passed to several calls (a calibration's root
-    search), serves the pulses of its amplitude and carrier, so its edges
-    are built once for all of them.
+    takes no step.  ``spectrum``, a solve at this Delta (else ValueError)
+    passed to several calls (a calibration's root search), serves the pulses
+    of its amplitude and carrier, so its edges are built once for all of
+    them.
     """
     psi = (StateVector.ground() if initial is None else initial).as_array()
     starts = np.concatenate([[0.0], np.cumsum([p.total for p in pulses])])
     solves = {}  # (amplitude, carrier) -> the plateau's solve, None if it failed
     if spectrum is not None:  # serves the pulses of its own amplitude and carrier
-        solved = (spectrum.delta, spectrum.truncation_n)
-        if solved != (want := (params.delta, DEFAULT_TRUNCATION)):
-            raise ValueError(f"spectrum solved at (delta, truncation_n) = {solved}, not at {want}")
+        if spectrum.delta != params.delta:
+            raise ValueError(f"spectrum solved at delta = {spectrum.delta}, not at {params.delta}")
         solves[spectrum.amp, spectrum.omega] = spectrum
     batches = {}  # (amplitude, carrier, t_rise, t_fall) -> indices of its pulses
     for k, p in enumerate(pulses):
@@ -486,7 +479,7 @@ def propagate_train(
         shape = pulses[ks[0]]  # the amplitude, carrier and edges of the batch
         if (amp, carrier) not in solves:
             try:
-                solves[amp, carrier] = _plateau_spectrum(params, shape, DEFAULT_TRUNCATION)
+                solves[amp, carrier] = _plateau_spectrum(params, shape)
             except SimulationError:
                 solves[amp, carrier] = None  # step every pulse of this plateau
         t_p = np.array([pulses[k].t_plateau for k in ks])
@@ -507,8 +500,6 @@ def prepare_state(
     target: StateVector,
     amp: float,
     edges: float,
-    *,
-    truncation_n: int = DEFAULT_TRUNCATION,
 ) -> tuple[PulseSpec, float, StateVector]:
     """Scan plateau duration and carrier phase for the best target fidelity.
 
@@ -545,7 +536,7 @@ def prepare_state(
         )
 
     template = PulseSpec(amp, omega, edges, 0.0, edges)
-    spectrum = _plateau_spectrum(params, template, truncation_n)
+    spectrum = _plateau_spectrum(params, template)
     ground = StateVector.ground().as_array()
 
     def scan(durs, phases):

@@ -18,17 +18,21 @@ shifted by omega live in the odd sector.  Each amplitude is an independent
 sector solve for two eigenvalue ranks fixed once per (Delta, omega, N); all
 amplitudes are solved together by a Sturm-safeguarded Newton iteration for
 the eigenvalues and one twisted factorization per eigenvector (Parlett &
-Dhillon, Linear Algebra Appl. 267, 247 (1997)).  The module needs numpy
-only: J0 and J1 come from their integral representation (DLMF 10.9.1).
+Dhillon, Linear Algebra Appl. 267, 247 (1997)).  A quasienergy state spreads
+over photon indices up to about A/omega, so the truncation N sizes itself: it
+starts at DEFAULT_TRUNCATION and doubles while a sector vector reaches
+|n| = N.  The module needs numpy only: J0 and J1 come from their integral
+representation (DLMF 10.9.1).
 
 An independent oracle is provided by the one-period propagator (monodromy
 operator), whose eigenphases, read from its SU(2) form, divided by T give
 the quasienergies mod omega.  It is composed from a quarter period: H is
 real and sigma_z H(t) sigma_z = H(t + T/2) = H(T/2 - t), so
 U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4) and U(T) = sigma_z U(T/2) sigma_z
-U(T/2), exactly on the Magnus mesh too.  Its accuracy gate is a measured
+U(T/2), exactly on the Magnus mesh too.  Its step comes from a measured
 step error: the quarter period is stepped once more at twice the step, and
-the eigenphase difference over 15 T (4th order) must stay below 1e-8 rad/ns.
+the step halves until the eigenphase difference over 15 T (4th order) is
+below 1e-8 rad/ns.
 The approximate Bessel-function chain (rotating-frame transformation,
 truncated 4x4 matrix, decoupled 2x2 block; the tests keep its matrices)
 yields the closed-form quasienergies and the generalized Rabi frequency
@@ -58,8 +62,10 @@ from ._magnus import IDENTITY2, SZ_CONJ, magnus_segment, matmul2, unitarity_defe
 from .errors import AccuracyError, NumericError
 from .units import TWO_PI
 
-#: Photon-index truncation used throughout unless overridden.
+#: Photon-index truncation a solve starts from, and the largest it may
+#: double to.  Every default solve stays at 50; 0.01 GHz carriers need 800.
 DEFAULT_TRUNCATION = 50
+TRUNCATION_CAP = 800
 
 
 def build_floquet_matrix(
@@ -67,7 +73,10 @@ def build_floquet_matrix(
 ) -> np.ndarray:
     """The real symmetric Floquet matrix with n in [-N, N]: the dense oracle
     of the parity-sector solve, which needs only its even sector."""
-    _check_floquet_args(omega, truncation_n)
+    if truncation_n < 1:
+        raise ValueError(f"truncation_n must be >= 1, got {truncation_n}")
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
     n_blocks = 2 * truncation_n + 1
     dim = 2 * n_blocks
     h = np.zeros((dim, dim))
@@ -158,8 +167,8 @@ class FloquetSpectrum:
         matrix whose columns are u0(t), u1(t) (dressed: E(theta) u_j(t)), not
         renormalized, each component over its own rows; an array of carrier
         phases gives one such matrix per phase.  A basis that is not unitary
-        to 1e-10 raises AccuracyError, which names ``truncation_n`` if the
-        plain rows reach |n| = N, else the near-degenerate pair.
+        to 1e-10 raises AccuracyError naming the near-degenerate pair: the
+        solve has already sized its truncation.
         """
         first, rows = self.edge_rows() if rows is None else rows
         n = np.arange(first, first + len(rows))
@@ -167,14 +176,10 @@ class FloquetSpectrum:
         sums = [(rows[c] * shift[..., c, None]).sum(axis=-2) for c in self.components(first)]
         basis = np.stack(sums, axis=-2)  # (..., component, branch)
         if (defect := unitarity_defect(basis)) > 1e-10:
-            if np.abs(self.table[[0, -1]]).max() > 1e-16:  # the plain rows reach |n| = N
-                cause = f"raise truncation_n (now {self.truncation_n})"
-            else:
-                cause = (f"eps0, eps1 near-degenerate mod omega (delta_eps = "
-                         f"{self.delta_eps:.2e} rad/ns), which no truncation_n splits")
             raise AccuracyError(
                 f"Floquet expansion at A = {self.amp:.6g} rad/ns: t = {t:.6g} basis unitarity "
-                f"defect {defect:.2e} > 1e-10; {cause}"
+                f"defect {defect:.2e} > 1e-10; eps0, eps1 near-degenerate mod omega "
+                f"(delta_eps = {self.delta_eps:.2e} rad/ns), which no truncation splits"
             )
         return basis
 
@@ -210,13 +215,6 @@ def zone_distance(a: float, b: float, omega: float) -> float:
 #: Degeneracy tolerance (rad/ns) below which the drive, not the detuning,
 #: selects the A -> 0 basis.
 RESONANCE_TOL = 1e-9
-
-
-def _check_floquet_args(omega: float, truncation_n: int) -> None:
-    if truncation_n < 1:
-        raise ValueError(f"truncation_n must be >= 1, got {truncation_n}")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
 
 
 def _even_sector(delta, omega, truncation_n):
@@ -360,44 +358,52 @@ def _zero_amp_state(delta, omega, truncation_n):
     return eps[order], np.column_stack([c_low, c_high])[:, order], False
 
 
-def quasienergy_sweep(
-    delta: float,
-    omega: float,
-    amplitudes,
-    truncation_n: int = DEFAULT_TRUNCATION,
-) -> list[FloquetSpectrum]:
+def quasienergy_sweep(delta: float, omega: float, amplitudes) -> list[FloquetSpectrum]:
     """The two quasienergy branches at each requested amplitude, in any order.
 
     Each A > 0 is an independent solve of the even parity sector (size 2N+1)
     for the eigenpairs at the two ranks of :func:`_branch_ranks`, all of
     them in one :func:`_sector_eigenvalues` iteration that starts from the
-    closed-form values; A = 0
-    returns the anchored states of :func:`_zero_amp_state`.  Returns one
-    FloquetSpectrum per amplitude.
+    closed-form values; A = 0 returns the anchored states of
+    :func:`_zero_amp_state`.  N starts at DEFAULT_TRUNCATION and doubles,
+    ranks and all, while a driven sector vector has an entry above 1e-16 at
+    |n| = N; one that still does at TRUNCATION_CAP raises AccuracyError
+    naming A/omega.  Returns one FloquetSpectrum per amplitude, each
+    recording the N chosen.  A non-positive omega raises ValueError (from
+    the closed-form start values).
     """
-    _check_floquet_args(omega, truncation_n)
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if not np.all(np.isfinite(amps) & (amps >= 0.0)):
         raise ValueError("amplitudes must be finite and >= 0")
 
-    diag = _even_sector(delta, omega, truncation_n)
-    ranks = _branch_ranks(delta, omega, truncation_n)
     driven = amps[amps != 0.0]
     off = np.repeat(-0.5 * driven, 2)  # one lane per (amplitude, branch)
     start = np.column_stack(analytic_quasienergies(delta, driven, omega)).ravel()
-    lam = _sector_eigenvalues(diag, off, np.tile(ranks, len(driven)), start)
-    vecs = _twisted_vectors(diag, off, lam)
+    n_trunc = DEFAULT_TRUNCATION
+    while True:
+        diag = _even_sector(delta, omega, n_trunc)
+        ranks = _branch_ranks(delta, omega, n_trunc)
+        lam = _sector_eigenvalues(diag, off, np.tile(ranks, len(driven)), start)
+        vecs = _twisted_vectors(diag, off, lam)
+        edge = np.abs(vecs[[0, -1]]).max(axis=0, initial=0.0)  # per lane, at |n| = N
+        if not np.any(edge > 1e-16):
+            break
+        if n_trunc >= TRUNCATION_CAP:
+            raise AccuracyError(
+                f"Floquet sector vectors reach |n| = N = {n_trunc} (entry {edge.max():.2e} "
+                f"> 1e-16) at A/omega = {-2.0 * off[edge > 1e-16].min() / omega:.4g}, "
+                f"and N may not double past {TRUNCATION_CAP}"
+            )
+        n_trunc *= 2
     lanes = iter(range(0, len(off), 2))
     results = []
     for a in amps:
         if a == 0.0:
-            eps, c, limit = _zero_amp_state(delta, omega, truncation_n)
+            eps, c, limit = _zero_amp_state(delta, omega, n_trunc)
         else:
             j = next(lanes)
             eps, c, limit = lam[j : j + 2], vecs[:, j : j + 2], False
-        results.append(
-            _make_spectrum(delta, float(a), omega, truncation_n, eps, c, limit)
-        )
+        results.append(_make_spectrum(delta, float(a), omega, n_trunc, eps, c, limit))
     return results
 
 
@@ -423,21 +429,14 @@ def _make_spectrum(delta, amp, omega, truncation_n, eps, vecs, limit_convention)
 # ---------------------------------------------------------------------------
 
 
-def monodromy_quasienergies(
-    delta: float,
-    amp: float,
-    omega: float,
-    integrator_step: float | None = None,
-) -> tuple[float, float]:
+def monodromy_quasienergies(delta: float, amp: float, omega: float) -> tuple[float, float]:
     """Quasienergies mod omega from the one-period propagator eigenphases;
     the one-amplitude case of :func:`monodromy_quasienergies_batch`."""
-    eps0, eps1 = monodromy_quasienergies_batch(delta, [amp], omega, integrator_step)[0]
+    eps0, eps1 = monodromy_quasienergies_batch(delta, [amp], omega)[0]
     return float(eps0), float(eps1)
 
 
-def monodromy_quasienergies_batch(
-    delta: float, amplitudes, omega: float, integrator_step: float | None = None
-) -> np.ndarray:
+def monodromy_quasienergies_batch(delta: float, amplitudes, omega: float) -> np.ndarray:
     """Quasienergies mod omega from the one-period propagator eigenphases.
 
     Returns -arg(eigenvalues)/T = -+theta/T of U(T) for each amplitude
@@ -445,42 +444,44 @@ def monodromy_quasienergies_batch(
     (n, 2) sorted rows.  Independent of the Floquet-matrix route; serves as
     its oracle.
     """
-    return _monodromy_oracle(delta, amplitudes, omega, integrator_step)[0]
+    return _monodromy_oracle(delta, amplitudes, omega)[0]
 
 
 #: Largest step-doubling estimate of the oracle's eigenphase error (rad/ns):
-#: the tolerance it is an oracle to.
+#: the tolerance it is an oracle to; and the most steps per period it may
+#: double to (0.05 GHz carriers need 4000, 0.01 GHz ones 8000).
 MONODROMY_TOL = 1e-8
+MONODROMY_STEPS_CAP = 128_000
 
 
-def _monodromy_oracle(delta, amplitudes, omega, integrator_step=None):
+def _monodromy_oracle(delta, amplitudes, omega):
     """Quasienergy rows of :func:`monodromy_quasienergies_batch` and their
     step-doubling error estimate (rad/ns).
 
-    The steps per period, ceil(T / integrator_step) (default 2000), are
-    rounded up to a multiple of 8, so the quarter period runs in an even
-    number of steps n/4 and once more in n/8.  The 4th-order method's
-    quasienergy error is then |theta_h - theta_2h| / (15 T), taken on theta
-    in [0, pi], where it cannot wrap; its largest value over the batch is
-    the estimate, and one above MONODROMY_TOL raises AccuracyError.
+    The quarter period runs in n/4 steps and once more in n/8, n steps per
+    period from 2000.  The 4th-order method's quasienergy error is then
+    |theta_h - theta_2h| / (15 T), taken on theta in [0, pi], where it
+    cannot wrap; its largest value over the batch is the estimate.  While
+    it exceeds MONODROMY_TOL, n doubles and the last run becomes the
+    coarse one; past MONODROMY_STEPS_CAP that raises AccuracyError.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     period = TWO_PI / omega
-    step = integrator_step if integrator_step is not None else period / 2000.0
-    if step <= 0.0:
-        raise ValueError("integrator_step must be positive")
-    n_steps = 8 * max(1, int(np.ceil(period / step / 8.0)))
-    theta = _su2_eigenphases(_monodromy_propagators(delta, amps, omega, n_steps // 4))
-    coarse = _su2_eigenphases(_monodromy_propagators(delta, amps, omega, n_steps // 8))
-    error = float(np.max(np.abs(theta - coarse), initial=0.0)) / (15.0 * period)
-    if error > MONODROMY_TOL:
-        raise AccuracyError(
-            f"one-period propagator eigenphase error {error:.2e} rad/ns > {MONODROMY_TOL:g} "
-            f"at {n_steps} steps per period; use a smaller integrator_step "
-            "(CLI: [solver] monodromy_steps_per_period)"
-        )
+    n_steps, theta = 2000, _su2_eigenphases(_monodromy_propagators(delta, amps, omega, 250))
+    while True:
+        quarter = n_steps // 4
+        coarse, theta = theta, _su2_eigenphases(_monodromy_propagators(delta, amps, omega, quarter))
+        error = float(np.max(np.abs(theta - coarse), initial=0.0)) / (15.0 * period)
+        if error <= MONODROMY_TOL:
+            break
+        if n_steps >= MONODROMY_STEPS_CAP:
+            raise AccuracyError(
+                f"one-period propagator eigenphase error {error:.2e} rad/ns > "
+                f"{MONODROMY_TOL:g} at {n_steps} steps per period, the most it may use"
+            )
+        n_steps *= 2
     eps = np.sort(reduce_to_zone(theta[:, None] * [-1.0, 1.0] / period, omega))
     return eps, error
 
@@ -532,10 +533,18 @@ def _bessel(order: int, x):
     takes ceil(|x|) + 32 nodes, which matches scipy.special to a few 1e-15
     for |x| <= 100.  Evaluated at |x| and signed by parity, so J0 is exactly
     even and J1 exactly odd.  Elementwise on arrays; a float for scalar x.
+    A finite |x| above 2 TRUNCATION_CAP, where x = 2A/omega puts the states
+    beyond the photon indices a solve may use, raises AccuracyError.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).ravel()
-    nodes = 32 + np.ceil(np.where(np.isfinite(ax), ax, 0.0)).astype(int)
+    finite = np.where(np.isfinite(ax), ax, 0.0)
+    if finite.max(initial=0.0) > 2 * TRUNCATION_CAP:
+        raise AccuracyError(
+            f"Bessel argument |x| = |2A/omega| = {finite.max():.4g} > {2 * TRUNCATION_CAP}: the "
+            f"drive needs more photon indices than the Floquet truncation cap N = {TRUNCATION_CAP}"
+        )
+    nodes = 32 + np.ceil(finite).astype(int)
     out = np.empty_like(ax)
     for m in np.unique(nodes):
         sel = nodes == m

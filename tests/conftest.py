@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from strongdrive import _magnus
+from strongdrive import floquet as fq
 from strongdrive.model import QubitParams
 
 
@@ -21,6 +22,28 @@ def delta(params):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(424242)
+
+
+def _spectra_at(delta, omega, amps, n_trunc):
+    """``quasienergy_sweep``'s spectra of the amplitudes ``amps`` > 0 with the
+    truncation held at ``n_trunc``, solved through its private pieces."""
+    amps = np.asarray(amps, dtype=float)
+    diag = fq._even_sector(delta, omega, n_trunc)
+    off = np.repeat(-0.5 * amps, 2)
+    ranks = np.tile(fq._branch_ranks(delta, omega, n_trunc), len(amps))
+    start = np.column_stack(fq.analytic_quasienergies(delta, amps, omega)).ravel()
+    lam = fq._sector_eigenvalues(diag, off, ranks, start)
+    vecs = fq._twisted_vectors(diag, off, lam)
+    return [
+        fq._make_spectrum(delta, a, omega, n_trunc, lam[j : j + 2], vecs[:, j : j + 2], False)
+        for j, a in zip(range(0, len(off), 2), amps.tolist())
+    ]
+
+
+@pytest.fixture(scope="session")
+def spectra_at():
+    """Solves at a fixed truncation, which ``quasienergy_sweep`` sizes itself."""
+    return _spectra_at
 
 
 class StepBudget:

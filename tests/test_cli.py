@@ -4,6 +4,7 @@ import ctypes
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from strongdrive import cli, evolve, floquet, tomography
 from strongdrive.config import default_config, load_config
 from strongdrive.errors import ConfigError
-from strongdrive.model import QubitParams, StateVector
+from strongdrive.model import PulseSpec, QubitParams, StateVector
 from strongdrive.units import TWO_PI, ghz_to_rad_per_ns
 
 
@@ -40,7 +41,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
         assert cfg["device"]["delta_ghz"] == 2.288
-        assert cfg["solver"]["truncation_n"] == 50
+        assert list(cfg["solver"]) == ["propagator_step_ns"]  # the solves size themselves
         assert cfg["stateprep"]["min_edge_ns"] == 0.02
 
     def test_unknown_section(self, tmp_path):
@@ -61,6 +62,8 @@ class TestConfig:
             ("device", "persistent_current_na"),
             ("run", "threads"),
             ("solver", "refine"),  # the step is the one accuracy control
+            ("solver", "truncation_n"),  # each solve sizes its own truncation
+            ("solver", "monodromy_steps_per_period"),  # and the oracle its step
         ],
     )
     def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
@@ -96,8 +99,6 @@ class TestConfig:
             ("solver", "propagator_step_ns", "-0.001"),
             ("edges", "edge_times_ns", "0, -1"),
             ("edges", "asymmetric_pairs_ns", "4:-1"),
-            ("solver", "monodromy_steps_per_period", "0"),
-            ("solver", "truncation_n", "0"),
             ("device", "delta_ghz", "0"),
             ("quasienergies", "omega_factors", "1, 0"),
             ("quasienergies", "amp_min_ghz", "-0.5"),
@@ -217,6 +218,33 @@ class TestQuasienergiesCommand:
                 )
                 assert best < 1e-8
 
+    @pytest.mark.parametrize("factors", ["1.0, 0.6, 1.4", "0.0437"])
+    def test_oracle_gate_passes(self, tmp_path, factors):
+        # the default carriers, and omega = 0.1 GHz, where a solve held at
+        # N = 50 put 36 of the 100 rows up to 0.047 GHz off their monodromy
+        # pair; the command now exits 0 only with every row within 1e-8 rad/ns
+        cfg = write_config(tmp_path / "c.ini", f"[quasienergies]\nomega_factors = {factors}\n")
+        assert cli.main(["quasienergies", "--config", cfg, "--out", str(tmp_path), "--oracle"]) == 0
+        header, rows = read_csv(tmp_path / "quasienergies.csv")
+        data = TWO_PI * np.array(rows, dtype=float)
+        omega = data[:, [1]]
+        numeric = data[:, [2, 3]]
+        for mono in data[:, [header.index("eps0_monodromy")]], data[:, [-1]]:
+            gap = np.abs((numeric - mono + omega / 2) % omega - omega / 2)
+            numeric = np.where(gap < 1e-8, np.nan, numeric)  # matched
+        assert len(data) == 100 * len(factors.split(",")) and np.isnan(numeric).all()
+
+    def test_oracle_disagreement_exit_3(self, tmp_path, capsys, monkeypatch):
+        oracle = floquet.monodromy_quasienergies_batch
+        monkeypatch.setattr(floquet, "monodromy_quasienergies_batch", lambda *a: oracle(*a) + 2e-8)
+        cfg = write_config(tmp_path / "c.ini", "[quasienergies]\namp_points = 5\n")
+        assert cli.main(["quasienergies", "--config", cfg, "--out", str(tmp_path), "--oracle"]) == 3
+        err = capsys.readouterr().err
+        assert re.search(
+            r"numeric failure: numeric vs monodromy quasienergies differ by 2\.0\de-08 rad/ns", err
+        )
+        assert not (tmp_path / "run_report.json").exists()
+
     def test_run_report_manifest(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.ini",
@@ -290,6 +318,20 @@ class TestRabiScanCommand:
         sweeps.clear()
         assert cli.main(["state-prep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(sweeps) == 2
+
+    def test_small_carrier_sizes_its_truncation(self, tmp_path):
+        # 4.78 GHz on a 0.2 GHz carrier reaches |n| = 50, where a solve held
+        # there exited 3; the solve doubles to N = 100, and the largest
+        # amplitude's trace meets the time-stepped drive
+        cfg = write_config(tmp_path / "c.ini", "[rabi]\nomega_ghz = 0.2\nduration_ns = 2\n")
+        assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        data = np.array(read_csv(tmp_path / "rabi_p1.csv")[1], dtype=float)
+        top = data[-401:]
+        amp = ghz_to_rad_per_ns(np.linspace(0.2, 4.78, 12))[-1]
+        pulse = PulseSpec(amp, TWO_PI * 0.2, 0.0, 2.0, 0.0)
+        traj = evolve.propagate(QubitParams(), pulse, sample_dt=0.005, target_step=1e-4)
+        assert np.allclose(traj.times, top[:, 1], rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(traj.p1 - top[:, 2])) <= 1e-11
 
     def test_weak_drive_peak_near_amplitude(self, tmp_path):
         cfg = write_config(
@@ -615,7 +657,7 @@ class TestStartup:
     def test_floquet_work_loads_no_scipy(self):
         code = (
             "from strongdrive import floquet\n"
-            "floquet.quasienergy_sweep(14.4, 14.4, [0.0, 1.0, 2.0], 10)\n"
+            "floquet.quasienergy_sweep(14.4, 14.4, [0.0, 1.0, 2.0])\n"
             "floquet.analytic_delta_epsilon(14.4, 1.0, 14.4)"
         )
         assert _fresh_loaded(code, ("scipy",)) == []
@@ -676,20 +718,45 @@ class TestExitCodes:
         assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run_report.json").exists()
 
-    def test_truncation_too_small_exit_3(self, tmp_path, capsys):
-        # N = 10 leaves a t = 0 basis defect of 1.5e-6 at the 4.78 GHz amplitude
-        cfg = write_config(tmp_path / "c.ini", "[solver]\ntruncation_n = 10\n")
+    def test_truncation_too_small_exit_3(self, tmp_path, capsys, monkeypatch):
+        # 4.78 GHz on a 0.2 GHz carrier needs N = 100; capped at 50 the solve
+        # stops, naming A/omega
+        monkeypatch.setattr(floquet, "TRUNCATION_CAP", 50)
+        cfg = write_config(tmp_path / "c.ini", "[rabi]\nomega_ghz = 0.2\n")
         assert cli.main(["rabi-scan", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert "truncation_n" in capsys.readouterr().err
+        assert "at A/omega = 23.9, and N may not double past 50" in capsys.readouterr().err
         assert not (tmp_path / "run_report.json").exists()
 
-    def test_edge_study_truncation_too_small_exit_3(self, tmp_path, capsys):
-        # the plateau is the same Floquet sum, gated at [solver] truncation_n
-        cfg = write_config(
-            tmp_path / "c.ini", "[edges]\namplitude_ghz = 4.78\n[solver]\ntruncation_n = 10\n"
-        )
+    def test_edge_study_truncation_too_small_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the plateau is the same solve, with the same cap
+        monkeypatch.setattr(floquet, "TRUNCATION_CAP", 50)
+        cfg = write_config(tmp_path / "c.ini", "[edges]\namplitude_ghz = 4.78\nomega_ghz = 0.2\n")
         assert cli.main(["edge-study", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert "truncation_n" in capsys.readouterr().err
+        assert "at A/omega = 23.9, and N may not double past 50" in capsys.readouterr().err
+        assert not (tmp_path / "run_report.json").exists()
+
+    def test_past_the_truncation_cap_exit_3(self, tmp_path, capsys):
+        # 4.78 GHz on a 0.0065 GHz carrier: 2A/omega = 1471 is within the
+        # Bessel bound, but the sector vectors still reach |n| = 800
+        cfg = write_config(
+            tmp_path / "c.ini",
+            f"[quasienergies]\nomega_factors = {0.0065 / 2.288!r}\namp_min_ghz = 4.78\n"
+            "amp_max_ghz = 4.78\namp_points = 1\n",
+        )
+        assert cli.main(["quasienergies", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "reach |n| = N = 800" in err
+        assert "at A/omega = 735.4, and N may not double past 800" in err
+        assert not (tmp_path / "run_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["quasienergies", "state-prep"])
+    def test_bessel_argument_past_the_cap_exit_3(self, tmp_path, capsys, command):
+        # Delta = 1e-9 GHz makes 2A/omega about 1e10 on a resonant carrier,
+        # which asked _bessel for that many nodes per value
+        cfg = write_config(tmp_path / "c.ini", "[device]\ndelta_ghz = 1e-9\n")
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"numeric failure: Bessel argument \|x\| = \|2A/omega\| = \S+ > 1600", err)
         assert not (tmp_path / "run_report.json").exists()
 
     def test_near_degenerate_basis_exit_3_names_delta_eps(self, tmp_path, capsys):
@@ -703,14 +770,17 @@ class TestExitCodes:
         assert "delta_eps = 6.28e-10" in err and "raise truncation_n" not in err
         assert not (tmp_path / "run_report.json").exists()
 
-    def test_coarse_monodromy_step_exit_3(self, tmp_path, capsys):
-        # at 8 steps per period the oracle columns would be off by 0.031 GHz;
-        # the step-doubling gate measures that, where unitarity could not
-        cfg = write_config(tmp_path / "c.ini", "[solver]\nmonodromy_steps_per_period = 8\n")
+    def test_coarse_monodromy_step_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a 0.05 GHz carrier needs 4000 steps per period; capped at 2000 the
+        # step-doubling gate stops the oracle, where unitarity could not
+        monkeypatch.setattr(floquet, "MONODROMY_STEPS_CAP", 2000)
+        cfg = write_config(
+            tmp_path / "c.ini", f"[quasienergies]\nomega_factors = {0.05 / 2.288!r}\n"
+        )
         argv = ["quasienergies", "--config", cfg, "--out", str(tmp_path), "--oracle"]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
-        assert "numeric failure" in err and "[solver] monodromy_steps_per_period" in err
+        assert "numeric failure" in err and "at 2000 steps per period, the most it may use" in err
         assert not (tmp_path / "run_report.json").exists()
 
     def test_sector_sweep_cap_exit_3(self, tmp_path, capsys, monkeypatch):

@@ -183,7 +183,7 @@ class TestDurationSweep:
         # Delta) and falls 16-fold per halving, so it is the oracle's plateau
         # error, not the Floquet sum's.
         step = 2.5e-4
-        spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
+        spec = ev._plateau_spectrum(params, template)
         for psi0 in (StateVector.ground(), StateVector.excited()):
             psi = psi0.as_array()
             got = ev._duration_batch_states([template], durs, phases, [spec], psi, step)[0]
@@ -215,12 +215,14 @@ class TestDurationSweep:
             assert np.array_equal(got, one)
 
     @pytest.mark.parametrize("small_truncation", [False, True])
-    def test_empty_amplitude_batch(self, params, small_truncation):
-        # an empty batch has no basis to gate, so even a truncation too small
-        # for any strong drive returns the empty result
+    def test_empty_amplitude_batch(self, params, small_truncation, monkeypatch):
+        # an empty batch has no basis to gate, so even a truncation capped
+        # too small for any strong drive returns the empty result
+        if small_truncation:
+            monkeypatch.setattr(fq, "DEFAULT_TRUNCATION", 10)
+            monkeypatch.setattr(fq, "TRUNCATION_CAP", 10)
         times = np.arange(0.0, 1.0 + 1e-12, 0.1)
-        kwargs = {"truncation_n": 10} if small_truncation else {}
-        states = ev.continuous_drive_states(params, [], DELTA, times, **kwargs)
+        states = ev.continuous_drive_states(params, [], DELTA, times)
         assert states.shape == (0, len(times), 2)
 
     def test_decreasing_durations_rejected(self, params):
@@ -249,7 +251,7 @@ class TestDurationSweep:
         edges = default_config()["edges"]
         pairs = [(e, e) for e in edges["edge_times_ns"]] + list(edges["asymmetric_pairs_ns"])
         templates = [PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f) for t_r, t_f in pairs]
-        spec = ev._plateau_spectrum(params, templates[0], fq.DEFAULT_TRUNCATION)
+        spec = ev._plateau_spectrum(params, templates[0])
         ground = StateVector.ground().as_array()
         solves = [spec] * len(templates)
         lanes = ev._duration_batch_states(templates, EDGE_DURS, None, solves, ground, target_step)
@@ -300,27 +302,30 @@ class TestContinuousDrive:
         with pytest.raises(ValueError, match="amplitudes must be finite and >= 0"):
             ev.continuous_drive_states(params, [bad], DELTA, [0.0, 1.0])
 
-    def test_truncation_gate(self, params):
-        # t = 0 basis unitarity defect at 4.78 GHz: 2.6e-12 at N = 15,
-        # 1.5e-6 at N = 10
+    def test_truncation_gate(self, params, monkeypatch):
+        # 4.78 GHz on a 0.2 GHz carrier reaches |n| = 50, so the solve doubles
+        # to N = 100 and meets the time-stepped oracle (3.8e-14 off); with
+        # N capped at 50 it raises instead, naming A/omega
         times = np.arange(0.0, 5.0 + 1e-12, 0.01)
-        amps = [TWO_PI * 4.78]
-        ok = ev.continuous_drive_states(params, amps, DELTA, times, truncation_n=15)
-        full = ev.continuous_drive_states(params, amps, DELTA, times)
-        assert np.max(np.abs(ok - full)) < 1e-9
-        with pytest.raises(AccuracyError, match="truncation_n"):
-            ev.continuous_drive_states(params, amps, DELTA, times, truncation_n=10)
+        omega, amps = TWO_PI * 0.2, [TWO_PI * 4.78]
+        got = ev.continuous_drive_states(params, amps, omega, times)[0]
+        pulse = PulseSpec(amps[0], omega, 0.0, times[-1], 0.0)
+        want = ev.propagate(params, pulse, sample_dt=0.01, target_step=1e-4).states
+        assert np.max(np.abs(got - want)) < 1e-9
+        monkeypatch.setattr(fq, "TRUNCATION_CAP", 50)
+        with pytest.raises(AccuracyError, match=r"A/omega = 23\.9"):
+            ev.continuous_drive_states(params, amps, omega, times)
 
     @pytest.mark.parametrize("truncation_n", [10, 50])
-    def test_near_degenerate_basis_names_delta_eps(self, params, truncation_n):
+    def test_near_degenerate_basis_names_delta_eps(self, params, truncation_n, monkeypatch):
         # on resonance at A = 2 pi 1e-10 rad/ns, delta_eps = 6.3e-10 rad/ns: the
         # |n| = N rows carry no weight, and the defect is the same at any N
+        # the solve starts from
+        monkeypatch.setattr(fq, "DEFAULT_TRUNCATION", truncation_n)
         times = np.arange(0.0, 1.0, 0.1)
         with pytest.raises(AccuracyError, match="delta_eps = 6.28e-10 rad/ns") as exc:
-            ev.continuous_drive_states(
-                params, [TWO_PI * 1e-10], DELTA, times, truncation_n=truncation_n
-            )
-        assert "raise truncation_n" not in str(exc.value)
+            ev.continuous_drive_states(params, [TWO_PI * 1e-10], DELTA, times)
+        assert "which no truncation splits" in str(exc.value)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -551,7 +556,7 @@ class TestPhaseHarmonicFalls:
         # each then carried through one directly integrated fall
         steps = ev._pulse_steps(template, step)
         no_fall = dataclasses.replace(template, t_fall=0.0)
-        spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
+        spec = ev._plateau_spectrum(params, template)
         falls = _direct_falls(params, template, durs, steps[2])
         for psi0 in (StateVector.ground().as_array(), StateVector.excited().as_array()):
             plateau = ev._duration_batch_states([no_fall], durs, None, [spec], psi0, step)[0]
@@ -605,7 +610,7 @@ class TestPhaseHarmonicFalls:
         # 1.33 GHz needs more than 16 phases (interpolation error ~2e-8 there)
         monkeypatch.setattr(ev, "FALL_PHASES_CAP", 16)
         template = PulseSpec(A_EDGE, DELTA, 1.0, 0.0, 4.0)
-        spec = ev._plateau_spectrum(params, template, fq.DEFAULT_TRUNCATION)
+        spec = ev._plateau_spectrum(params, template)
         ground = StateVector.ground().as_array()
         args = ([template], np.array([0.0, 1.0]), None, [spec], ground, 2e-3)
         with pytest.raises(AccuracyError, match="interpolation error .* at K = 16"):
@@ -699,7 +704,7 @@ class TestEdgeSteps:
         pairs = [(e, e) for e in edges["edge_times_ns"]] + list(edges["asymmetric_pairs_ns"])
         assert sorted(pairs) == sorted(measured)
         period_step = TWO_PI / DELTA / 200.0
-        spec = ev._plateau_spectrum(params, PulseSpec(A_EDGE, DELTA), fq.DEFAULT_TRUNCATION)
+        spec = ev._plateau_spectrum(params, PulseSpec(A_EDGE, DELTA))
         templates = [PulseSpec(A_EDGE, DELTA, t_r, 0.0, t_f) for t_r, t_f in pairs]
         ground = StateVector.ground().as_array()
 
@@ -854,7 +859,7 @@ class TestPulseTrain:
                                  [0.0, t_r], steps)[-1]
             for th in theta
         ])
-        spec = ev._plateau_spectrum(params, pulse, fq.DEFAULT_TRUNCATION)
+        spec = ev._plateau_spectrum(params, pulse)
         want = spec.states_at(0.0, phi).conj().swapaxes(-1, -2) @ rise
         got = spec.states_at(0.0, -phi, ev._edge_rows(spec, t_r, steps[0])).swapaxes(-1, -2)
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -865,7 +870,7 @@ class TestPulseTrain:
         pulses = [PulseSpec(1e-9 * DELTA, DELTA, 0.2, 1.3, 0.2),
                   PulseSpec(1e-9 * DELTA, DELTA, 0.2, 0.4, 0.2, 0.7)]
         with pytest.raises(AccuracyError, match="near-degenerate"):
-            ev._plateau_spectrum(params, pulses[0], fq.DEFAULT_TRUNCATION).states_at(0.0)
+            ev._plateau_spectrum(params, pulses[0]).states_at(0.0)
         got = ev.propagate_train(params, pulses, StateVector.minus_y()).as_array()
         want = _serial_train(params, pulses, StateVector.minus_y())
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -880,7 +885,7 @@ class TestPulseTrain:
         assert np.max(np.abs(got - _serial_train(params, pulses))) <= 1e-12
 
     def test_shared_spectrum_gives_the_same_bits(self, params):
-        spectrum = ev._plateau_spectrum(params, CAL_X, fq.DEFAULT_TRUNCATION)
+        spectrum = ev._plateau_spectrum(params, CAL_X)
         for pulses, target_step in [c[1:] for c in TRAIN_CASES]:
             own = ev.propagate_train(params, pulses, target_step=target_step)
             shared = ev.propagate_train(params, pulses, target_step=target_step,
@@ -891,11 +896,10 @@ class TestPulseTrain:
         # train's other plateaus solve their own
         assert len(spectrum.edge_tables) == 3
 
-    @pytest.mark.parametrize("field", ["delta", "truncation_n"])
-    def test_spectrum_at_another_delta_or_truncation_is_rejected(self, params, field):
-        spectrum = ev._plateau_spectrum(params, CAL_X, fq.DEFAULT_TRUNCATION)
-        other = dataclasses.replace(spectrum, **{field: getattr(spectrum, field) + 1})
-        with pytest.raises(ValueError, match="spectrum solved at"):
+    def test_spectrum_at_another_delta_is_rejected(self, params):
+        spectrum = ev._plateau_spectrum(params, CAL_X)
+        other = dataclasses.replace(spectrum, delta=spectrum.delta + 1)
+        with pytest.raises(ValueError, match="spectrum solved at delta"):
             ev.propagate_train(params, [CAL_X], spectrum=other)
 
     def test_a_pulse_and_its_mirror_share_one_solve(self, params, monkeypatch):
@@ -1036,9 +1040,10 @@ class TestFloquetFrame:
         assert abs(c0) == pytest.approx(1.0, abs=1e-9)
         assert abs(c1) == pytest.approx(0.0, abs=1e-9)
 
-    def test_truncation_defect_raises(self, params):
-        spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
-        with pytest.raises(AccuracyError, match="truncation_n"):
+    def test_truncation_defect_raises(self, params, spectra_at):
+        # a solve held at N = 10, short of what 4.78 GHz needs
+        spec = spectra_at(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
+        with pytest.raises(AccuracyError, match="basis unitarity defect"):
             floquet_frame_decompose(StateVector.ground(), spec, 0.37)
 
     def test_degenerate_basis_raises(self, params):

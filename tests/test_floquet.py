@@ -175,11 +175,45 @@ class TestBranchTracking:
         assert abs(abs(np.vdot(minus, basis[:, 0])) - 1.0) < 1e-3
         assert abs(abs(np.vdot(plus, basis[:, 1])) - 1.0) < 1e-3
 
-    def test_truncation_convergence(self):
+    def test_truncation_convergence(self, spectra_at):
+        # the sweep stays at its starting N = 50, and a solve held at 30 agrees
         amp = TWO_PI * 4.78
-        de50 = fq.quasienergy_sweep(DELTA, DELTA, [amp], 50)[0].delta_eps
-        de30 = fq.quasienergy_sweep(DELTA, DELTA, [amp], 30)[0].delta_eps
-        assert abs(de50 - de30) < 1e-10
+        spec = fq.quasienergy_sweep(DELTA, DELTA, [amp])[0]
+        de30 = spectra_at(DELTA, DELTA, [amp], 30)[0].delta_eps
+        assert spec.truncation_n == fq.DEFAULT_TRUNCATION == 50
+        assert abs(spec.delta_eps - de30) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta=st.floats(TWO_PI * 0.5, TWO_PI * 5.0),
+        omega=st.floats(TWO_PI * 0.05, TWO_PI * 5.0),
+        amp=st.floats(TWO_PI * 1e-3, TWO_PI * 4.8),
+    )
+    @example(delta=DELTA, omega=TWO_PI * 0.05, amp=TWO_PI * 4.8)  # N = 200
+    @example(delta=DELTA, omega=TWO_PI * 0.2, amp=TWO_PI * 4.78)  # N = 100
+    def test_truncation_is_the_first_doubling_with_dead_edges(
+        self, spectra_at, delta, omega, amp
+    ):
+        # N is the first of 50, 100, 200, ... whose |n| = N rows are <= 1e-16:
+        # the solve at half of it still reaches |n| = N/2, and its values are
+        # eigenvalues of the dense matrix at twice its N
+        spec = fq.quasienergy_sweep(delta, omega, [amp])[0]
+        n = spec.truncation_n
+        assert n in [fq.DEFAULT_TRUNCATION * 2**k for k in range(5)]
+        assert np.abs(spec.table[[0, -1]]).max() <= 1e-16
+        if n > fq.DEFAULT_TRUNCATION:
+            half = spectra_at(delta, omega, [amp], n // 2)[0]
+            assert np.abs(half.table[[0, -1]]).max() > 1e-16
+        evals = np.linalg.eigvalsh(fq.build_floquet_matrix(delta, amp, omega, 2 * n))
+        for eps in (spec.eps0, spec.eps1):
+            assert np.min(np.abs(evals - eps)) <= 1e-10
+
+    def test_truncation_cap_raises_naming_a_over_omega(self, monkeypatch):
+        # 4.8 GHz at a 0.05 GHz carrier needs N = 200
+        monkeypatch.setattr(fq, "TRUNCATION_CAP", 100)
+        amps = TWO_PI * np.array([0.0, 1.0, 4.8])
+        with pytest.raises(AccuracyError, match=r"\|n\| = N = 100 .* at A/omega = 96, .* past 100"):
+            fq.quasienergy_sweep(DELTA, TWO_PI * 0.05, amps)
 
 
 def _renormalized_states(spec, t, phase):
@@ -214,18 +248,18 @@ class TestStatesAt:
         for got, phase in zip(batch.reshape(-1, 2, 2), phases.ravel()):
             assert np.array_equal(got, spec.states_at(0.37, phase))
 
-    def test_truncation_defect_raises(self):
-        # N = 10 leaves a basis defect of about 1e-6 at 4.78 GHz, which
-        # renormalizing each column used to hide.  Dressed by an edge, here
-        # E(theta) = e^{i theta} sigma_x on rows one wider (an odd harmonic
-        # flips the component, as an edge's does), the basis keeps the
-        # defect and its cause.
-        spec = fq.quasienergy_sweep(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
+    def test_truncation_defect_raises(self, spectra_at):
+        # a solve held at N = 10 leaves a basis defect of about 1e-6 at
+        # 4.78 GHz, which renormalizing each column used to hide (the sweep
+        # doubles past such an N).  Dressed by an edge, here E(theta) =
+        # e^{i theta} sigma_x on rows one wider (an odd harmonic flips the
+        # component, as an edge's does), the basis keeps the defect.
+        spec = spectra_at(DELTA, DELTA, [TWO_PI * 4.78], 10)[0]
         kick = np.zeros((3, 2, 2))
         kick[2] = [[0.0, 1.0], [1.0, 0.0]]
         for rows in (None, spec.edge_rows(kick)):
             for t in (0.0, 0.37):
-                with pytest.raises(AccuracyError, match=r"raise truncation_n \(now 10\)"):
+                with pytest.raises(AccuracyError, match=r"basis unitarity defect \d\.\d\de-0[67]"):
                     spec.states_at(t, 0.4, rows)
 
 
@@ -279,19 +313,21 @@ class TestMonodromyOracle:
                 assert min(fq.zone_distance(x, y, omega) for y in b) <= 1e-10
 
     def test_convergence_in_step(self):
+        # the oracle's 2000 steps per period against 4000
         omega = DELTA
         period = TWO_PI / omega
         a = TWO_PI * 2.0
-        e1 = fq.monodromy_quasienergies(DELTA, a, omega, period / 2000)
-        e2 = fq.monodromy_quasienergies(DELTA, a, omega, period / 4000)
+        e1 = fq.monodromy_quasienergies(DELTA, a, omega)
+        theta = fq._su2_eigenphases(fq._monodromy_propagators(DELTA, np.array([a]), omega, 1000))
+        e2 = np.sort(fq.reduce_to_zone(theta * np.array([-1.0, 1.0]) / period, omega))
         assert abs(e1[0] - e2[0]) < 1e-9
 
     @pytest.mark.parametrize(
         "oracle", ["monodromy_quasienergies", "monodromy_quasienergies_batch"]
     )
-    def test_bad_step_rejected(self, oracle):
-        with pytest.raises(ValueError):
-            getattr(fq, oracle)(DELTA, 1.0, DELTA, -1.0)
+    def test_bad_omega_rejected(self, oracle):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            getattr(fq, oracle)(DELTA, 1.0, -1.0)
 
     @pytest.mark.parametrize("factor", [1.0, 1.0 / 3.0, 0.6, 1.4])
     def test_su2_eigenphases_match_eigvals(self, factor):
@@ -341,14 +377,6 @@ class TestMonodromyOracle:
         for a, row in zip(amps, batch):
             assert np.array_equal(fq.monodromy_quasienergies(DELTA, a, omega), row)
 
-    def test_steps_per_period_round_up_to_a_multiple_of_8(self):
-        omega, amps = DELTA, [TWO_PI * 1.33, TWO_PI * 4.78]
-        period = TWO_PI / omega
-        default = fq.monodromy_quasienergies_batch(DELTA, amps, omega)
-        for steps, same in ((1993, True), (2001, False)):
-            got = fq.monodromy_quasienergies_batch(DELTA, amps, omega, period / steps)
-            assert np.array_equal(got, default) == same
-
     @pytest.mark.parametrize("factor", [1.0, 0.6, 1.4])
     def test_step_doubling_estimate_is_the_step_error(self, factor):
         # criterion 01's grid at the default step, against 16,000 steps per period
@@ -363,13 +391,35 @@ class TestMonodromyOracle:
         error = np.max(np.abs(theta - fine)) / period
         assert 1e-12 < error and abs(estimate - error) <= 0.01 * error
 
-    def test_coarse_step_raises_with_the_estimate(self):
-        period = TWO_PI / DELTA
+    def test_small_carrier_doubles_the_steps(self, monkeypatch):
+        # at 0.05 GHz 2000 steps per period miss 1e-8 rad/ns and 4000 meet it,
+        # the last run of 2000 serving as the coarse one; the estimate is
+        # then the error against 16,000 steps per period
+        omega = TWO_PI * 0.05
+        period = TWO_PI / omega
+        amps = np.linspace(0.0, TWO_PI * 4.8048, 100)
+        runs = []
+
+        def spy(delta, amps, omega, quarter_steps, _run=fq._monodromy_propagators):
+            runs.append(quarter_steps)
+            return _run(delta, amps, omega, quarter_steps)
+
+        monkeypatch.setattr(fq, "_monodromy_propagators", spy)
+        eps, estimate = fq._monodromy_oracle(DELTA, amps, omega)
+        assert runs == [250, 500, 1000] and estimate <= fq.MONODROMY_TOL
+        fine = fq._su2_eigenphases(spy(DELTA, amps, omega, 4000))
+        want = np.sort(fq.reduce_to_zone(fine[:, None] * [-1.0, 1.0] / period, omega))
+        error = np.max(np.abs(eps - want))
+        assert error <= fq.MONODROMY_TOL and abs(estimate - error) <= 0.01 * error
+
+    def test_coarse_step_raises_with_the_estimate(self, monkeypatch):
+        # 0.05 GHz needs 4000 steps per period; capped at 2000 the oracle raises
+        monkeypatch.setattr(fq, "MONODROMY_STEPS_CAP", 2000)
         with pytest.raises(AccuracyError) as exc:
-            fq.monodromy_quasienergies_batch(DELTA, [TWO_PI * 2.0], DELTA, period / 8)
+            fq.monodromy_quasienergies_batch(DELTA, [TWO_PI * 4.8], TWO_PI * 0.05)
         msg = str(exc.value)
-        assert re.search(r"eigenphase error \d\.\d\de[-+]\d+ rad/ns > 1e-08 at 8 steps", msg)
-        assert "integrator_step" in msg and "[solver] monodromy_steps_per_period" in msg
+        assert re.search(r"eigenphase error \d\.\d\de[-+]\d+ rad/ns > 1e-08 at 2000 steps", msg)
+        assert "the most it may use" in msg
 
     def test_su2_eigenphases_at_plus_and_minus_identity(self):
         rng = np.random.default_rng(5)
@@ -399,10 +449,10 @@ class TestParitySector:
         delta=st.floats(0.5, 20.0),
         amp=st.floats(1e-3, 20.0),
         omega=st.floats(0.5, 20.0),
-        n_trunc=st.integers(2, 25),
     )
-    def test_branches_are_even_eigenpairs_of_full_matrix(self, delta, amp, omega, n_trunc):
-        spec = fq.quasienergy_sweep(delta, omega, [amp], n_trunc)[0]
+    def test_branches_are_even_eigenpairs_of_full_matrix(self, delta, amp, omega):
+        spec = fq.quasienergy_sweep(delta, omega, [amp])[0]
+        n_trunc = spec.truncation_n
         h = fq.build_floquet_matrix(delta, amp, omega, n_trunc)
         evals = np.linalg.eigvalsh(h)
         h_norm = np.linalg.norm(h, 2)
@@ -491,11 +541,13 @@ class TestParitySector:
                     assert abs(np.linalg.norm(c) - 1.0) < 1e-12
 
 
-def _assert_sector_matches_lapack(delta, omega, amps, n_trunc=fq.DEFAULT_TRUNCATION):
-    """The oracle: eigh_tridiagonal at the sweep's two ranks."""
-    diag = fq._even_sector(delta, omega, n_trunc)
-    ranks = fq._branch_ranks(delta, omega, n_trunc)
-    for amp, spec in zip(amps, fq.quasienergy_sweep(delta, omega, amps, n_trunc)):
+def _assert_sector_matches_lapack(delta, omega, amps, specs):
+    """The oracle: eigh_tridiagonal at the sweep's two ranks, at each
+    solve's own truncation."""
+    for amp, spec in zip(amps, specs):
+        n_trunc = spec.truncation_n
+        diag = fq._even_sector(delta, omega, n_trunc)
+        ranks = fq._branch_ranks(delta, omega, n_trunc)
         off = np.full(2 * n_trunc, -0.5 * amp)
         w, v = eigh_tridiagonal(diag, off, select="i", select_range=ranks)
         assert np.max(np.abs([spec.eps0 - w[0], spec.eps1 - w[-1]])) <= 1e-12
@@ -513,17 +565,21 @@ class TestSectorSolve:
         amps=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6),
         n_trunc=st.integers(2, 50),
     )
-    def test_matches_eigh_tridiagonal(self, delta, omega, amps, n_trunc):
-        _assert_sector_matches_lapack(delta, omega, amps, n_trunc)
+    def test_matches_eigh_tridiagonal(self, spectra_at, delta, omega, amps, n_trunc):
+        # the solve held at any N, as the sweep runs it at each size it tries
+        specs = spectra_at(delta, omega, amps, n_trunc)
+        _assert_sector_matches_lapack(delta, omega, amps, specs)
 
     @pytest.mark.parametrize("divisor", [1, 3, 7])  # resonance and odd multiphoton resonances
     def test_matches_eigh_tridiagonal_at_resonances(self, divisor):
         amps = TWO_PI * np.array([1e-3 / TWO_PI, 0.01, 0.3, 1.0, 2.4048, 4.8])
-        _assert_sector_matches_lapack(DELTA, DELTA / divisor, amps)
+        specs = fq.quasienergy_sweep(DELTA, DELTA / divisor, amps)
+        _assert_sector_matches_lapack(DELTA, DELTA / divisor, amps, specs)
 
     def test_matches_eigh_tridiagonal_as_amplitude_goes_to_zero(self):
-        _assert_sector_matches_lapack(DELTA, DELTA, [1e-3, 1e-4])
-        _assert_sector_matches_lapack(DELTA, 0.6 * DELTA, [1e-6, 1e-9, 1e-12])
+        for omega, amps in ((DELTA, [1e-3, 1e-4]), (0.6 * DELTA, [1e-6, 1e-9, 1e-12])):
+            specs = fq.quasienergy_sweep(DELTA, omega, amps)
+            _assert_sector_matches_lapack(DELTA, omega, amps, specs)
 
     def test_sweep_cap_raises_numeric_error(self, monkeypatch):
         monkeypatch.setattr(fq, "_MAX_SWEEPS", 2)
@@ -572,6 +628,22 @@ class TestBessel:
             assert all(type(fn(float(v))) is float for v in x[:3])
             assert [fn(float(v)) for v in x] == fn(x).tolist()
         assert fq.j1(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_argument_bound_is_twice_the_truncation_cap(self):
+        # x = 2A/omega beyond 2 TRUNCATION_CAP puts the states past any N a
+        # solve may use: an error, not ceil(|x|) + 32 nodes per value
+        bound = 2.0 * fq.TRUNCATION_CAP
+        x = np.array([-bound, -0.5 * bound, 0.0, bound])
+        for fn, order in ((fq.j0, 0), (fq.j1, 1)):
+            tau = (np.arange(1632) + 0.5) * (np.pi / 1632)
+            want = np.cos(order * tau - bound * np.sin(tau)).sum() / 1632
+            assert fn(bound) == want and fn(-bound) == (-want if order else want)
+            assert np.array_equal(fn(x[[0, 3]]), [fn(-bound), want])
+            with np.errstate(invalid="ignore"):  # not finite: nan, as before the bound
+                assert np.isnan(fn(np.inf)) and np.isnan(fn(np.array([np.nan, 1.0]))[0])
+            for big in (np.nextafter(bound, np.inf), [0.0, -1e10]):
+                with pytest.raises(AccuracyError, match=r"\|x\| = \|2A/omega\| = .* > 1600"):
+                    fn(big)
 
     def test_analytic_functions_vectorize(self):
         amps = np.linspace(0.0, 30.0, 41)
