@@ -15,13 +15,14 @@ PRL 67, 516 (1991)).  Both branches lie in its even sector, spanned by
 |n> (x) |x = (-1)^n>, where the matrix is symmetric tridiagonal with
 diagonal n*omega - (Delta/2)(-1)^n and off-diagonal -A/2; their copies
 shifted by omega live in the odd sector.  Each amplitude is an independent
-sector solve for two eigenvalue ranks fixed once per (Delta, omega, N); all
-amplitudes are solved together by a Sturm-safeguarded Newton iteration for
-the eigenvalues and one twisted factorization per eigenvector (Parlett &
-Dhillon, Linear Algebra Appl. 267, 247 (1997)).  A quasienergy state spreads
-over photon indices up to about A/omega, so the truncation N sizes itself: it
-starts at DEFAULT_TRUNCATION and doubles while a sector vector reaches
-|n| = N.  The module needs numpy only: J0 and J1 come from their integral
+sector solve for two eigenvalue ranks, read once per (Delta, omega, N) off one
+Sturm pivot pass at the closed-form values; all amplitudes are solved together
+by a Sturm-safeguarded Newton iteration of such passes for the eigenvalues and
+one twisted factorization per eigenvector (Parlett & Dhillon, Linear Algebra
+Appl. 267, 247 (1997)).  A quasienergy state spreads over photon indices up to
+about A/omega, so the truncation N sizes itself: it starts at
+DEFAULT_TRUNCATION and doubles while a sector vector reaches |n| = N.  The
+module needs numpy only: J0 and J1 come from their integral
 representation (DLMF 10.9.1).
 
 An independent oracle is provided by the one-period propagator (monodromy
@@ -62,8 +63,9 @@ from ._magnus import IDENTITY2, SZ_CONJ, magnus_segment, matmul2, unitarity_defe
 from .errors import AccuracyError, NumericError
 from .units import TWO_PI
 
-#: Photon-index truncation a solve starts from, and the largest it may
-#: double to.  Every default solve stays at 50; 0.01 GHz carriers need 800.
+#: Photon-index truncation a solve starts from, and the largest it may double to.  Every
+#: default solve stays at 50; 0.01 GHz carriers need 800, where 100 amplitudes take about
+#: 1 s, nearly all of it Newton sweeps.  ``_bessel``'s argument bound is tied to the cap.
 DEFAULT_TRUNCATION = 50
 TRUNCATION_CAP = 800
 
@@ -231,31 +233,47 @@ _MAX_SWEEPS = 100
 _PIVMIN = np.sqrt(np.finfo(float).tiny)
 
 
+def _pivot_pass(diag, off, x):
+    """One sweep of :func:`_sector_eigenvalues`: each lane's Sturm count and Newton step at x."""
+    e2 = off * off
+    q = np.empty((len(diag), len(x)))
+    w = np.empty_like(q)  # q_i' / q_i, from q_i' = -1 + (off^2 / q_{i-1}) (q_{i-1}' / q_{i-1})
+    t = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dmx = diag[:, None] - x
+        q[0] = dmx[0]
+        np.divide(-1.0, q[0], out=w[0])
+        for q0, w0, d1, q1, w1 in zip(q, w, dmx[1:], q[1:], w[1:]):  # rows i - 1 and i
+            np.divide(e2, q0, out=t)
+            np.subtract(d1, t, out=q1)
+            np.multiply(t, w0, out=w1)
+            w1 -= 1.0
+            w1 /= q1
+        step = -1.0 / w.sum(axis=0)
+    return np.count_nonzero(q < 0.0, axis=0), step
+
+
 def _sector_eigenvalues(diag, off, ranks, start):
     """Eigenvalue of rank ranks[l] (0 = smallest) of lane l's tridiagonal
     matrix T_l, whose diagonal is ``diag`` and every off-diagonal off[l].
 
-    A Sturm-safeguarded Newton iteration over all lanes at once.  One pass
-    over the rows of the pivot recurrence q_i = (d_i - x) - off^2/q_{i-1}
-    (T - x = L D L^T, D = diag(q)) gives both the Sturm count, the number of
-    q_i < 0, which is the number of eigenvalues below x and so moves one end
-    of the lane's bracket, and d/dx log|det(T - x)| = sum q_i'/q_i for a
-    Newton step.  A step that leaves the bracket is replaced by its midpoint,
-    and so is a zero pivot's NaN step.  Brackets start from Weyl's
-    inequality, d_(k) +- 2|off|, and x from ``start`` clipped into them.  A
-    lane is done when its step is at most 4 ulp of the matrix scale and the
-    step's sign and the count name the wanted rank, or when its bracket is
-    that narrow.  Raises NumericError after _MAX_SWEEPS sweeps.
+    A Sturm-safeguarded Newton iteration over all lanes at once.  Each sweep
+    is one :func:`_pivot_pass` of the recurrence q_i = (d_i - x) - off^2/q_{i-1}
+    (T - x = L D L^T, D = diag(q)): its Sturm count, the number of q_i < 0,
+    is the number of eigenvalues below x and moves one end of the lane's
+    bracket, and d/dx log|det(T - x)| = sum q_i'/q_i gives a Newton step.  A
+    step that leaves the bracket is replaced by its midpoint, and so is a
+    zero pivot's NaN step.  Brackets start from Weyl's inequality, d_(k) +-
+    2|off|, and x from ``start`` clipped into them.  A lane is done when its
+    step is at most 4 ulp of the matrix scale and the step's sign and the
+    count name the wanted rank, as :func:`_branch_ranks` reads them, or when
+    its bracket is that narrow.  Raises NumericError after _MAX_SWEEPS sweeps.
     """
-    e2 = off * off
     centre = np.sort(diag)[ranks]
     lo, hi = centre - 2.0 * np.abs(off), centre + 2.0 * np.abs(off)
     x = np.clip(start, lo, hi)
     tol = 4.0 * np.spacing(np.abs(diag).max() + 2.0 * np.abs(off))
     done = np.zeros(x.shape, dtype=bool)
-    q = np.empty((len(diag), len(x)))
-    w = np.empty_like(q)  # q_i' / q_i, from q_i' = -1 + (off^2 / q_{i-1}) (q_{i-1}' / q_{i-1})
-    t = np.empty_like(x)
     sweeps = 0
     while not done.all():
         if sweeps == _MAX_SWEEPS:
@@ -264,18 +282,7 @@ def _sector_eigenvalues(diag, off, ranks, start):
                 f"for {len(diag)} photon indices"
             )
         sweeps += 1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dmx = diag[:, None] - x
-            q[0] = dmx[0]
-            np.divide(-1.0, q[0], out=w[0])
-            for i in range(1, len(diag)):
-                np.divide(e2, q[i - 1], out=t)
-                np.subtract(dmx[i], t, out=q[i])
-                np.multiply(t, w[i - 1], out=w[i])
-                w[i] -= 1.0
-                w[i] /= q[i]
-            step = -1.0 / w.sum(axis=0)
-        count = np.count_nonzero(q < 0.0, axis=0)
+        count, step = _pivot_pass(diag, off, x)
         below = count <= ranks
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -316,40 +323,32 @@ def _twisted_vectors(diag, off, lam):
     above = np.where(rows < twist, -off / fwd, 1.0)
     below = np.where(rows > twist, -off / bwd, 1.0)
     v = np.cumprod(above[::-1], axis=0)[::-1] * np.cumprod(below, axis=0)
-    return v / np.linalg.norm(v, axis=0)
+    return v / np.sqrt((v * v).sum(axis=0))
 
 
 def _branch_ranks(delta, omega, truncation_n):
     """Sorted positions of the two branches within the even sector.
 
-    Fixed at the small amplitude A* = min(0.02 omega, 2 pi 0.05) by
-    proximity to the closed-form values, which resolves the A -> 0 degeneracy
-    at resonance and the ties with same-sector photon copies at odd
-    multiphoton resonances.  An irreducible tridiagonal matrix has simple eigenvalues, so
-    the positions hold for every A > 0.
+    Fixed at the small amplitude A* = min(0.02 omega, 2 pi 0.05) by one :func:`_pivot_pass`
+    at the closed-form values, each nearest the eigenvalue of rank count - (step < 0).
+    That resolves the A -> 0 degeneracy at resonance and the ties with same-sector photon
+    copies at odd multiphoton resonances.  An irreducible tridiagonal matrix has simple
+    eigenvalues, so the positions hold for every A > 0.  Equal ranks raise NumericError.
     """
     a_star = min(0.02 * omega, TWO_PI * 0.05)
-    diag = _even_sector(delta, omega, truncation_n)
-    coupling = np.full(len(diag) - 1, -0.5 * a_star)
-    try:
-        evals = np.linalg.eigvalsh(np.diag(diag) + np.diag(coupling, 1) + np.diag(coupling, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"Floquet sector eigensolver failed for {len(diag)} photon indices"
-        ) from exc
-    e0a, e1a = analytic_quasienergies(delta, a_star, omega)
-    k0 = int(np.argmin(np.abs(evals - e0a)))
-    k1 = int(np.argmin(np.abs(evals - e1a)))
+    x = np.array(analytic_quasienergies(delta, a_star, omega))
+    count, step = _pivot_pass(_even_sector(delta, omega, truncation_n), -0.5 * a_star, x)
+    k0, k1 = (count - (step < 0.0)).tolist()
     if k0 == k1:
-        k0, k1 = sorted(int(k) for k in np.argsort(np.abs(evals - e0a))[:2])
+        raise NumericError(f"Floquet branches share rank {k0} at Delta = {delta}, omega = {omega}")
     return k0, k1
 
 
 def _zero_amp_state(delta, omega, truncation_n):
     """Anchored sector eigenpairs at A = 0: eps = -omega/2 -+ |Delta - omega|/2."""
-    photon = np.eye(2 * truncation_n + 1)
-    c_low = photon[truncation_n]  # n = 0, x = +1: in-block energy -Delta/2
-    c_high = photon[truncation_n - 1]  # n = -1, x = -1: Delta/2 - omega
+    c_low, c_high = np.zeros((2, 2 * truncation_n + 1))
+    c_low[truncation_n] = 1.0  # n = 0, x = +1: in-block energy -Delta/2
+    c_high[truncation_n - 1] = 1.0  # n = -1, x = -1: Delta/2 - omega
     if abs(delta - omega) < RESONANCE_TOL:
         eps = np.array([-0.5 * delta, -0.5 * delta])
         return eps, np.column_stack([c_low + c_high, c_low - c_high]) / np.sqrt(2.0), True
@@ -362,15 +361,15 @@ def quasienergy_sweep(delta: float, omega: float, amplitudes) -> list[FloquetSpe
     """The two quasienergy branches at each requested amplitude, in any order.
 
     Each A > 0 is an independent solve of the even parity sector (size 2N+1)
-    for the eigenpairs at the two ranks of :func:`_branch_ranks`, all of
-    them in one :func:`_sector_eigenvalues` iteration that starts from the
-    closed-form values; A = 0 returns the anchored states of
+    for the eigenpairs at the two ranks :func:`_branch_ranks` reads off one
+    pivot pass, all of them in one :func:`_sector_eigenvalues` iteration that
+    starts from the closed-form values; A = 0 returns the anchored states of
     :func:`_zero_amp_state`.  N starts at DEFAULT_TRUNCATION and doubles,
     ranks and all, while a driven sector vector has an entry above 1e-16 at
     |n| = N; one that still does at TRUNCATION_CAP raises AccuracyError
     naming A/omega.  Returns one FloquetSpectrum per amplitude, each
-    recording the N chosen.  A non-positive omega raises ValueError (from
-    the closed-form start values).
+    recording the N chosen.  Unless Delta is finite and omega finite and
+    > 0, the closed-form start values raise ValueError before any solve.
     """
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     if not np.all(np.isfinite(amps) & (amps >= 0.0)):
@@ -465,8 +464,8 @@ def _monodromy_oracle(delta, amplitudes, omega):
     it exceeds MONODROMY_TOL, n doubles and the last run becomes the
     coarse one; past MONODROMY_STEPS_CAP that raises AccuracyError.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not (np.isfinite(omega) and omega > 0.0 and np.isfinite(delta)):
+        raise ValueError(f"omega must be positive and finite, Delta finite: got {omega}, {delta}")
     amps = np.atleast_1d(np.asarray(amplitudes, dtype=float))
     period = TWO_PI / omega
     n_steps, theta = 2000, _su2_eigenphases(_monodromy_propagators(delta, amps, omega, 250))
@@ -569,8 +568,8 @@ def analytic_delta_epsilon(delta: float, amp, omega: float):
     """Generalized Rabi frequency sqrt((w - D J0)^2 + D^2 J1^2), args 2A/w.
 
     Elementwise over an array of amplitudes; a float for a scalar one."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not (np.isfinite(omega) and omega > 0.0 and np.isfinite(delta)):
+        raise ValueError(f"omega must be positive and finite, Delta finite: got {omega}, {delta}")
     x = 2.0 * np.asarray(amp, dtype=float) / omega
     de = np.hypot(omega - delta * j0(x), delta * j1(x))
     return float(de) if np.ndim(de) == 0 else de

@@ -541,6 +541,76 @@ class TestParitySector:
                     assert abs(np.linalg.norm(c) - 1.0) < 1e-12
 
 
+def _dense_branch_ranks(delta, omega, n_trunc):
+    """The oracle of ``_branch_ranks``: the dense sector matrix at A* through
+    LAPACK's eigvalsh, and each branch's rank that of the eigenvalue nearest
+    its closed-form value."""
+    a_star = min(0.02 * omega, TWO_PI * 0.05)
+    diag = fq._even_sector(delta, omega, n_trunc)
+    coupling = np.full(len(diag) - 1, -0.5 * a_star)
+    evals = np.linalg.eigvalsh(np.diag(diag) + np.diag(coupling, 1) + np.diag(coupling, -1))
+    closed_form = fq.analytic_quasienergies(delta, a_star, omega)
+    return tuple(int(np.argmin(np.abs(evals - e))) for e in closed_form)
+
+
+class TestBranchRanks:
+    """The one-pass ranks against the dense nearest-eigenvalue rule."""
+
+    @pytest.mark.parametrize("k", range(1, 22, 2))
+    def test_match_dense_rule_at_odd_multiphoton_resonances(self, k):
+        # Delta = k omega: the A = 0 anchor ties with a same-sector photon copy
+        for omega in TWO_PI * np.array([0.1, 1.0, 2.288]):
+            for n_trunc in (2, 10, 50, 100):
+                want = _dense_branch_ranks(k * omega, omega, n_trunc)
+                assert fq._branch_ranks(k * omega, omega, n_trunc) == want
+
+    @pytest.mark.parametrize("k", range(1, 16, 2))
+    def test_match_dense_rule_near_odd_multiphoton_resonances(self, k):
+        for rel in (-1e-2, -1e-6, -1e-12, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2):
+            for omega in TWO_PI * np.array([0.1, 2.288]):
+                delta = k * omega * (1.0 + rel)
+                assert fq._branch_ranks(delta, omega, 50) == _dense_branch_ranks(delta, omega, 50)
+
+    @pytest.mark.parametrize(
+        "omega_ghz, n_trunc", [(0.2, 50), (0.2, 100), (0.05, 200), (0.01, 400), (0.005, 800)]
+    )
+    def test_match_dense_rule_at_small_carriers(self, omega_ghz, n_trunc):
+        # the carriers that make a sweep double its truncation up to the cap
+        omega = TWO_PI * omega_ghz
+        want = _dense_branch_ranks(DELTA, omega, n_trunc)
+        assert fq._branch_ranks(DELTA, omega, n_trunc) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_ratio=st.floats(-3.0, 3.0),
+        omega=st.floats(0.05, 20.0),
+        n_trunc=st.integers(3, 120),
+    )
+    def test_match_dense_rule(self, log_ratio, omega, n_trunc):
+        # Delta / omega log-uniform over six decades
+        delta = omega * 10.0**log_ratio
+        want = _dense_branch_ranks(delta, omega, n_trunc)
+        assert fq._branch_ranks(delta, omega, n_trunc) == want
+
+    def test_equal_ranks_raise(self):
+        # Delta = 0, N = 1: both closed-form values read as the middle eigenvalue
+        with pytest.raises(NumericError, match=r"share rank 1 at Delta = 0.0, omega = 2.5"):
+            fq._branch_ranks(0.0, 2.5, 1)
+
+    def test_sweep_makes_no_linalg_call(self, monkeypatch):
+        # the ranks come from the Newton solve's own pivot pass: no dense
+        # eigensolver, nor any other np.linalg routine, runs in a sweep,
+        # a doubling (0.05 GHz at 4.8 GHz takes N = 200) and A = 0 included
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called in quasienergy_sweep")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        specs = fq.quasienergy_sweep(DELTA, TWO_PI * 0.05, TWO_PI * np.array([0.0, 1.0, 4.8]))
+        assert [s.truncation_n for s in specs] == [200, 200, 200]
+
+
 def _assert_sector_matches_lapack(delta, omega, amps, specs):
     """The oracle: eigh_tridiagonal at the sweep's two ranks, at each
     solve's own truncation."""
@@ -602,6 +672,23 @@ class TestSectorSolve:
     def test_bad_amplitude_rejected(self, bad):
         with pytest.raises(ValueError, match="amplitudes"):
             fq.quasienergy_sweep(DELTA, DELTA, [1.0, bad])
+
+    @pytest.mark.parametrize("entry", ["quasienergy_sweep", "monodromy_quasienergies_batch"])
+    @pytest.mark.parametrize(
+        "delta, omega",
+        [(np.nan, DELTA), (np.inf, DELTA), (-np.inf, DELTA), (DELTA, np.nan), (DELTA, np.inf)],
+    )
+    def test_non_finite_drive_rejected_by_name(self, monkeypatch, entry, delta, omega):
+        # before any work: no sector is built and no propagator stepped
+        def refuse(*args):
+            raise AssertionError(f"{entry} worked on a non-finite drive")
+
+        monkeypatch.setattr(fq, "_even_sector", refuse)
+        monkeypatch.setattr(fq, "_monodromy_propagators", refuse)
+        sweep = entry == "quasienergy_sweep"
+        message = f"^omega must be positive and finite, Delta finite: got {omega}, {delta}$"
+        with pytest.raises(ValueError, match=message):
+            getattr(fq, entry)(*((delta, omega, [1.0]) if sweep else (delta, [1.0], omega)))
 
     def test_zero_amplitudes_only(self):
         specs = fq.quasienergy_sweep(DELTA, 0.6 * DELTA, [0.0, 0.0])
